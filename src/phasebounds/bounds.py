@@ -23,12 +23,12 @@ phases drawn from a wide uniform prior.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateInputError, RegionError
 from .moments import coherent_number_moment
@@ -260,6 +260,41 @@ def qcrb_independent_ecs(d: int, alpha_sq: float) -> BoundReport:
                                "n_tot": independent_ecs_total_photons(d, alpha_sq)})
 
 
+def _independent_alpha_sq(d: int, n_tot: float) -> float:
+    """Root of h(x) = d x / (1 + e^{-x}) = n_tot by safeguarded Newton-bisection.
+
+    h is increasing with d x / 2 <= h(x) <= d x, which gives the bracket, and
+    h'(x) = d (1 + e^{-x} (1 + x)) / (1 + e^{-x})^2.  A Newton step that
+    would leave the bracket is replaced by bisection.  Each new iterate lies
+    strictly inside the bracket and then becomes one of its ends, so the loop
+    ends: when the step no longer moves x, or when the bracket is two
+    adjacent doubles.  Returns the iterate of smallest residual.
+    """
+    lo = n_tot / (2.0 * d)
+    hi = min(2.0 * n_tot / d + 1.0, sys.float_info.max)
+    x = hi
+    best, best_res = x, math.inf
+    while True:
+        e = math.exp(-x)
+        res = d * x / (1.0 + e) - n_tot
+        if abs(res) < best_res:
+            best, best_res = x, abs(res)
+        if res == 0.0:
+            return x
+        if res > 0.0:
+            hi = x
+        else:
+            lo = x
+        x_new = x - res * (1.0 + e) ** 2 / (d * (1.0 + e * (1.0 + x)))
+        if x_new == x:
+            return best
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+            if not lo < x_new < hi:
+                return best
+        x = x_new
+
+
 def independent_ecs_vs_ntot(d: int, n_tot: float) -> BoundReport:
     """Independent-probe baseline parameterized by the mean total photon number.
 
@@ -270,11 +305,7 @@ def independent_ecs_vs_ntot(d: int, n_tot: float) -> BoundReport:
     """
     _check_d(d)
     _check_positive("n_tot", n_tot)
-    # bracket: h(x) = d x / (1 + e^{-x}) satisfies d x / 2 <= h(x) <= d x
-    lo = n_tot / (2.0 * d)
-    hi = 2.0 * n_tot / d + 1.0
-    alpha_sq = brentq(lambda x: d * x / (1.0 + math.exp(-x)) - n_tot,
-                      lo, hi, xtol=1e-14, rtol=8.9e-16)
+    alpha_sq = _independent_alpha_sq(d, n_tot)
     inv_n_sq = 2.0 * (1.0 + math.exp(-alpha_sq))
     value = d ** 3 / (n_tot * (2.0 * d + n_tot * (inv_n_sq - 1.0)))
     return BoundReport(value=value, kind=BoundKind.INDEPENDENT_ECS,

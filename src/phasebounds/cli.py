@@ -183,6 +183,12 @@ def _region_grid(args: argparse.Namespace) -> SweepGrid:
 def cmd_region(args: argparse.Namespace) -> int:
     if not args.alpha_min > 0:
         raise PhaseBoundsError("--alpha-min must be > 0")
+    if args.alpha_steps < 1:
+        raise PhaseBoundsError("--alpha-steps must be >= 1")
+    if args.d_steps is not None and args.d_steps < 1:
+        raise PhaseBoundsError("--d-steps must be >= 1")
+    if args.d_max < args.d_min:
+        raise PhaseBoundsError("--d-max must be >= --d-min")
     grid = _region_grid(args)
     if args.format == "json":
         payload = [dict(zip(grid.header, cell)) for cell in grid.cells]

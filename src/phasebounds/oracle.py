@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import CutoffError, SizeLimitError
 from .states import EcsParams, NoonParams, validate_ecs, validate_noon
@@ -58,6 +58,10 @@ DEFAULT_TAIL_TOL = 1e-14
 # machine level and only the O(step^2) truncation remains: relative error
 # about (step^2 / 3) f(4m)/f(2m), below 1e-6 even for m = 2 at alpha_sq = 4.
 DEFAULT_FD_STEP = 2e-5
+# Poisson tail sums stop once everything left is below this fraction of a
+# reference (the largest term, or the tail tolerance); one unit of roundoff.
+_TAIL_EPS = 2.0 ** -53
+_MAX_CUTOFF = 100_000
 
 
 @dataclass(frozen=True)
@@ -87,23 +91,76 @@ class SparseProductState:
         return self.terms[0][1][0].cutoff
 
 
+def _poisson_pmf(n: int, mu: float) -> float:
+    """exp(-mu) mu^n / n!, formed in log space: exp(-mu) alone underflows past mu ~ 745."""
+    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+
+
+def _upper_tail_sums(start: int, mu: float, floor: float) -> list[float]:
+    """P(X >= n) for n = start, start + 1, ... for X ~ Poisson(mu), start > mu.
+
+    Walks pmf(n) upward from pmf(start).  Beyond n each term ratio is at most
+    r = mu / (n + 1) < 1, so the rest is at most pmf(n) r / (1 - r) (the
+    geometric-tail bound of ``moments.moment_via_poisson_sum``); the walk
+    stops once that is <= floor.  The suffix sums are accumulated from the
+    smallest term upward, so no tail is formed as a difference.
+    """
+    term = _poisson_pmf(start, mu)
+    terms = [term]
+    n = start
+    while term * mu > floor * (n + 1 - mu):
+        n += 1
+        term *= mu / n
+        terms.append(term)
+    return list(accumulate(reversed(terms)))[::-1]
+
+
 def poisson_tail(cutoff: int, mu: float) -> float:
-    """P(X > cutoff) for X ~ Poisson(mu)."""
+    """P(X > cutoff) for X ~ Poisson(mu), by direct summation.
+
+    Above the mean the sum starts at pmf(cutoff + 1).  A cutoff below the
+    mean starts at the mode instead, where the pmf cannot underflow, and
+    also walks down to cutoff + 1 until the rest is below rounding (the
+    downward term ratio n / mu is < 1 there).
+    """
     if mu == 0.0:
         return 0.0
-    return float(stats.poisson.sf(cutoff, mu))
+    start = max(cutoff + 1, int(mu) + 1)
+    upper = _upper_tail_sums(start, mu, _TAIL_EPS * _poisson_pmf(start, mu))[0]
+    n = start - 1
+    if n <= cutoff:
+        return upper
+    term = _poisson_pmf(n, mu)
+    floor = _TAIL_EPS * term
+    lower = [term]
+    while n > cutoff + 1 and term * n > floor * (mu - n):
+        term *= n / mu
+        n -= 1
+        lower.append(term)
+    return math.fsum(lower + [upper])
 
 
 def minimal_cutoff(mu: float, tail_tol: float) -> int:
-    """Smallest cutoff whose Poisson tail mass falls below tail_tol."""
+    """Smallest cutoff whose Poisson tail mass falls below tail_tol.
+
+    One pass: the tails of every candidate from int(mu) upward are suffix
+    sums of one walk, summed down to 2^-53 tail_tol.
+    """
     if not tail_tol > 0.0:
         raise ValueError(f"tail_tol must be > 0, got {tail_tol}")
     c = max(int(mu), 0)
-    while poisson_tail(c, mu) >= tail_tol:
+    if mu == 0.0:
+        return c
+    if c > _MAX_CUTOFF:
+        raise CutoffError(
+            f"no cutoff below {_MAX_CUTOFF} reaches tail {tail_tol} for mu={mu}")
+    for tail in _upper_tail_sums(c + 1, mu, _TAIL_EPS * tail_tol):
+        if tail < tail_tol:
+            return c
         c += 1
-        if c > 100_000:
+        if c > _MAX_CUTOFF:
             raise CutoffError(
-                f"no cutoff below 100000 reaches tail {tail_tol} for mu={mu}")
+                f"no cutoff below {_MAX_CUTOFF} reaches tail {tail_tol} for mu={mu}")
     return c
 
 

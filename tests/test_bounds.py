@@ -163,6 +163,40 @@ class TestIndependentBaselines:
         assert bounds.qcrb_independent_noon(5, 10.0).value == 1.25
 
 
+class TestIndependentRootSolver:
+    """``independent_ecs_vs_ntot`` solves h(x) = d x / (1 + e^{-x}) = n_tot for alpha_sq."""
+
+    @staticmethod
+    def draws(count: int = 2000):
+        rng = np.random.default_rng(20261017)
+        ds = rng.integers(1, 65, size=count)
+        n_tots = 10.0 ** rng.uniform(-3.0, 8.0, size=count)
+        return [(int(d), float(n)) for d, n in zip(ds, n_tots)]
+
+    def test_residual_at_rounding_level(self):
+        eps = np.finfo(float).eps
+        worst = 0.0
+        for d, n_tot in self.draws():
+            x = bounds.independent_ecs_vs_ntot(d, n_tot).params["alpha_sq"]
+            residual = abs(d * x / (1.0 + math.exp(-x)) - n_tot)
+            worst = max(worst, residual / (eps * n_tot))
+        assert worst <= 4.0
+
+    def test_agrees_with_brentq(self):
+        from scipy.optimize import brentq
+        for d, n_tot in self.draws():
+            x = bounds.independent_ecs_vs_ntot(d, n_tot).params["alpha_sq"]
+            ref = brentq(lambda t: d * t / (1.0 + math.exp(-t)) - n_tot,
+                         n_tot / (2.0 * d), 2.0 * n_tot / d + 1.0,
+                         xtol=1e-14, rtol=8.9e-16)
+            assert abs(x - ref) <= 1e-14 + 1e-12 * ref
+
+    def test_root_past_the_overflowing_bracket(self):
+        # 2 n_tot / d overflows; the root is n_tot / d since e^{-x} = 0 there
+        report = bounds.independent_ecs_vs_ntot(1, 1.7e308)
+        assert report.params["alpha_sq"] == 1.7e308
+
+
 class TestZivZakai:
     def test_both_branches_single_parameter(self):
         report = bounds.zzb_noon(1, 1.0)

@@ -2,10 +2,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from phasebounds.cli import main
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -103,6 +110,18 @@ class TestRegionCommand:
         code, _, err = run_cli(capsys, "region", "--alpha-min", "0.0")
         assert code == 2 and "alpha-min" in err
 
+    def test_rejects_zero_alpha_steps(self, capsys):
+        code, out, err = run_cli(capsys, "region", "--alpha-steps", "0")
+        assert code == 2 and "--alpha-steps" in err and out == ""
+
+    def test_rejects_zero_d_steps(self, capsys):
+        code, out, err = run_cli(capsys, "region", "--d-steps", "0")
+        assert code == 2 and "--d-steps" in err and out == ""
+
+    def test_rejects_empty_d_range(self, capsys):
+        code, out, err = run_cli(capsys, "region", "--d-min", "5", "--d-max", "1")
+        assert code == 2 and "--d-max" in err and out == ""
+
 
 class TestCurvesCommand:
     def test_header_and_ordering_claims(self, capsys):
@@ -189,3 +208,12 @@ class TestVerifyCommand:
         _, first, _ = run_cli(capsys, "verify", "--suite", "optimizer", "--seed", "7")
         _, second, _ = run_cli(capsys, "verify", "--suite", "optimizer", "--seed", "7")
         assert first == second
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import sys, phasebounds.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"

@@ -47,6 +47,54 @@ class TestTruncatedCoherent:
         assert oracle.poisson_tail(c - 1, 4.0) >= 1e-12
 
 
+class TestPoissonTail:
+    """Direct tail summation checked against SciPy's survival function."""
+
+    @pytest.mark.parametrize("mu", [1e-12, 1e-6, 0.1, 1.0, 4.0, 16.0, 100.0,
+                                    700.0, 1000.0, 1400.0])
+    def test_matches_scipy_sf(self, mu):
+        from scipy import stats
+        c = int(mu) - 5
+        checked = 0
+        while True:
+            ref = float(stats.poisson.sf(c, mu))
+            if ref < 1e-290:
+                break
+            assert oracle.poisson_tail(c, mu) == pytest.approx(ref, rel=1e-10, abs=0.0)
+            c += 1
+            checked += 1
+        assert checked >= 5
+
+    def test_cutoff_far_below_mean(self):
+        # exp(-mu) mu^(cutoff+1) / (cutoff+1)! underflows here; the tail is ~1
+        assert oracle.poisson_tail(10, 900.0) == pytest.approx(1.0, rel=1e-10)
+        assert oracle.poisson_tail(-1, 3.0) == pytest.approx(1.0, rel=1e-15)
+
+    def test_zero_mean(self):
+        assert oracle.poisson_tail(0, 0.0) == 0.0
+        assert oracle.minimal_cutoff(0.0, 1e-14) == 0
+
+    def test_minimal_cutoff_matches_sf_loop(self):
+        from scipy import stats
+        for mu in np.geomspace(0.01, 1000.0, 60):
+            mu = float(mu)
+            for tol in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15):
+                c = max(int(mu), 0)
+                while stats.poisson.sf(c, mu) >= tol:
+                    c += 1
+                assert oracle.minimal_cutoff(mu, tol) == c, (mu, tol)
+
+    def test_minimal_cutoff_errors(self):
+        with pytest.raises(ValueError):
+            oracle.minimal_cutoff(4.0, 0.0)
+        with pytest.raises(ValueError):
+            oracle.minimal_cutoff(4.0, -1e-12)
+        with pytest.raises(CutoffError):
+            oracle.minimal_cutoff(99_990.0, 1e-14)
+        with pytest.raises(CutoffError):
+            oracle.minimal_cutoff(2e5, 1e-14)
+
+
 class TestBuildStates:
     def test_single_branch_norm(self):
         p = states.EcsParams(d=1, alpha_sq=2.0, b=0.0, c=1.0, m=1)
