@@ -18,6 +18,9 @@ n = photon-number argument,
 
 plus independent-estimation baselines and Bayesian (Ziv-Zakai) bounds for
 phases drawn from a wide uniform prior.
+
+The four headline closed forms and :func:`region_classify` broadcast over
+their arguments (see ``_arrays``); sweeps call them with arrays.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._arrays import all_true, check_positive_int, first_failing, libm, scalar
 from .errors import DegenerateInputError, RegionError
 from .moments import coherent_number_moment
 from .states import domain_geometry
@@ -40,7 +44,6 @@ __all__ = [
     "BoundReport",
     "RegionCell",
     "ZIV_ZAKAI_LAMBDA",
-    "REPETITIONS",
     "ecs_linear_value",
     "ecs_nonlinear_value",
     "noon_linear_value",
@@ -64,9 +67,6 @@ __all__ = [
 # First-branch constant of the Ziv-Zakai bounds; known only numerically.
 # Exposed as a keyword on the zzb functions for sensitivity checks.
 ZIV_ZAKAI_LAMBDA = 0.7246
-
-# All bounds are stated per repetition; the trace inequality carries a 1/nu.
-REPETITIONS = 1
 
 
 class BoundKind(str, Enum):
@@ -99,7 +99,10 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class RegionCell:
-    """One cell of the attainability partition: is b_star inside the domain?"""
+    """One cell of the attainability partition: is b_star inside the domain?
+
+    Every field but m is an array when region_classify was given arrays.
+    """
 
     d: int
     alpha: float
@@ -109,24 +112,26 @@ class RegionCell:
     interior: bool
 
 
-def _check_d(d: int) -> None:
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ValueError(f"parameter count d must be a positive int, got {d!r}")
+def _check_d(d) -> None:
+    check_positive_int("parameter count d", d)
 
 
-def _check_positive(name: str, x: float) -> None:
-    if not x > 0.0 or math.isinf(x):
-        raise DegenerateInputError(f"{name} must be finite and > 0, got {x}")
+def _check_positive(name: str, x) -> None:
+    ok = (x > 0.0) & (x < math.inf)
+    if not all_true(ok):
+        raise DegenerateInputError(f"{name} must be finite and > 0, got {first_failing(x, ok)}")
 
 
-def _check_photons(n: float) -> None:
-    if not n >= 1.0 or math.isinf(n):
-        raise DegenerateInputError(f"photon-number argument must be >= 1, got {n}")
+def _check_photons(n) -> None:
+    ok = (n >= 1.0) & (n < math.inf)
+    if not all_true(ok):
+        raise DegenerateInputError(
+            f"photon-number argument must be >= 1, got {first_failing(n, ok)}")
 
 
-def _headline_scale(d: int) -> float:
+def _headline_scale(d):
     """Common d-scaling of all optimized bounds: d (sqrt d + 1)^2 / 4."""
-    return d * (math.sqrt(d) + 1.0) ** 2 / 4.0
+    return d * libm(pow, np.sqrt(d) + 1.0, 2) / 4.0
 
 
 def _ecs_kind(m: int) -> BoundKind:
@@ -137,32 +142,33 @@ def _ecs_kind(m: int) -> BoundKind:
     return BoundKind.GENERAL_ECS_AT_B
 
 
-def ecs_linear_value(d: int, alpha_sq: float) -> float:
+def ecs_linear_value(d, alpha_sq):
     """Interior-regime coherent-probe optimum for m = 1 (raw formula, unchecked)."""
     _check_d(d)
     _check_positive("alpha_sq", alpha_sq)
-    return _headline_scale(d) / (1.0 + alpha_sq) ** 2
+    return scalar(_headline_scale(d) / libm(pow, 1.0 + alpha_sq, 2))
 
 
-def ecs_nonlinear_value(d: int, alpha_sq: float) -> float:
+def ecs_nonlinear_value(d, alpha_sq):
     """Interior-regime coherent-probe optimum for m = 2 (raw formula, unchecked)."""
     _check_d(d)
     _check_positive("alpha_sq", alpha_sq)
     mu = alpha_sq
-    cubic = ((mu + 6.0) * mu + 7.0) * mu + 1.0  # f(4)/mu
-    return _headline_scale(d) * ((1.0 + mu) / cubic) ** 2
+    with np.errstate(over="ignore"):
+        cubic = ((mu + 6.0) * mu + 7.0) * mu + 1.0  # f(4)/mu
+    return scalar(_headline_scale(d) * libm(pow, (1.0 + mu) / cubic, 2))
 
 
-def noon_linear_value(d: int, photon_number: float) -> float:
+def noon_linear_value(d, photon_number):
     _check_d(d)
     _check_photons(photon_number)
-    return _headline_scale(d) / photon_number ** 2
+    return scalar(_headline_scale(d) / libm(pow, photon_number, 2))
 
 
-def noon_nonlinear_value(d: int, photon_number: float) -> float:
+def noon_nonlinear_value(d, photon_number):
     _check_d(d)
     _check_photons(photon_number)
-    return _headline_scale(d) / photon_number ** 4
+    return scalar(_headline_scale(d) / libm(pow, photon_number, 4))
 
 
 def minimize_bound_over_b(d: int, m: int, alpha_sq: float) -> BoundReport:
@@ -359,12 +365,17 @@ def zzb_ecs(d: int, alpha_sq: float, lam: float = ZIV_ZAKAI_LAMBDA) -> BoundRepo
                                "branch_first": first, "branch_second": second})
 
 
-def region_classify(d: int, alpha: float, m: int) -> RegionCell:
-    """Classify whether the unconstrained optimizer is attainable at (d, alpha, m)."""
+def region_classify(d, alpha, m: int) -> RegionCell:
+    """Classify whether the unconstrained optimizer is attainable at (d, alpha, m).
+
+    d and alpha broadcast against each other.
+    """
     _check_positive("alpha", alpha)
-    geom = domain_geometry(d, m, alpha * alpha)
+    with np.errstate(over="ignore"):
+        alpha_sq = alpha * alpha  # an overflow to inf is rejected by domain_geometry
+    geom = domain_geometry(d, m, alpha_sq)
     return RegionCell(d=d, alpha=alpha, m=m, b_star=geom.b_star,
-                      sqrt_gamma=math.sqrt(geom.gamma_cap), interior=geom.interior)
+                      sqrt_gamma=scalar(np.sqrt(geom.gamma_cap)), interior=geom.interior)
 
 
 def grid_scan_minimizer(d: int, m: int, alpha_sq: float,

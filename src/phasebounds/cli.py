@@ -9,22 +9,20 @@ verify   oracle-equivalence suites; exit 1 on any failed check
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or domain error.  CSV
 numerics carry 17 significant digits so values round-trip exactly.  Sweeps
-fan out across a thread pool sized by the PHASEBOUNDS_WORKERS environment
-variable (default: available parallelism); each cell is computed
-independently, so output is byte-identical at any worker count.
+run the array kernels one chunk at a time (a d-row of `region`, a block of
+points of `curves`) and write each chunk as it is made, so memory stays
+flat as the grid grows.  Every chunk is evaluated once before the output is
+opened, so a sweep that fails on any cell writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,58 +30,69 @@ from . import bounds, states, verify
 from .errors import PhaseBoundsError
 from .qfim import trace_inverse_bound
 
-__all__ = ["main", "SweepGrid"]
+__all__ = ["main"]
 
-WORKERS_ENV = "PHASEBOUNDS_WORKERS"
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Axis definitions plus row-major cell records for a sweep output."""
-
-    axes: tuple[tuple[str, float, float, int], ...]
-    header: tuple[str, ...]
-    cells: list[tuple]
+REGION_HEADER = ("d", "alpha", "m", "b_star", "sqrt_gamma", "interior")
+CURVES_HEADER = ("n_tot", "ecs_linear", "noon_linear", "ecs_nonlinear",
+                 "noon_nonlinear", "ecs_mean_photons_exact")
+# points per curves chunk: enough that NumPy's per-call cost is small next to
+# the work, few enough that a chunk's JSON row objects stay at a few MB
+CURVES_CHUNK = 2048
 
 
-def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
-def _worker_count() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _parallel_rows(fn: Callable, items: Sequence) -> list:
-    """Map fn over items on the worker pool, preserving order."""
-    workers = min(_worker_count(), len(items)) or 1
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _write_rows(path: str | None, header: Iterable[str], rows: Iterable[tuple]) -> None:
-    def dump(stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
-
+@contextmanager
+def _output(path: str | None) -> Iterator:
     if path is None:
-        dump(sys.stdout)
+        yield sys.stdout
     else:
         with open(path, "w", newline="") as fh:
-            dump(fh)
+            yield fh
+
+
+def _csv_conversion(value) -> str:
+    """printf conversion of one CSV field: text as is, ints and flags as
+    integers (True is 1), floats with 17 significant digits."""
+    if isinstance(value, str):
+        return "%s"
+    if isinstance(value, int):
+        return "%d"
+    return "%.17g"
+
+
+def _write_table(path: str | None, fmt: str, header: Sequence[str],
+                 chunks: Iterable[list[tuple]]) -> None:
+    """Write rows of Python values as CSV or as a JSON list of objects, chunk by chunk.
+
+    Every field is a number or a fixed name, so no CSV field needs quoting.
+    JSON chunks are joined with ", ", so the bytes equal json.dumps of the
+    whole list.
+    """
+    with _output(path) as out:
+        if fmt == "csv":
+            out.write(",".join(header) + "\n")
+            for rows in chunks:
+                template = ",".join(map(_csv_conversion, rows[0])) + "\n"
+                out.write("".join(map(template.__mod__, rows)))
+            return
+        out.write("[")
+        sep = ""
+        for rows in chunks:
+            out.write(sep + json.dumps([dict(zip(header, row)) for row in rows])[1:-1])
+            sep = ", "
+        out.write("]\n")
+
+
+def _rows(columns: Sequence) -> list[tuple]:
+    """Row tuples of Python values from a chunk's columns (arrays, or repeat() constants)."""
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+
+
+def _write_sweep(args: argparse.Namespace, header: Sequence[str],
+                 chunks: Callable[[], Iterable[Sequence]]) -> None:
+    """Evaluate every chunk once, so any check fails before output exists, then write."""
+    for _ in chunks():
+        pass
+    _write_table(args.out, args.format, header, map(_rows, chunks()))
 
 
 def _report_payload(report: bounds.BoundReport) -> dict:
@@ -93,18 +102,13 @@ def _report_payload(report: bounds.BoundReport) -> dict:
 
 def _emit_report(report: bounds.BoundReport, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(_report_payload(report), sort_keys=True)
-        if out is None:
-            print(text)
-        else:
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
+        with _output(out) as stream:
+            stream.write(json.dumps(_report_payload(report), sort_keys=True) + "\n")
         return
     keys = sorted(report.params)
-    header = ["kind", "regime", "value"] + keys
-    row = [report.kind.value, report.regime.value, _fmt(report.value)]
-    row += [_fmt(report.params[k]) for k in keys]
-    _write_rows(out, header, [tuple(row)])
+    row = (report.kind.value, report.regime.value, report.value,
+           *(report.params[k] for k in keys))
+    _write_table(out, "csv", ["kind", "regime", "value"] + keys, [[row]])
 
 
 def _require(args: argparse.Namespace, flag: str, family: str) -> float:
@@ -155,29 +159,30 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _region_grid(args: argparse.Namespace) -> SweepGrid:
-    if args.d_steps is None:
-        d_values = list(range(args.d_min, args.d_max + 1))
-    else:
-        # rounded to integers; repeats keep the cell count at the requested product
-        d_values = [int(round(x)) for x in
-                    np.linspace(args.d_min, args.d_max, args.d_steps)]
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
+def _region_chunks(d_values: Sequence[int], alphas: np.ndarray, m: int) -> Iterator[tuple]:
+    """Columns of the region table, one d-row per chunk."""
+    for d in d_values:
+        cell = bounds.region_classify(d, alphas, m)
+        yield (repeat(d), alphas, repeat(m), cell.b_star, cell.sqrt_gamma, cell.interior)
 
-    def row(d: int) -> list[tuple]:
-        cells = []
-        for alpha in alphas:
-            cell = bounds.region_classify(d, float(alpha), args.m)
-            cells.append((cell.d, cell.alpha, cell.m, cell.b_star,
-                          cell.sqrt_gamma, cell.interior))
-        return cells
 
-    rows = _parallel_rows(row, d_values)
-    return SweepGrid(
-        axes=(("d", args.d_min, args.d_max, len(d_values)),
-              ("alpha", args.alpha_min, args.alpha_max, args.alpha_steps)),
-        header=("d", "alpha", "m", "b_star", "sqrt_gamma", "interior"),
-        cells=[cell for chunk in rows for cell in chunk])
+def _curves_chunks(d: int, axis: np.ndarray) -> Iterator[tuple]:
+    """Columns of the curves table, CURVES_CHUNK points per chunk.
+
+    The coherent probe's photon number is the axis value itself; the exact
+    mean uses the optimal weight clamped to the cap.
+    """
+    for start in range(0, len(axis), CURVES_CHUNK):
+        n_tot = axis[start:start + CURVES_CHUNK]
+        geom = states.domain_geometry(d, 1, n_tot)
+        b_used = np.minimum(geom.b_star, np.sqrt(geom.gamma_cap))
+        exact_mean = states.mean_total_photons(states.ecs_params(d, n_tot, b_used))
+        yield (n_tot,
+               bounds.ecs_linear_value(d, n_tot),
+               bounds.noon_linear_value(d, n_tot),
+               bounds.ecs_nonlinear_value(d, n_tot),
+               bounds.noon_nonlinear_value(d, n_tot),
+               exact_mean)
 
 
 def cmd_region(args: argparse.Namespace) -> int:
@@ -187,33 +192,19 @@ def cmd_region(args: argparse.Namespace) -> int:
         raise PhaseBoundsError("--alpha-steps must be >= 1")
     if args.d_steps is not None and args.d_steps < 1:
         raise PhaseBoundsError("--d-steps must be >= 1")
+    if args.d_min < 1:
+        raise PhaseBoundsError("--d-min must be >= 1")
     if args.d_max < args.d_min:
         raise PhaseBoundsError("--d-max must be >= --d-min")
-    grid = _region_grid(args)
-    if args.format == "json":
-        payload = [dict(zip(grid.header, cell)) for cell in grid.cells]
-        text = json.dumps(payload)
-        if args.out is None:
-            print(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        return 0
-    _write_rows(args.out, grid.header, grid.cells)
+    if args.d_steps is None:
+        d_values = list(range(args.d_min, args.d_max + 1))
+    else:
+        # rounded to integers; repeats keep the cell count at the requested product
+        d_values = [int(round(x)) for x in
+                    np.linspace(args.d_min, args.d_max, args.d_steps)]
+    alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
+    _write_sweep(args, REGION_HEADER, lambda: _region_chunks(d_values, alphas, args.m))
     return 0
-
-
-def _curves_cell(d: int, n_tot: float) -> tuple:
-    alpha_sq = n_tot
-    geom = states.domain_geometry(d, 1, alpha_sq)
-    b_used = min(geom.b_star, math.sqrt(geom.gamma_cap))
-    exact_mean = states.mean_total_photons(states.ecs_params(d, alpha_sq, b_used))
-    return (n_tot,
-            bounds.ecs_linear_value(d, alpha_sq),
-            bounds.noon_linear_value(d, n_tot),
-            bounds.ecs_nonlinear_value(d, alpha_sq),
-            bounds.noon_nonlinear_value(d, n_tot),
-            exact_mean)
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
@@ -221,22 +212,10 @@ def cmd_curves(args: argparse.Namespace) -> int:
         raise PhaseBoundsError("--points must be >= 2")
     if not args.ntot_min >= 1.0:
         raise PhaseBoundsError("--ntot-min must be >= 1")
+    if not args.ntot_max >= args.ntot_min:
+        raise PhaseBoundsError("--ntot-max must be >= --ntot-min")
     axis = np.linspace(args.ntot_min, args.ntot_max, args.points)
-    grid = SweepGrid(
-        axes=(("n_tot", args.ntot_min, args.ntot_max, args.points),),
-        header=("n_tot", "ecs_linear", "noon_linear", "ecs_nonlinear",
-                "noon_nonlinear", "ecs_mean_photons_exact"),
-        cells=_parallel_rows(lambda n: _curves_cell(args.d, float(n)), list(axis)))
-    if args.format == "json":
-        payload = [dict(zip(grid.header, cell)) for cell in grid.cells]
-        text = json.dumps(payload)
-        if args.out is None:
-            print(text)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        return 0
-    _write_rows(args.out, grid.header, grid.cells)
+    _write_sweep(args, CURVES_HEADER, lambda: _curves_chunks(args.d, axis))
     return 0
 
 

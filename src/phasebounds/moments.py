@@ -16,6 +16,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import numpy as np
+
+from ._arrays import all_true, first_failing, scalar
 from .errors import DegenerateInputError
 
 __all__ = [
@@ -55,29 +58,32 @@ def stirling2(m: int, k: int) -> int:
     return _stirling_row(m)[k]
 
 
-def _check_moment_args(m: int, mu: float) -> None:
+def _check_moment_args(m: int, mu) -> None:
     if isinstance(m, bool) or not isinstance(m, int):
         raise TypeError(f"moment order must be an int, got {m!r}")
     if m < 0:
         raise ValueError(f"moment order must be >= 0, got {m}")
-    if not mu >= 0.0 or math.isinf(mu):
-        raise ValueError(f"mean photon number must be finite and >= 0, got {mu}")
+    ok = (mu >= 0.0) & (mu < math.inf)
+    if not all_true(ok):
+        raise ValueError(
+            f"mean photon number must be finite and >= 0, got {first_failing(mu, ok)}")
 
 
-def coherent_number_moment(m: int, mu: float) -> float:
+def coherent_number_moment(m: int, mu):
     """m-th photon-number moment of a coherent state with ``|alpha|^2 = mu``.
 
     Parameters
     ----------
     m : int
         Moment order, >= 0.
-    mu : float
+    mu : float or array
         Mean photon number, >= 0.
 
     Returns
     -------
-    float
-        ``sum_k S(m, k) mu^k`` evaluated in double precision.  Monotone
+    float or array
+        ``sum_k S(m, k) mu^k`` evaluated in double precision, elementwise
+        over mu (a float for a scalar mu).  Monotone
         nondecreasing in mu for m >= 1; equals 1 for m = 0 and 0 at mu = 0
         for m >= 1.
 
@@ -88,15 +94,19 @@ def coherent_number_moment(m: int, mu: float) -> float:
         never silently saturated.
     """
     _check_moment_args(m, mu)
-    row = _stirling_row(m)
-    total = 0.0
+    total = 0.0 * mu  # zero in mu's shape
     power = 1.0  # mu^k
-    for k in range(m + 1):
-        total += row[k] * power
-        power *= mu
-    if not math.isfinite(total):
-        raise OverflowError(f"coherent_number_moment overflows for m={m}, mu={mu}")
-    return total
+    with np.errstate(over="ignore"):
+        for k, coefficient in enumerate(_stirling_row(m)):
+            if k:
+                power = power * mu
+            # float() of an int too large for a double raises OverflowError
+            total = total + float(coefficient) * power
+    ok = total < math.inf
+    if not all_true(ok):
+        raise OverflowError(
+            f"coherent_number_moment overflows for m={m}, mu={first_failing(mu, ok)}")
+    return scalar(total)
 
 
 def moment_via_poisson_sum(m: int, mu: float, tail_tol: float) -> float:
@@ -129,15 +139,18 @@ def moment_via_poisson_sum(m: int, mu: float, tail_tol: float) -> float:
         n += 1
 
 
-def second_moment_ratio(m: int, mu: float) -> float:
-    """Ratio ``f(2m)/f(m)^2`` of coherent-state number moments.
+def second_moment_ratio(m: int, mu):
+    """Ratio ``f(2m)/f(m)^2`` of coherent-state number moments, elementwise over mu.
 
     At least 1 for mu > 0 by the Cauchy-Schwarz inequality; tends to 1 as
-    mu grows.  Undefined at mu = 0 for m >= 1 (the probe holds no photons).
+    mu grows.  Undefined at mu = 0 for m >= 1 (the probe holds no photons),
+    and wherever f(m)^2 underflows to 0 (mu below about 1e-154).
     """
-    _check_moment_args(m, mu)
-    if m >= 1 and mu == 0.0:
-        raise DegenerateInputError("moment ratio undefined at mu=0: f(m, 0) = 0")
     f_m = coherent_number_moment(m, mu)
     f_2m = coherent_number_moment(2 * m, mu)
-    return f_2m / (f_m * f_m)
+    f_m_sq = f_m * f_m
+    ok = f_m_sq > 0.0
+    if not all_true(ok):
+        raise DegenerateInputError(
+            f"moment ratio undefined at mu={first_failing(mu, ok)}: f(m)^2 = 0")
+    return f_2m / f_m_sq

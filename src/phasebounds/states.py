@@ -11,6 +11,9 @@ simply d b^2 + c^2 = 1.
 By convention b is real and nonnegative: the bounds depend only on |b|^2,
 and the global phase can always be chosen to make c real, so nothing is
 lost and the normalization quadratic stays real.
+
+The coherent-probe functions broadcast over d, alpha_sq and b (see
+``_arrays``): a sweep passes arrays, a scalar call gets Python types back.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._arrays import all_true, check_positive_int, first_failing, libm, scalar
 from .errors import CoefficientDomainError, DegenerateInputError, NormalizationError
 from .moments import second_moment_ratio
 
@@ -48,7 +54,8 @@ class EcsParams:
 
     d sensing modes, coherent intensity alpha_sq = |alpha|^2, sensing-branch
     coefficient b (real, >= 0), reference coefficient c, and generator order
-    m for the per-mode phase generator (a^dag a)^m.
+    m for the per-mode phase generator (a^dag a)^m.  d, alpha_sq, b and c
+    may be arrays that broadcast together, one probe per element.
     """
 
     d: int
@@ -73,7 +80,7 @@ class NoonParams:
 class DomainGeometry:
     """Geometry of the sensing weight b^2: its cap, the unconstrained
     optimizer of the variance bound, the moment ratio g, and whether the
-    optimizer falls inside the cap."""
+    optimizer falls inside the cap (arrays when the inputs were)."""
 
     gamma_cap: float
     b_star: float
@@ -81,9 +88,8 @@ class DomainGeometry:
     interior: bool
 
 
-def _check_d(d: int) -> None:
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ValueError(f"mode count d must be a positive int, got {d!r}")
+def _check_d(d) -> None:
+    check_positive_int("mode count d", d)
 
 
 def _check_m(m: int) -> None:
@@ -91,14 +97,15 @@ def _check_m(m: int) -> None:
         raise ValueError(f"generator order m must be a positive int, got {m!r}")
 
 
-def _check_alpha_sq(alpha_sq: float, allow_zero: bool) -> None:
-    lo_ok = alpha_sq >= 0.0 if allow_zero else alpha_sq > 0.0
-    if not lo_ok or math.isinf(alpha_sq):
+def _check_alpha_sq(alpha_sq, allow_zero: bool) -> None:
+    ok = (alpha_sq >= 0.0 if allow_zero else alpha_sq > 0.0) & (alpha_sq < math.inf)
+    if not all_true(ok):
         bound = ">= 0" if allow_zero else "> 0"
-        raise DegenerateInputError(f"alpha_sq must be finite and {bound}, got {alpha_sq}")
+        raise DegenerateInputError(
+            f"alpha_sq must be finite and {bound}, got {first_failing(alpha_sq, ok)}")
 
 
-def uv_coefficients(d: int, alpha_sq: float) -> tuple[float, float]:
+def uv_coefficients(d, alpha_sq):
     """Overlap sums entering the normalization quadratic.
 
     u = d + d(d-1) e^{-alpha_sq} collects the sensing-branch mutual overlaps
@@ -107,11 +114,11 @@ def uv_coefficients(d: int, alpha_sq: float) -> tuple[float, float]:
     """
     _check_d(d)
     _check_alpha_sq(alpha_sq, allow_zero=True)
-    x = math.exp(-alpha_sq)
+    x = libm(math.exp, -alpha_sq)
     return d + d * (d - 1) * x, d * x
 
 
-def _u_minus_v_sq(d: int, alpha_sq: float) -> float:
+def _u_minus_v_sq(d, alpha_sq):
     """u - v^2 in the cancellation-free factored form d (1 - x)(1 + d x).
 
     The direct difference loses precision at small alpha_sq where u and v^2
@@ -120,11 +127,11 @@ def _u_minus_v_sq(d: int, alpha_sq: float) -> float:
     """
     _check_d(d)
     _check_alpha_sq(alpha_sq, allow_zero=True)
-    x = math.exp(-alpha_sq)
-    return d * (-math.expm1(-alpha_sq)) * (1.0 + d * x)
+    x = libm(math.exp, -alpha_sq)
+    return d * -libm(math.expm1, -alpha_sq) * (1.0 + d * x)
 
 
-def solve_c(b: float, d: int, alpha_sq: float, *, smaller_root: bool = False) -> float:
+def solve_c(b, d, alpha_sq, *, smaller_root: bool = False):
     """Reference coefficient normalizing the probe at the given b.
 
     Solves c^2 + 2 b v c + b^2 u - 1 = 0 for c and returns the root
@@ -137,36 +144,39 @@ def solve_c(b: float, d: int, alpha_sq: float, *, smaller_root: bool = False) ->
         If b^2 exceeds the cap Gamma, i.e. the discriminant is negative and
         no real c exists.
     """
-    if not (math.isfinite(b) and b >= 0.0):
-        raise CoefficientDomainError(f"b must be finite and >= 0, got {b}")
+    ok = (b >= 0.0) & (b < math.inf)
+    if not all_true(ok):
+        raise CoefficientDomainError(f"b must be finite and >= 0, got {first_failing(b, ok)}")
     _, v = uv_coefficients(d, alpha_sq)
     denom = _u_minus_v_sq(d, alpha_sq)
     disc = 1.0 - b * b * denom
-    if disc < 0.0:
-        if disc < -DOMAIN_ATOL:
-            raise CoefficientDomainError(
-                f"b^2 = {b * b:.12g} is not normalizable: discriminant "
-                f"{disc:.3e} < 0 (cap Gamma = {1.0 / denom:.12g})")
-        disc = 0.0
-    root = math.sqrt(disc)
-    return -b * v - root if smaller_root else -b * v + root
+    ok = disc >= -DOMAIN_ATOL
+    if not all_true(ok):
+        raise CoefficientDomainError(
+            f"b^2 = {first_failing(b * b, ok):.12g} is not normalizable: discriminant "
+            f"{first_failing(disc, ok):.3e} < 0 "
+            f"(cap Gamma = {1.0 / first_failing(denom, ok):.12g})")
+    root = np.sqrt(np.where(disc < 0.0, 0.0, disc))
+    return scalar(-b * v - root if smaller_root else -b * v + root)
 
 
-def b_domain_limit(d: int, alpha_sq: float) -> float:
+def b_domain_limit(d, alpha_sq):
     """Largest admissible sensing weight, Gamma = 1/(u - v^2).
 
     At alpha_sq = 0 every branch collapses to vacuum and u - v^2 vanishes;
     that input is rejected rather than assigned a limit value.
     """
     denom = _u_minus_v_sq(d, alpha_sq)
-    if denom <= 0.0:
+    ok = denom > 0.0
+    if not all_true(ok):
         raise DegenerateInputError(
-            f"b-domain cap undefined: u - v^2 = {denom:.3e} <= 0 at "
-            f"alpha_sq={alpha_sq} (vacuum probe carries no phase information)")
+            f"b-domain cap undefined: u - v^2 = {first_failing(denom, ok):.3e} <= 0 at "
+            f"alpha_sq={first_failing(alpha_sq, ok)} "
+            "(vacuum probe carries no phase information)")
     return 1.0 / denom
 
 
-def b_star(d: int, m: int, alpha_sq: float) -> float:
+def b_star(d, m: int, alpha_sq):
     """Unconstrained optimizer of the variance bound: sqrt(g / (sqrt d + d)).
 
     g = f(2m)/f(m)^2 tends to 1 for large alpha_sq, where b_star approaches
@@ -176,21 +186,21 @@ def b_star(d: int, m: int, alpha_sq: float) -> float:
     _check_m(m)
     _check_alpha_sq(alpha_sq, allow_zero=False)
     g = second_moment_ratio(m, alpha_sq)
-    return math.sqrt(g / (math.sqrt(d) + d))
+    return scalar(np.sqrt(g / (np.sqrt(d) + d)))
 
 
-def domain_geometry(d: int, m: int, alpha_sq: float) -> DomainGeometry:
-    """Cap, optimizer and regime flag in one record."""
+def domain_geometry(d, m: int, alpha_sq) -> DomainGeometry:
+    """Cap, optimizer and regime flag in one record, broadcast over d and alpha_sq."""
     gamma_cap = b_domain_limit(d, alpha_sq)
     _check_m(m)
     _check_alpha_sq(alpha_sq, allow_zero=False)
     g = second_moment_ratio(m, alpha_sq)
-    bs = math.sqrt(g / (math.sqrt(d) + d))
-    return DomainGeometry(gamma_cap=gamma_cap, b_star=bs, g=g,
-                          interior=bs * bs <= gamma_cap)
+    bs = np.sqrt(g / (np.sqrt(d) + d))
+    return DomainGeometry(gamma_cap=gamma_cap, b_star=scalar(bs), g=g,
+                          interior=scalar(bs * bs <= gamma_cap))
 
 
-def mean_total_photons(p: EcsParams) -> float:
+def mean_total_photons(p: EcsParams):
     """Mean photon number over all d+1 modes: alpha_sq (d b^2 + c^2).
 
     In the regime d e^{-alpha_sq} << 1 this is within O(d e^{-alpha_sq}) of
@@ -211,23 +221,31 @@ def validate_ecs(p: EcsParams) -> EcsParams:
     _check_d(p.d)
     _check_m(p.m)
     _check_alpha_sq(p.alpha_sq, allow_zero=True)
-    if not (math.isfinite(p.b) and p.b >= 0.0):
+    b, c = p.b, p.c
+    ok = (b >= 0.0) & (b < math.inf)
+    if not all_true(ok):
         raise CoefficientDomainError(
-            f"b must be finite and >= 0 under the real-b convention, got {p.b}")
-    if not math.isfinite(p.c):
-        raise NormalizationError(f"c must be finite, got {p.c}")
-    # domain first: an out-of-cap b cannot be normalized by any choice of c
-    if p.alpha_sq > 0.0:
-        gamma_cap = b_domain_limit(p.d, p.alpha_sq)
-        if p.b * p.b > gamma_cap + DOMAIN_ATOL:
-            raise CoefficientDomainError(
-                f"b^2 = {p.b * p.b:.12g} exceeds the domain cap Gamma = {gamma_cap:.12g}")
+            f"b must be finite and >= 0 under the real-b convention, got {first_failing(b, ok)}")
+    ok = (c > -math.inf) & (c < math.inf)
+    if not all_true(ok):
+        raise NormalizationError(f"c must be finite, got {first_failing(c, ok)}")
+    # domain first: an out-of-cap b cannot be normalized by any choice of c.
+    # At alpha_sq = 0 the cap 1/(u - v^2) is undefined and b is unconstrained;
+    # u - v^2 = 0 is replaced by 1 there and the element passes.
+    vacuum = p.alpha_sq == 0.0
+    gamma_cap = 1.0 / (_u_minus_v_sq(p.d, p.alpha_sq) + vacuum)
+    ok = vacuum | (b * b <= gamma_cap + DOMAIN_ATOL)
+    if not all_true(ok):
+        raise CoefficientDomainError(
+            f"b^2 = {first_failing(b * b, ok):.12g} exceeds the domain cap "
+            f"Gamma = {first_failing(gamma_cap, ok):.12g}")
     u, v = uv_coefficients(p.d, p.alpha_sq)
-    residual = p.c * p.c + 2.0 * p.b * v * p.c + p.b * p.b * u - 1.0
-    if abs(residual) > NORMALIZATION_ATOL:
+    residual = c * c + 2.0 * b * v * c + b * b * u - 1.0
+    ok = abs(residual) <= NORMALIZATION_ATOL
+    if not all_true(ok):
         raise NormalizationError(
-            f"normalization violated: c^2 + 2bvc + b^2 u - 1 = {residual:.3e} "
-            f"exceeds {NORMALIZATION_ATOL}")
+            f"normalization violated: c^2 + 2bvc + b^2 u - 1 = "
+            f"{first_failing(residual, ok):.3e} exceeds {NORMALIZATION_ATOL}")
     return p
 
 
@@ -248,8 +266,8 @@ def validate_noon(p: NoonParams) -> NoonParams:
     return p
 
 
-def ecs_params(d: int, alpha_sq: float, b: float, m: int = 1) -> EcsParams:
-    """Build a validated entangled coherent probe, solving for c."""
+def ecs_params(d, alpha_sq, b, m: int = 1) -> EcsParams:
+    """Build a validated entangled coherent probe, solving for c (broadcasts like solve_c)."""
     c = solve_c(b, d, alpha_sq)
     return validate_ecs(EcsParams(d=d, alpha_sq=alpha_sq, b=b, c=c, m=m))
 

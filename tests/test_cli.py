@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from phasebounds import bounds, cli
 from phasebounds.cli import main
 
 
@@ -122,6 +125,10 @@ class TestRegionCommand:
         code, out, err = run_cli(capsys, "region", "--d-min", "5", "--d-max", "1")
         assert code == 2 and "--d-max" in err and out == ""
 
+    def test_rejects_zero_d_min(self, capsys):
+        code, out, err = run_cli(capsys, "region", "--d-min", "0")
+        assert code == 2 and "--d-min must be >= 1" in err and out == ""
+
 
 class TestCurvesCommand:
     def test_header_and_ordering_claims(self, capsys):
@@ -162,29 +169,135 @@ class TestCurvesCommand:
             assert float(row[1]) == bounds.ecs_linear_value(3, n_tot)
             assert float(row[3]) == bounds.ecs_nonlinear_value(3, n_tot)
 
-    def test_byte_identical_across_worker_counts(self, capsys, monkeypatch, tmp_path):
-        outputs = []
-        for workers in ("1", "4"):
-            monkeypatch.setenv("PHASEBOUNDS_WORKERS", workers)
-            path = tmp_path / f"curves_{workers}.csv"
-            code, _, _ = run_cli(capsys, "curves", "--d", "5", "--points", "50",
-                                 "--out", str(path))
-            assert code == 0
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
+    def test_rejects_descending_ntot_range(self, capsys):
+        code, out, err = run_cli(capsys, "curves", "--ntot-min", "5", "--ntot-max", "1",
+                                 "--points", "3")
+        assert code == 2 and "--ntot-max must be >= --ntot-min" in err and out == ""
 
-    def test_region_byte_identical_across_worker_counts(self, capsys, monkeypatch,
-                                                        tmp_path):
-        outputs = []
-        for workers in ("1", "3"):
-            monkeypatch.setenv("PHASEBOUNDS_WORKERS", workers)
-            path = tmp_path / f"region_{workers}.csv"
-            code, _, _ = run_cli(capsys, "region", "--d-min", "1", "--d-max", "12",
-                                 "--alpha-min", "0.2", "--alpha-max", "3.0",
-                                 "--alpha-steps", "40", "--out", str(path))
-            assert code == 0
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
+
+# Reference values: the scalar formulas each sweep column comes from, written
+# out with math and Python floats in the same order of operations.
+
+def _touchard(m, mu):
+    row = [1]
+    for n in range(1, m + 1):  # Stirling numbers of the second kind, S(n, k)
+        row = [0] + [k * (row[k] if k < n else 0) + row[k - 1] for k in range(1, n + 1)]
+    total, power = 0.0, 1.0
+    for coefficient in row:
+        total += coefficient * power
+        power *= mu
+    return total
+
+
+def _geometry(d, m, mu):
+    gamma = 1.0 / (d * (-math.expm1(-mu)) * (1.0 + d * math.exp(-mu)))
+    g = _touchard(2 * m, mu) / (_touchard(m, mu) * _touchard(m, mu))
+    return gamma, math.sqrt(g / (math.sqrt(d) + d))
+
+
+def _region_ref(d, alpha, m):
+    gamma, b_star = _geometry(d, m, alpha * alpha)
+    return [str(d), format(alpha, ".17g"), str(m), format(b_star, ".17g"),
+            format(math.sqrt(gamma), ".17g"), "1" if b_star * b_star <= gamma else "0"]
+
+
+def _curves_ref(d, n):
+    scale = d * (math.sqrt(d) + 1.0) ** 2 / 4.0
+    gamma, b_star = _geometry(d, 1, n)
+    b = min(b_star, math.sqrt(gamma))
+    v = d * math.exp(-n)
+    denom = d * (-math.expm1(-n)) * (1.0 + d * math.exp(-n))
+    c = -b * v + math.sqrt(max(1.0 - b * b * denom, 0.0))
+    cubic = ((n + 6.0) * n + 7.0) * n + 1.0
+    values = (n, scale / (1.0 + n) ** 2, scale / n ** 2, scale * ((1.0 + n) / cubic) ** 2,
+              scale / n ** 4, n * (d * b * b + c * c))
+    return [format(x, ".17g") for x in values]
+
+
+class TestSweepKernel:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_region_fields_equal_scalar_formulas(self, capsys, m):
+        code, out, _ = run_cli(capsys, "region", "--m", str(m), "--d-min", "1",
+                               "--d-max", "64", "--d-steps", "9", "--alpha-min", "0.01",
+                               "--alpha-max", "4.5", "--alpha-steps", "301")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        ds = [int(round(x)) for x in np.linspace(1, 64, 9)]
+        alphas = np.linspace(0.01, 4.5, 301).tolist()
+        assert len(rows) == len(ds) * len(alphas)
+        for i, row in enumerate(rows):
+            assert row == _region_ref(ds[i // len(alphas)], alphas[i % len(alphas)], m)
+
+    def test_curves_fields_equal_scalar_formulas(self, capsys):
+        code, out, _ = run_cli(capsys, "curves", "--d", "17", "--ntot-min", "1",
+                               "--ntot-max", "437.25", "--points", "5000")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        axis = np.linspace(1.0, 437.25, 5000).tolist()
+        assert rows == [_curves_ref(17, n) for n in axis]
+
+    def test_chunked_equals_whole_grid(self, tmp_path, monkeypatch):
+        # region: one 2-D call, one call per d-row and one scalar call per cell,
+        # at row lengths 1, 7 and 1000; curves: chunks of 1 point up to the whole axis
+        def table(chunks, name):
+            path = tmp_path / name
+            cli._write_table(str(path), "csv", ["x"] * 6, map(cli._rows, chunks))
+            return path.read_bytes()
+
+        for ds, steps in (([3], 1), ([1, 2, 5, 40], 7), ([1, 17, 64], 1000)):
+            alphas = np.linspace(0.01, 4.0, steps)
+            for m in (1, 2):
+                rows = table(cli._region_chunks(ds, alphas, m), "rows")
+                cell = bounds.region_classify(np.array(ds)[:, None], alphas, m)
+                whole = table([(np.repeat(ds, steps), np.tile(alphas, len(ds)),
+                                np.full(len(ds) * steps, m), cell.b_star.ravel(),
+                                cell.sqrt_gamma.ravel(), cell.interior.ravel())], "whole")
+                assert rows == whole
+                scalar_cells = [bounds.region_classify(d, a, m) for d in ds
+                                for a in alphas.tolist()]
+                singles = table([([c.d], [c.alpha], [c.m], [c.b_star], [c.sqrt_gamma],
+                                  [c.interior]) for c in scalar_cells], "singles")
+                assert rows == singles
+        axis = np.linspace(1.0, 300.0, 1500)
+        outputs = set()
+        for size in (1, 7, 1024, 1500):
+            monkeypatch.setattr(cli, "CURVES_CHUNK", size)
+            outputs.add(table(cli._curves_chunks(5, axis), f"curves{size}"))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("region", "--d-min", "1", "--d-max", "100", "--d-steps", "{rows}",
+         "--alpha-steps", "1000"),
+        ("curves", "--d", "5", "--ntot-max", "500", "--points", "{cells}"),
+    ])
+    def test_json_peak_memory_is_flat_in_grid_size(self, tmp_path, argv):
+        peaks = []
+        for cells in (10_000, 40_000):
+            args = [a.format(rows=cells // 1000, cells=cells) for a in argv]
+            path = tmp_path / "out.json"
+            tracemalloc.start()
+            try:
+                assert main([*args, "--format", "json", "--out", str(path)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(json.loads(path.read_text())) == cells
+        assert peaks[1] - peaks[0] < 2 * 2 ** 20, peaks
+
+    @pytest.mark.parametrize("argv", [
+        ("region", "--m", "2", "--alpha-max", "1e200"),
+        ("region", "--d-max", "5", "--alpha-max", "inf"),
+        ("curves", "--d", "5", "--ntot-max", "1e200"),
+        ("curves", "--d", "5", "--ntot-max", "inf"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_sweep_writes_nothing(self, capsys, tmp_path, argv, fmt):
+        path = tmp_path / "out"
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert code == 2 and out == "" and "error" in err
+        code, out, err = run_cli(capsys, *argv, "--format", fmt, "--out", str(path))
+        assert code == 2 and out == "" and "error" in err
+        assert not path.exists()
 
 
 class TestVerifyCommand:
@@ -213,7 +326,8 @@ class TestVerifyCommand:
 def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = ("import sys, phasebounds.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy') or m == 'concurrent.futures'))")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.strip() == "[]"
