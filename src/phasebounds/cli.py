@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from itertools import repeat
@@ -185,9 +186,30 @@ def _curves_chunks(d: int, axis: np.ndarray) -> Iterator[tuple]:
                exact_mean)
 
 
+def _check_axis_end(flag: str, value: float, power: int) -> None:
+    """Reject an axis end whose given power is not finite, before np.linspace.
+
+    The sweep kernels raise the axis to this power (the moments f(2m) of
+    alpha^2 in `region`, n_tot^4 in the quadratic bounds of `curves`), so a
+    larger end could only fail later, in a message that does not name the
+    flag, and np.linspace itself warns on inf.
+    """
+    try:
+        finite = math.isfinite(math.pow(value, power))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise PhaseBoundsError(
+            f"{flag} must be finite with a finite {power}th power "
+            f"(at most {math.pow(sys.float_info.max, 1.0 / power):.6g}), got {value:g}")
+
+
 def cmd_region(args: argparse.Namespace) -> int:
     if not args.alpha_min > 0:
         raise PhaseBoundsError("--alpha-min must be > 0")
+    power = 4 * max(args.m, 1)  # an m below 1 is reported by the kernel
+    _check_axis_end("--alpha-min", args.alpha_min, power)
+    _check_axis_end("--alpha-max", args.alpha_max, power)
     if args.alpha_steps < 1:
         raise PhaseBoundsError("--alpha-steps must be >= 1")
     if args.d_steps is not None and args.d_steps < 1:
@@ -214,6 +236,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         raise PhaseBoundsError("--ntot-min must be >= 1")
     if not args.ntot_max >= args.ntot_min:
         raise PhaseBoundsError("--ntot-max must be >= --ntot-min")
+    _check_axis_end("--ntot-max", args.ntot_max, 4)
     axis = np.linspace(args.ntot_min, args.ntot_max, args.points)
     _write_sweep(args, CURVES_HEADER, lambda: _curves_chunks(args.d, axis))
     return 0

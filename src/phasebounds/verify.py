@@ -70,6 +70,10 @@ GRID_DS = (1, 2, 3, 4)
 GRID_MS = (1, 2)
 GRID_ALPHA_SQS = (0.25, 1.0, 4.0)
 GRID_TAIL_TOL = 1e-14
+# Wide probes for the oracle-vs-analytic checks, where the simultaneous
+# advantage grows: one alpha_sq, b as on the grid's upper weight.
+WIDE_DS = (8, 16, 32, 64)
+WIDE_ALPHA_SQ = 1.0
 
 # The b_star -> 1/sqrt(d + sqrt d) limit converges like 1/(2 alpha_sq), so a
 # 1e-6 tolerance needs alpha_sq of order 1e6.
@@ -87,6 +91,17 @@ def criterion_grid_params() -> list[states.EcsParams]:
                 b_hi = min(geom.b_star, 0.99 * math.sqrt(geom.gamma_cap))
                 for b in (0.1, b_hi):
                     out.append(states.ecs_params(d, alpha_sq, b, m))
+    return out
+
+
+def wide_params() -> list[states.EcsParams]:
+    """d in {8, 16, 32, 64}, m in {1, 2} at alpha_sq = 1, b = min(b_star, 0.99 sqrt(Gamma))."""
+    out = []
+    for d in WIDE_DS:
+        for m in GRID_MS:
+            geom = states.domain_geometry(d, m, WIDE_ALPHA_SQ)
+            b = min(geom.b_star, 0.99 * math.sqrt(geom.gamma_cap))
+            out.append(states.ecs_params(d, WIDE_ALPHA_SQ, b, m))
     return out
 
 
@@ -179,7 +194,7 @@ def suite_qfim(rng: np.random.Generator,
     worst_fd = 0.0
     worst_trace = 0.0
     worst_comm = 0.0
-    for p in grid:
+    for p in grid + wide_params():
         analytic = qfim.to_dense(qfim.ecs_qfim(p))
         numeric = oracle.numerical_qfim(p, tail_tol=GRID_TAIL_TOL)
         worst_oracle = max(worst_oracle, _rel_frobenius(numeric, analytic))
@@ -188,8 +203,10 @@ def suite_qfim(rng: np.random.Generator,
         value = qfim.trace_inverse_bound(p)
         dense_trace = float(np.trace(np.linalg.inv(analytic)))
         worst_trace = max(worst_trace, abs(value - dense_trace) / abs(dense_trace))
-        for j in range(1, p.d + 1):
-            for k in range(1, p.d + 1):
+        # every pair on the grid; the first and last sensing modes on wide probes
+        modes = range(1, p.d + 1) if p.d <= GRID_DS[-1] else (1, p.d)
+        for j in modes:
+            for k in modes:
                 worst_comm = max(worst_comm, abs(oracle.commutator_expectation(p, j, k)))
     results.append(_check("qfim", "oracle_vs_analytic", worst_oracle,
                           _tol(tolerances, "qfim.oracle_vs_analytic")))

@@ -326,6 +326,44 @@ class TestSweepKernel:
         assert code == 2 and out == "" and "error" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("curves", "--d", "5", "--ntot-max", "1e200", "--points", "5"), "--ntot-max"),
+        (("curves", "--d", "5", "--ntot-max", "1e100", "--points", "5"), "--ntot-max"),
+        (("curves", "--ntot-max", "inf"), "--ntot-max"),
+        (("region", "--m", "2", "--alpha-max", "1e200"), "--alpha-max"),
+        (("region", "--m", "2", "--alpha-max", "1e50"), "--alpha-max"),
+        (("region", "--m", "1", "--alpha-max", "1e100"), "--alpha-max"),
+        (("region", "--alpha-max", "nan"), "--alpha-max"),
+        (("region", "--alpha-min", "inf"), "--alpha-min"),
+    ])
+    def test_overflowing_axis_names_the_flag(self, capsys, recwarn, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {flag} must be finite with a finite "), err
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+    @pytest.mark.parametrize("argv,flag,power", [
+        (("curves", "--d", "3", "--points", "2"), "--ntot-max", 4),
+        (("region", "--m", "1", "--d-max", "3", "--alpha-steps", "2"), "--alpha-max", 4),
+        (("region", "--m", "2", "--d-max", "3", "--alpha-steps", "2"), "--alpha-max", 8),
+    ])
+    def test_axis_check_is_the_kernel_limit(self, capsys, argv, flag, power):
+        # the largest end whose power is finite runs; the next double is rejected by name
+        def finite_power(x):
+            try:
+                return math.isfinite(math.pow(x, power))
+            except OverflowError:
+                return False
+        top = math.pow(sys.float_info.max, 1.0 / power)
+        while not finite_power(top):
+            top = math.nextafter(top, 0.0)
+        while finite_power(math.nextafter(top, math.inf)):
+            top = math.nextafter(top, math.inf)
+        code, out, err = run_cli(capsys, *argv, flag, repr(top))
+        assert code == 0 and err == "" and out.count("\n") > 1
+        code, out, err = run_cli(capsys, *argv, flag, repr(math.nextafter(top, math.inf)))
+        assert code == 2 and out == "" and flag in err
+
 
 class TestVerifyCommand:
     def test_moments_suite_passes(self, capsys):

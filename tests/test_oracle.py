@@ -1,9 +1,11 @@
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from phasebounds import oracle, qfim, states
+from phasebounds import oracle, qfim, states, verify
 from phasebounds.errors import CutoffError, SizeLimitError
 from phasebounds.moments import coherent_number_moment
 
@@ -234,6 +236,186 @@ class TestCommutators:
         assert oracle.commutator_expectation(p, 1, 1) == 0.0
 
 
+def _weight(d, m, alpha_sq, frac=0.9):
+    geom = states.domain_geometry(d, m, alpha_sq)
+    return frac * min(geom.b_star, math.sqrt(geom.gamma_cap))
+
+
+def _loop_inner_product(s1, s2):
+    """The term-pair x mode vdot loop the factor tables replaced."""
+    total = 0j
+    for c1, f1 in s1.terms:
+        for c2, f2 in s2.terms:
+            ov = np.conj(c1) * c2
+            for v1, v2 in zip(f1, f2):
+                ov *= np.vdot(v1.amplitudes, v2.amplitudes)
+            total += ov
+    return total
+
+
+class TestFactorTables:
+    """The per-mode factor tables against the direct term-pair loop."""
+
+    def _states(self):
+        ecs = oracle.build_ecs_state(states.ecs_params(3, 1.5, 0.3, m=2), 18)
+        noon = oracle.build_noon_state(states.noon_params(3, 4), 6)
+        evolved = oracle.apply_phase_evolution(ecs, [0.3, -1.1, 2.0], 2)
+        mixed = oracle.combine([(0.5, ecs), (0.25j, evolved)])
+        return ecs, noon, evolved, mixed
+
+    def test_inner_products_match_loop(self):
+        ecs, noon, evolved, mixed = self._states()
+        hit = oracle.apply_number_power(oracle.apply_number_power(ecs, 1, 2), 3, 1)
+        for s1, s2 in [(ecs, ecs), (ecs, evolved), (evolved, mixed), (mixed, hit),
+                       (hit, hit), (noon, noon),
+                       (noon, oracle.apply_number_power(noon, 2, 1))]:
+            ref = _loop_inner_product(s1, s2)
+            assert abs(oracle.inner_product(s1, s2) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    def test_tables_match_loop_on_a_generic_state(self, rng):
+        # Probe states never hold photons in two sensing modes of one term, so
+        # their pair overlaps vanish; a generic state exercises the
+        # leave-two-out products too.
+        num_modes, levels = 6, 5
+
+        def vec():
+            return oracle.ModeVector(rng.normal(size=levels) + 1j * rng.normal(size=levels))
+        pools = [[vec() for _ in range(3)] for _ in range(num_modes)]
+        terms = tuple((complex(rng.normal(), rng.normal()),
+                       tuple(pools[k][rng.integers(3)] for k in range(num_modes)))
+                      for _ in range(5))
+        state = oracle.SparseProductState(num_modes=num_modes, terms=terms)
+        w = rng.normal(size=levels) + 1j * rng.normal(size=levels)
+
+        def scaled(s, mode, diag):
+            return oracle.SparseProductState(num_modes, tuple(
+                (c, f[:mode] + (oracle.ModeVector(f[mode].amplitudes * diag),) + f[mode + 1:])
+                for c, f in s.terms))
+        start = 1
+        overlap, first, second = oracle._overlap_tables(state, state, w, start, pairs=True)
+        scale = abs(_loop_inner_product(state, state))
+        assert abs(overlap - _loop_inner_product(state, state)) <= 1e-13 * scale
+        for i, j in enumerate(range(start, num_modes)):
+            assert abs(first[i] - _loop_inner_product(state, scaled(state, j, w))) <= 1e-13 * scale
+            for l, k in enumerate(range(start, num_modes)):
+                if j == k:
+                    ref = _loop_inner_product(state, scaled(state, j, abs(w) ** 2))
+                else:
+                    ref = _loop_inner_product(scaled(state, j, w), scaled(state, k, w))
+                assert abs(second[i, l] - ref) <= 1e-12 * scale, (j, k)
+
+    def test_noon_cross_overlaps_are_exactly_zero(self):
+        # no division in the leave-one-out products: zero overlaps stay zero
+        p = states.noon_params(4, 3)
+        f = oracle.numerical_qfim(p)
+        assert np.all(np.isfinite(f))
+        h1 = oracle.apply_number_power(oracle.build_noon_state(p, 3), 1, 1)
+        h2 = oracle.apply_number_power(oracle.build_noon_state(p, 3), 2, 1)
+        assert oracle.inner_product(h1, h2) == 0.0
+
+    def test_qfim_matches_loop_reference(self):
+        for p in (states.ecs_params(3, 2.0, 0.3, m=1), states.ecs_params(4, 0.5, 0.2, m=2),
+                  states.noon_params(3, 5, m=2)):
+            cutoff = (p.photon_number if isinstance(p, states.NoonParams)
+                      else oracle.minimal_cutoff(p.alpha_sq, 1e-14) + 2 * p.m)
+            state = oracle.build_state(p, cutoff)
+            h = [oracle.apply_number_power(state, j, p.m) for j in range(1, p.d + 1)]
+            means = np.array([_loop_inner_product(state, hj).real for hj in h])
+            second = np.array([[_loop_inner_product(hj, hk).real for hk in h] for hj in h])
+            ref = 4.0 * (second - np.outer(means, means))
+            assert rel_frobenius(oracle.numerical_qfim(p, cutoff=cutoff), ref) < 1e-14
+
+    def test_operators_map_each_distinct_vector_once(self):
+        state = oracle.build_ecs_state(states.ecs_params(5, 1.0, 0.2, m=1), 16)
+        hit = oracle.apply_number_power(state, 2, 2)
+        assert len({id(f[2]) for _, f in hit.terms}) == 2
+        evolved = oracle.apply_phase_evolution(state, np.linspace(0.1, 0.5, 5), 1)
+        for mode in range(6):
+            assert len({id(f[mode]) for _, f in evolved.terms}) == 2
+
+    def test_mismatched_states_rejected(self):
+        a = oracle.build_ecs_state(states.ecs_params(2, 1.0, 0.3), 10)
+        with pytest.raises(ValueError, match="cutoff mismatch"):
+            oracle.inner_product(a, oracle.build_ecs_state(states.ecs_params(2, 1.0, 0.3), 11))
+        with pytest.raises(ValueError, match="mode count mismatch"):
+            oracle.inner_product(a, oracle.build_ecs_state(states.ecs_params(3, 1.0, 0.3), 10))
+
+
+class TestWideProbes:
+    """The oracle against the closed forms where the simultaneous advantage grows."""
+
+    @pytest.mark.parametrize("d", [16, 32, 64])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_ecs_matches_analytic(self, d, m):
+        p = states.ecs_params(d, 1.0, _weight(d, m, 1.0), m)
+        analytic = qfim.to_dense(qfim.ecs_qfim(p))
+        tol = verify.DEFAULT_TOLERANCES
+        assert rel_frobenius(oracle.numerical_qfim(p), analytic) < tol["qfim.oracle_vs_analytic"]
+        assert rel_frobenius(oracle.qfim_via_state_derivatives(p),
+                             analytic) < tol["qfim.fd_vs_analytic"]
+        for j, k in [(1, d), (d, 1), (d // 2, d // 2 + 1)]:
+            assert abs(oracle.commutator_expectation(p, j, k)) <= tol["qfim.commutators"]
+
+    def test_noon_matches_analytic(self):
+        p = states.noon_params(16, 5, m=2)
+        analytic = qfim.to_dense(qfim.noon_qfim(p))
+        tol = verify.DEFAULT_TOLERANCES
+        assert rel_frobenius(oracle.numerical_qfim(p), analytic) < tol["qfim.oracle_vs_analytic"]
+        assert rel_frobenius(oracle.qfim_via_state_derivatives(p),
+                             analytic) < tol["qfim.fd_vs_analytic"]
+        assert abs(oracle.commutator_expectation(p, 1, 16)) <= tol["qfim.commutators"]
+
+    def test_verify_suite_covers_wide_probes(self):
+        assert sorted({p.d for p in verify.wide_params()}) == [8, 16, 32, 64]
+        assert {p.m for p in verify.wide_params()} == {1, 2}
+
+
+class TestValidation:
+    """Each oracle call validates its probe once."""
+
+    @pytest.mark.parametrize("call", [
+        lambda p: oracle.numerical_qfim(p),
+        lambda p: oracle.qfim_via_state_derivatives(p),
+        lambda p: oracle.commutator_expectation(p, 1, 2),
+        lambda p: oracle.numerical_qfim(p, cutoff=12),
+        lambda p: oracle.dense_qfim(p, 8),
+    ])
+    @pytest.mark.parametrize("p", [states.ecs_params(2, 1.0, 0.3, m=2),
+                                   states.noon_params(2, 3)], ids=["ecs", "noon"])
+    def test_one_validation_per_call(self, monkeypatch, call, p):
+        calls = []
+        for name in ("validate_ecs", "validate_noon"):
+            original = getattr(oracle, name)
+
+            def counted(q, original=original):
+                calls.append(q)
+                return original(q)
+            monkeypatch.setattr(oracle, name, counted)
+        call(p)
+        assert calls == [p]
+
+
+def _outer_reference_tensor(p, cutoff):
+    state = oracle.build_state(p, cutoff)
+    out = np.zeros((cutoff + 1,) * state.num_modes, dtype=complex)
+    for coeff, factors in state.terms:
+        out += coeff * reduce(np.multiply.outer, [f.amplitudes for f in factors])
+    return out
+
+
+def _weighted_copy_reference_qfim(p, cutoff):
+    tensor = oracle.dense_tensor_state(p, cutoff)
+    levels = np.arange(cutoff + 1, dtype=float) ** p.m
+    weighted = []
+    for j in range(1, p.d + 1):
+        shape = [1] * tensor.ndim
+        shape[j] = cutoff + 1
+        weighted.append(tensor * levels.reshape(shape))
+    means = np.array([np.vdot(tensor, w).real for w in weighted])
+    second = np.array([[np.vdot(wj, wk).real for wk in weighted] for wj in weighted])
+    return 4.0 * (second - np.outer(means, means))
+
+
 class TestDenseTensor:
     def test_norm_matches_sparse(self):
         p = states.ecs_params(1, 1.0, 0.4)
@@ -252,6 +434,39 @@ class TestDenseTensor:
         p = states.ecs_params(5, 1.0, 0.2)
         with pytest.raises(SizeLimitError):
             oracle.dense_tensor_state(p, 12)
+
+    @pytest.mark.parametrize("p,cutoff", [
+        (states.ecs_params(2, 1.5, _weight(2, 1, 1.5), 1), 12),
+        (states.ecs_params(3, 2.0, _weight(3, 2, 2.0), 2), 9),
+        (states.noon_params(3, 4, m=2), 5),
+        # awkward shapes under the size limit: 61 modes of one level, 2^20 amplitudes
+        (states.ecs_params(60, 1.0, _weight(60, 1, 1.0), 1), 0),
+        (states.ecs_params(19, 0.5, _weight(19, 1, 0.5), 1), 1),
+    ], ids=["ecs-m1", "ecs-m2", "noon", "d60-cutoff0", "d19-cutoff1"])
+    def test_tensor_equals_outer_product_reference(self, p, cutoff):
+        tensor = oracle.dense_tensor_state(p, cutoff)
+        assert np.array_equal(tensor, _outer_reference_tensor(p, cutoff))
+
+    @pytest.mark.parametrize("p,cutoff", [
+        (states.ecs_params(2, 4.0, _weight(2, 2, 4.0), 2), 40),
+        (states.ecs_params(3, 1.0, 0.2, 1), 14),
+        (states.noon_params(3, 4, b=0.4, m=1), 6),
+        (states.ecs_params(1, 0.25, 0.5, 2), 20),
+    ])
+    def test_qfim_equals_weighted_copy_reference(self, p, cutoff):
+        ref = _weighted_copy_reference_qfim(p, cutoff)
+        assert rel_frobenius(oracle.dense_qfim(p, cutoff), ref) < 1e-13
+
+    def test_dense_qfim_makes_no_full_size_copy(self):
+        p = states.ecs_params(2, 4.0, _weight(2, 2, 4.0), 2)
+        nbytes = 100 ** 3 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            oracle.dense_qfim(p, 99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= nbytes + 2 ** 20, peak
 
 
 def test_linear_combination():
