@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-import numpy as np
-
-from ._arrays import all_true, check_positive_int, first_failing, libm, scalar
+from ._arrays import (all_true, check_positive_int, first_failing, libm, quiet_overflow,
+                      scalar, sqrt)
 from .errors import DegenerateInputError, RegionError
 from .moments import coherent_number_moment
 from .states import domain_geometry
@@ -131,7 +130,7 @@ def _check_photons(n) -> None:
 
 def _headline_scale(d):
     """Common d-scaling of all optimized bounds: d (sqrt d + 1)^2 / 4."""
-    return d * libm(pow, np.sqrt(d) + 1.0, 2) / 4.0
+    return d * libm(pow, sqrt(d) + 1.0, 2) / 4.0
 
 
 def _ecs_kind(m: int) -> BoundKind:
@@ -154,7 +153,7 @@ def ecs_nonlinear_value(d, alpha_sq):
     _check_d(d)
     _check_positive("alpha_sq", alpha_sq)
     mu = alpha_sq
-    with np.errstate(over="ignore"):
+    with quiet_overflow(mu):
         cubic = ((mu + 6.0) * mu + 7.0) * mu + 1.0  # f(4)/mu
     return scalar(_headline_scale(d) * libm(pow, (1.0 + mu) / cubic, 2))
 
@@ -371,11 +370,11 @@ def region_classify(d, alpha, m: int) -> RegionCell:
     d and alpha broadcast against each other.
     """
     _check_positive("alpha", alpha)
-    with np.errstate(over="ignore"):
+    with quiet_overflow(alpha):
         alpha_sq = alpha * alpha  # an overflow to inf is rejected by domain_geometry
     geom = domain_geometry(d, m, alpha_sq)
     return RegionCell(d=d, alpha=alpha, m=m, b_star=geom.b_star,
-                      sqrt_gamma=scalar(np.sqrt(geom.gamma_cap)), interior=geom.interior)
+                      sqrt_gamma=scalar(sqrt(geom.gamma_cap)), interior=geom.interior)
 
 
 def grid_scan_minimizer(d: int, m: int, alpha_sq: float,
@@ -388,6 +387,8 @@ def grid_scan_minimizer(d: int, m: int, alpha_sq: float,
     smallest trace bound found.  Matches :func:`minimize_bound_over_b`
     within the grid resolution.
     """
+    import numpy as np
+
     if grid_points < 1000:
         raise ValueError(f"grid_points must be >= 1000, got {grid_points}")
     geom = domain_geometry(d, m, alpha_sq)

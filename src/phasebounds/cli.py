@@ -12,7 +12,9 @@ numerics carry 17 significant digits so values round-trip exactly.  Sweeps
 run the array kernels one chunk at a time (a d-row of `region`, a block of
 points of `curves`) and write each chunk as it is made, so memory stays
 flat as the grid grows.  Every chunk is evaluated once before the output is
-opened, so a sweep that fails on any cell writes nothing.
+opened, so a sweep that fails on any cell writes nothing.  NumPy is
+imported by `region` and `curves`, and with the oracle by `verify`; `bounds`
+runs the kernels on Python numbers and never loads it.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from contextlib import contextmanager
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
-from . import bounds, states, verify
+from . import bounds, states
+from ._arrays import minimum, sqrt
+from ._suites import SUITE_NAMES
 from .errors import PhaseBoundsError
 from .qfim import trace_inverse_bound
 
@@ -85,7 +87,7 @@ def _write_table(path: str | None, fmt: str, header: Sequence[str],
 
 def _rows(columns: Sequence) -> list[tuple]:
     """Row tuples of Python values from a chunk's columns (arrays, or repeat() constants)."""
-    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    return list(zip(*(c.tolist() if hasattr(c, "tolist") else c for c in columns)))
 
 
 def _write_sweep(args: argparse.Namespace, header: Sequence[str],
@@ -119,8 +121,17 @@ def _require(args: argparse.Namespace, flag: str, family: str) -> float:
     return value
 
 
+def _require_positive(flag: str, value: int) -> int:
+    if value < 1:
+        raise PhaseBoundsError(f"{flag} must be >= 1")
+    return value
+
+
 def _bounds_report(args: argparse.Namespace) -> bounds.BoundReport:
     family = args.family
+    _require_positive("--d", args.d)
+    if family in ("ecs-optimal", "ecs-at-b"):
+        _require_positive("--m", args.m)
     if family in ("ecs-linear", "ecs-nonlinear", "zzb-ecs", "ecs-optimal", "ecs-at-b"):
         alpha = _require(args, "alpha", family)
         alpha_sq = alpha * alpha
@@ -160,14 +171,14 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
-def _region_chunks(d_values: Sequence[int], alphas: np.ndarray, m: int) -> Iterator[tuple]:
+def _region_chunks(d_values: Sequence[int], alphas, m: int) -> Iterator[tuple]:
     """Columns of the region table, one d-row per chunk."""
     for d in d_values:
         cell = bounds.region_classify(d, alphas, m)
         yield (repeat(d), alphas, repeat(m), cell.b_star, cell.sqrt_gamma, cell.interior)
 
 
-def _curves_chunks(d: int, axis: np.ndarray) -> Iterator[tuple]:
+def _curves_chunks(d: int, axis) -> Iterator[tuple]:
     """Columns of the curves table, CURVES_CHUNK points per chunk.
 
     The coherent probe's photon number is the axis value itself; the exact
@@ -176,7 +187,7 @@ def _curves_chunks(d: int, axis: np.ndarray) -> Iterator[tuple]:
     for start in range(0, len(axis), CURVES_CHUNK):
         n_tot = axis[start:start + CURVES_CHUNK]
         geom = states.domain_geometry(d, 1, n_tot)
-        b_used = np.minimum(geom.b_star, np.sqrt(geom.gamma_cap))
+        b_used = minimum(geom.b_star, sqrt(geom.gamma_cap))
         exact_mean = states.mean_total_photons(states.ecs_params(d, n_tot, b_used))
         yield (n_tot,
                bounds.ecs_linear_value(d, n_tot),
@@ -205,17 +216,17 @@ def _check_axis_end(flag: str, value: float, power: int) -> None:
 
 
 def cmd_region(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    power = 4 * _require_positive("--m", args.m)
     if not args.alpha_min > 0:
         raise PhaseBoundsError("--alpha-min must be > 0")
-    power = 4 * max(args.m, 1)  # an m below 1 is reported by the kernel
     _check_axis_end("--alpha-min", args.alpha_min, power)
     _check_axis_end("--alpha-max", args.alpha_max, power)
-    if args.alpha_steps < 1:
-        raise PhaseBoundsError("--alpha-steps must be >= 1")
-    if args.d_steps is not None and args.d_steps < 1:
-        raise PhaseBoundsError("--d-steps must be >= 1")
-    if args.d_min < 1:
-        raise PhaseBoundsError("--d-min must be >= 1")
+    _require_positive("--alpha-steps", args.alpha_steps)
+    if args.d_steps is not None:
+        _require_positive("--d-steps", args.d_steps)
+    _require_positive("--d-min", args.d_min)
     if args.d_max < args.d_min:
         raise PhaseBoundsError("--d-max must be >= --d-min")
     if args.d_steps is None:
@@ -230,6 +241,9 @@ def cmd_region(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    _require_positive("--d", args.d)
     if args.points < 2:
         raise PhaseBoundsError("--points must be >= 2")
     if not args.ntot_min >= 1.0:
@@ -243,6 +257,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     overrides = {}
     for item in args.tol:
         name, _, value = item.partition("=")
@@ -303,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_curves)
 
     v = sub.add_parser("verify", help="run oracle-equivalence suites")
-    v.add_argument("--suite", choices=list(verify.SUITE_NAMES) + ["all"], default="all")
+    v.add_argument("--suite", choices=list(SUITE_NAMES) + ["all"], default="all")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
                    help="override one tolerance (repeatable)")

@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
-
-from ._arrays import all_true, first_failing, scalar
+from ._arrays import all_true, first_failing, quiet_overflow, scalar
 from .errors import DegenerateInputError
 
 __all__ = [
@@ -96,7 +94,7 @@ def coherent_number_moment(m: int, mu):
     _check_moment_args(m, mu)
     total = 0.0 * mu  # zero in mu's shape
     power = 1.0  # mu^k
-    with np.errstate(over="ignore"):
+    with quiet_overflow(mu):
         for k, coefficient in enumerate(_stirling_row(m)):
             if k:
                 power = power * mu

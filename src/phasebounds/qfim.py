@@ -17,8 +17,7 @@ appear only for cross-checks against the brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateInputError, SingularMatrixError
 from .moments import coherent_number_moment, second_moment_ratio
@@ -34,6 +33,9 @@ __all__ = [
     "trace_inverse_bound",
     "effective_qfi_2param",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,8 @@ def qfim_inverse(f: StructuredQfim) -> StructuredQfim:
 
 def to_dense(f: StructuredQfim) -> np.ndarray:
     """Dense realization: diagonal gamma(1 + omega), off-diagonal gamma omega."""
+    import numpy as np
+
     out = np.full((f.d, f.d), f.off_diagonal, dtype=float)
     np.fill_diagonal(out, f.diagonal)
     return out
@@ -117,6 +121,8 @@ def fit_structured(dense: np.ndarray) -> StructuredQfim:
     Fits the diagonal mean and off-diagonal mean.  A 1 x 1 matrix cannot
     separate the two scalars; omega is reported as 0 in that case.
     """
+    import numpy as np
+
     a = np.asarray(dense, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -156,6 +162,8 @@ def effective_qfi_2param(f: np.ndarray) -> float:
 
     Satisfies Tr(F^{-1}) = 1/F_e when d = 2.
     """
+    import numpy as np
+
     a = np.asarray(f, dtype=float)
     if a.shape != (2, 2):
         raise ValueError(f"effective QFI is defined for 2x2 matrices, got shape {a.shape}")

@@ -21,9 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ._arrays import all_true, check_positive_int, first_failing, libm, scalar
+from ._arrays import (all_true, check_positive_int, clip_negative, first_failing, libm,
+                      quiet_overflow, scalar, sqrt)
 from .errors import CoefficientDomainError, DegenerateInputError, NormalizationError
 from .moments import second_moment_ratio
 
@@ -156,7 +155,7 @@ def solve_c(b, d, alpha_sq, *, smaller_root: bool = False):
             f"b^2 = {first_failing(b * b, ok):.12g} is not normalizable: discriminant "
             f"{first_failing(disc, ok):.3e} < 0 "
             f"(cap Gamma = {1.0 / first_failing(denom, ok):.12g})")
-    root = np.sqrt(np.where(disc < 0.0, 0.0, disc))
+    root = sqrt(clip_negative(disc))
     return scalar(-b * v - root if smaller_root else -b * v + root)
 
 
@@ -173,7 +172,8 @@ def b_domain_limit(d, alpha_sq):
             f"b-domain cap undefined: u - v^2 = {first_failing(denom, ok):.3e} <= 0 at "
             f"alpha_sq={first_failing(alpha_sq, ok)} "
             "(vacuum probe carries no phase information)")
-    return 1.0 / denom
+    with quiet_overflow(denom):  # inf, as for a float, when denom < 1/DBL_MAX
+        return 1.0 / denom
 
 
 def b_star(d, m: int, alpha_sq):
@@ -186,7 +186,7 @@ def b_star(d, m: int, alpha_sq):
     _check_m(m)
     _check_alpha_sq(alpha_sq, allow_zero=False)
     g = second_moment_ratio(m, alpha_sq)
-    return scalar(np.sqrt(g / (np.sqrt(d) + d)))
+    return scalar(sqrt(g / (sqrt(d) + d)))
 
 
 def domain_geometry(d, m: int, alpha_sq) -> DomainGeometry:
@@ -195,7 +195,7 @@ def domain_geometry(d, m: int, alpha_sq) -> DomainGeometry:
     _check_m(m)
     _check_alpha_sq(alpha_sq, allow_zero=False)
     g = second_moment_ratio(m, alpha_sq)
-    bs = np.sqrt(g / (np.sqrt(d) + d))
+    bs = sqrt(g / (sqrt(d) + d))
     return DomainGeometry(gamma_cap=gamma_cap, b_star=scalar(bs), g=g,
                           interior=scalar(bs * bs <= gamma_cap))
 

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import bounds, moments, oracle, qfim, states
+from ._suites import SUITE_NAMES
 
 __all__ = ["CheckResult", "DEFAULT_TOLERANCES", "SUITE_NAMES", "run_suite",
            "criterion_grid_params"]
@@ -414,7 +415,6 @@ def suite_bounds(rng: np.random.Generator,
     return results
 
 
-SUITE_NAMES = ("moments", "normalization", "qfim", "optimizer", "bounds")
 _SUITES = {
     "moments": suite_moments,
     "normalization": suite_normalization,

@@ -65,6 +65,18 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert payload["regime"] == "clamped"
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("--family", "ecs-linear", "--d", "0", "--alpha", "2"), "--d"),
+        (("--family", "noon-linear", "--d", "-3", "--N", "4"), "--d"),
+        (("--family", "ecs-optimal", "--d", "3", "--m", "0", "--alpha", "2"), "--m"),
+        (("--family", "ecs-at-b", "--d", "3", "--m", "-1", "--alpha", "2", "--b", "0.1"),
+         "--m"),
+    ])
+    def test_zero_d_or_m_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} must be >= 1\n"
+
     def test_ecs_at_b_requires_b(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--family", "ecs-at-b",
                                "--d", "2", "--alpha", "1")
@@ -128,6 +140,19 @@ class TestRegionCommand:
     def test_rejects_zero_d_min(self, capsys):
         code, out, err = run_cli(capsys, "region", "--d-min", "0")
         assert code == 2 and "--d-min must be >= 1" in err and out == ""
+
+
+    def test_rejects_zero_m(self, capsys):
+        code, out, err = run_cli(capsys, "region", "--m", "0")
+        assert code == 2 and out == "" and err == "error: --m must be >= 1\n"
+
+    def test_underflowing_moment_ratio_warns_nothing(self, capsys, recwarn):
+        # f(m)^2 underflows here; the b-domain cap 1/(u - v^2) overflows first
+        code, out, err = run_cli(capsys, "region", "--alpha-min", "1e-160",
+                                 "--alpha-max", "1e-150")
+        assert code == 2 and out == ""
+        assert err.startswith("error: moment ratio undefined at mu="), err
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 
 class TestCurvesCommand:
@@ -195,6 +220,10 @@ class TestCurvesCommand:
             assert code == 0
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_rejects_zero_d(self, capsys):
+        code, out, err = run_cli(capsys, "curves", "--d", "0")
+        assert code == 2 and out == "" and err == "error: --d must be >= 1\n"
 
     def test_rejects_descending_ntot_range(self, capsys):
         code, out, err = run_cli(capsys, "curves", "--ntot-min", "5", "--ntot-max", "1",
@@ -396,3 +425,58 @@ def test_cli_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# every bounds family, json and csv, and error exits from the kernel's checks
+SCALAR_ARGVS = [
+    *[[*argv, "--format", fmt] for fmt in ("json", "csv") for argv in (
+        ["bounds", "--family", "ecs-linear", "--d", "5", "--alpha", "2"],
+        ["bounds", "--family", "ecs-nonlinear", "--d", "5", "--alpha", "3"],
+        ["bounds", "--family", "ecs-optimal", "--d", "5", "--m", "2", "--alpha", "2"],
+        ["bounds", "--family", "ecs-at-b", "--d", "5", "--alpha", "2", "--b", "0.2"],
+        ["bounds", "--family", "noon-linear", "--d", "5", "--N", "4"],
+        ["bounds", "--family", "noon-nonlinear", "--d", "5", "--N", "4"],
+        ["bounds", "--family", "independent-ecs", "--d", "5", "--n-tot", "30"],
+        ["bounds", "--family", "independent-noon", "--d", "5", "--n-tot", "30"],
+        ["bounds", "--family", "zzb-ecs", "--d", "5", "--alpha", "2"],
+        ["bounds", "--family", "zzb-noon", "--d", "5", "--N", "4"],
+    )],
+    ["bounds", "--family", "ecs-at-b", "--d", "5", "--alpha", "0.01",
+     "--b", "18.258635775173552"],
+    ["bounds", "--family", "ecs-linear", "--d", "5", "--alpha", "1"],
+    ["bounds", "--family", "ecs-linear", "--d", "5", "--alpha", "0"],
+]
+
+
+def test_scalar_commands_load_no_numpy():
+    # `import phasebounds`, `import phasebounds.cli` and every bounds family run
+    # without NumPy; region, curves and verify load it and still run
+    code = f"""
+import contextlib, io, json, sys
+def numpy_modules():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+seen = {{}}
+import phasebounds
+seen["import phasebounds"] = numpy_modules()
+from phasebounds import cli
+seen["import phasebounds.cli"] = numpy_modules()
+for argv in {SCALAR_ARGVS!r}:
+    seen[" ".join(argv)] = [run(argv), numpy_modules()]
+exits = [run(["region", "--d-max", "3", "--alpha-steps", "4"]),
+         run(["curves", "--d", "3", "--points", "4"]),
+         run(["verify", "--suite", "moments"])]
+print(json.dumps({{"seen": seen, "exits": exits, "numpy": "numpy" in sys.modules}}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    report = json.loads(result.stdout)
+    seen = report.pop("seen")
+    assert seen.pop("import phasebounds") == [] and seen.pop("import phasebounds.cli") == []
+    exits = {argv: got[0] for argv, got in seen.items()}
+    assert list(exits.values()) == [0] * 20 + [2] * 3, exits
+    assert {argv: got[1] for argv, got in seen.items() if got[1]} == {}
+    assert report == {"exits": [0, 0, 0], "numpy": True}
