@@ -141,7 +141,6 @@ class TestRegionCommand:
         code, out, err = run_cli(capsys, "region", "--d-min", "0")
         assert code == 2 and "--d-min must be >= 1" in err and out == ""
 
-
     def test_rejects_zero_m(self, capsys):
         code, out, err = run_cli(capsys, "region", "--m", "0")
         assert code == 2 and out == "" and err == "error: --m must be >= 1\n"
