@@ -54,7 +54,6 @@ from .qfim import (
     StructuredQfim,
     ecs_qfim,
     effective_qfi_2param,
-    fit_structured,
     noon_qfim,
     qfim_inverse,
     to_dense,

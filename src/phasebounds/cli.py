@@ -130,8 +130,7 @@ def _require_positive(flag: str, value: int) -> int:
 def _bounds_report(args: argparse.Namespace) -> bounds.BoundReport:
     family = args.family
     _require_positive("--d", args.d)
-    if family in ("ecs-optimal", "ecs-at-b"):
-        _require_positive("--m", args.m)
+    _require_positive("--m", args.m)
     if family in ("ecs-linear", "ecs-nonlinear", "zzb-ecs", "ecs-optimal", "ecs-at-b"):
         alpha = _require(args, "alpha", family)
         alpha_sq = alpha * alpha
@@ -266,7 +265,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise PhaseBoundsError(f"--tol takes NAME=VALUE, got {item!r}")
         if name not in verify.DEFAULT_TOLERANCES:
             raise PhaseBoundsError(f"unknown tolerance {name!r}")
-        overrides[name] = float(value)
+        try:
+            tol = float(value)
+        except ValueError:
+            tol = math.nan
+        if not 0.0 <= tol < math.inf:
+            raise PhaseBoundsError(f"--tol {name} must be a finite number >= 0, got {value!r}")
+        overrides[name] = tol
     results = verify.run_suite(args.suite, seed=args.seed, tolerances=overrides)
     for result in results:
         print(result.line())

@@ -63,7 +63,6 @@ __all__ = [
     "qfim_via_state_derivatives",
     "commutator_expectation",
     "dense_tensor_state",
-    "dense_inner_product",
     "dense_qfim",
 ]
 
@@ -554,12 +553,6 @@ def dense_tensor_state(p: EcsParams | NoonParams, cutoff: int,
     out = np.empty((cutoff + 1,) * num_modes, dtype=complex)
     np.einsum("tr,tc->rc", rows, cols, out=out.reshape(rows.shape[1], cols.shape[1]))
     return out
-
-
-def dense_inner_product(t1: np.ndarray, t2: np.ndarray) -> complex:
-    if t1.shape != t2.shape:
-        raise ValueError(f"tensor shape mismatch: {t1.shape} vs {t2.shape}")
-    return complex(np.vdot(t1, t2))
 
 
 def dense_qfim(p: EcsParams | NoonParams, cutoff: int,

@@ -29,7 +29,6 @@ __all__ = [
     "noon_qfim",
     "qfim_inverse",
     "to_dense",
-    "fit_structured",
     "trace_inverse_bound",
     "effective_qfi_2param",
 ]
@@ -113,28 +112,6 @@ def to_dense(f: StructuredQfim) -> np.ndarray:
     out = np.full((f.d, f.d), f.off_diagonal, dtype=float)
     np.fill_diagonal(out, f.diagonal)
     return out
-
-
-def fit_structured(dense: np.ndarray) -> StructuredQfim:
-    """Recover (gamma, omega) from a dense matrix of the structured form.
-
-    Fits the diagonal mean and off-diagonal mean.  A 1 x 1 matrix cannot
-    separate the two scalars; omega is reported as 0 in that case.
-    """
-    import numpy as np
-
-    a = np.asarray(dense, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    d = a.shape[0]
-    diag = float(np.trace(a)) / d
-    if d == 1:
-        return StructuredQfim(d=1, gamma=diag, omega=0.0)
-    off = float(a.sum() - np.trace(a)) / (d * (d - 1))
-    gamma = diag - off
-    if gamma == 0.0:
-        raise SingularMatrixError("diagonal equals off-diagonal: gamma = 0 is not representable")
-    return StructuredQfim(d=d, gamma=gamma, omega=off / gamma)
 
 
 def trace_inverse_bound(p: EcsParams) -> float:

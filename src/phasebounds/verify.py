@@ -1,16 +1,21 @@
-"""Oracle-equivalence verification suites.
+"""Oracle-equivalence checks and the suites that group them.
 
-Each suite pits a closed form against an independent computation: Stirling
+Each check pits a closed form against an independent computation: Stirling
 moments against the raw Poisson series, analytic information matrices
 against the truncated-Fock oracle, the piecewise optimum against a dense
 grid scan, and the headline bound values and orderings against direct
-arithmetic.  The CLI ``verify`` subcommand and the acceptance tests both run
-these checks; tolerances can be overridden per check for sensitivity
-studies.
+arithmetic.  Every check is a named function of explicit inputs (a probe
+list, an rng, optimizer draws or an n_tot grid) that returns one
+``CheckResult`` under the tolerance key ``"<suite>.<name>"``.  The
+``suite_*`` functions are lists of calls on the ``verify`` subcommand's
+inputs; the acceptance gate calls the same functions on its own pinned
+inputs, so each comparison is written once.  Tolerances can be overridden
+per check for sensitivity studies.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -21,7 +26,10 @@ from . import bounds, moments, oracle, qfim, states
 from ._suites import SUITE_NAMES
 
 __all__ = ["CheckResult", "DEFAULT_TOLERANCES", "SUITE_NAMES", "run_suite",
-           "criterion_grid_params"]
+           "criterion_grid_params", "optimizer_draws"]
+
+Tolerances = Mapping[str, float] | None
+Draws = Iterable[tuple[int, int, float]]  # (d, m, alpha_sq)
 
 
 @dataclass(frozen=True)
@@ -54,6 +62,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "optimizer.interior_closed_forms": 1e-12,
     "optimizer.unimodal": 0.0,
     "bounds.headline_values": 1e-12,
+    "bounds.noon_pair_exact": 0.0,
     "bounds.independent_match": 1e-12,
     "bounds.independent_below_noon_baseline": 1.0,
     "bounds.crossing_bracket": 0.01,
@@ -62,6 +71,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "bounds.zzb_ordering": 1.0,
     "bounds.region_claim": 0.0,
     "bounds.gamma_large_alpha": 1e-10,
+    "bounds.b_star_approach": 1e-6,
     "bounds.b_star_limit": 1e-6,
     "bounds.o_of_d_fit": 0.05,
 }
@@ -76,8 +86,13 @@ GRID_TAIL_TOL = 1e-14
 WIDE_DS = (8, 16, 32, 64)
 WIDE_ALPHA_SQ = 1.0
 
-# The b_star -> 1/sqrt(d + sqrt d) limit converges like 1/(2 alpha_sq), so a
-# 1e-6 tolerance needs alpha_sq of order 1e6.
+MOMENT_MUS = (0.1, 0.5, 1.0, 2.0, 4.0, 9.0, 16.0)
+HEADLINE_SCALE = 5.0 * (math.sqrt(5.0) + 1.0) ** 2  # d (sqrt d + 1)^2 at d = 5
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+# b_star exceeds 1/sqrt(d + sqrt d) by about 1/(2 alpha_sq): its approach is
+# checked against the exact finite-alpha form at a moderate amplitude, and
+# the limit itself at one where 1/(2 alpha_sq) is below the 1e-6 tolerance.
+B_STAR_APPROACH_ALPHA_SQ = 49.0
 B_STAR_LIMIT_ALPHA_SQ = 1e6
 
 
@@ -106,185 +121,240 @@ def wide_params() -> list[states.EcsParams]:
     return out
 
 
-def _tol(tolerances: Mapping[str, float] | None, key: str) -> float:
+def optimizer_draws(rng: np.random.Generator, count: int = 50) -> list[tuple[int, int, float]]:
+    """(d, m, alpha_sq) draws for the optimizer checks."""
+    return [(int(rng.integers(1, 11)), int(rng.integers(1, 3)),
+             float(rng.uniform(0.5, 25.0))) for _ in range(count)]
+
+
+def _ntot_grid(step: float) -> np.ndarray:
+    """n_tot from 1 to 100 in the given step."""
+    return 1.0 + step * np.arange(int(round(99.0 / step)) + 1)
+
+
+def _tolerance(key: str, tolerances: Tolerances) -> float:
     if tolerances and key in tolerances:
         return float(tolerances[key])
     return DEFAULT_TOLERANCES[key]
+
+
+def _check(key: str, disc: float, tolerances: Tolerances,
+           strict: bool = False) -> CheckResult:
+    """The result of one check: passed if disc <= tolerance (< when strict)."""
+    tol = _tolerance(key, tolerances)
+    suite, name = key.split(".")
+    return CheckResult(suite=suite, name=name, passed=disc < tol if strict else disc <= tol,
+                       discrepancy=disc, tolerance=tol)
+
+
+def _worst(values: Iterable[float]) -> float:
+    """The largest of the values; NaN if any is NaN, so a NaN never passes."""
+    return float(np.max(np.fromiter(values, float)))
 
 
 def _rel_frobenius(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def _check(suite: str, name: str, disc: float, tol: float) -> CheckResult:
-    return CheckResult(suite=suite, name=name, passed=disc <= tol,
-                       discrepancy=disc, tolerance=tol)
+def _analytic(p: states.EcsParams) -> np.ndarray:
+    return qfim.to_dense(qfim.ecs_qfim(p))
 
 
 # ---------------------------------------------------------------- moments
 
-def suite_moments(rng: np.random.Generator,
-                  tolerances: Mapping[str, float] | None = None) -> list[CheckResult]:
-    results = []
+def closed_vs_poisson(tolerances: Tolerances = None) -> CheckResult:
+    """Stirling-form moments f(m), m <= 12, against the raw Poisson series."""
+    def rel(m: int, mu: float) -> float:
+        closed = moments.coherent_number_moment(m, mu)
+        scale = max(1.0, closed)
+        return abs(closed - moments.moment_via_poisson_sum(m, mu, tail_tol=1e-12 * scale)) / scale
 
-    worst = 0.0
-    for m in range(13):
-        for mu in (0.1, 0.5, 1.0, 2.0, 4.0, 9.0, 16.0):
-            closed = moments.coherent_number_moment(m, mu)
-            scale = max(1.0, closed)
-            series = moments.moment_via_poisson_sum(m, mu, tail_tol=1e-12 * scale)
-            worst = max(worst, abs(closed - series) / scale)
-    results.append(_check("moments", "closed_vs_poisson", worst,
-                          _tol(tolerances, "moments.closed_vs_poisson")))
+    worst = _worst(rel(m, mu) for m in range(13) for mu in MOMENT_MUS)
+    return _check("moments.closed_vs_poisson", worst, tolerances)
 
-    # coefficient rows behind the quadratic and quartic moment polynomials
+
+def printed_coefficients(tolerances: Tolerances = None) -> CheckResult:
+    """The Stirling rows behind the quadratic and quartic moment polynomials, exactly."""
     ok = (tuple(moments.stirling2(2, k) for k in range(3)) == (0, 1, 1)
           and tuple(moments.stirling2(4, k) for k in range(5)) == (0, 1, 7, 6, 1))
-    results.append(_check("moments", "printed_coefficients", 0.0 if ok else 1.0,
-                          _tol(tolerances, "moments.printed_coefficients")))
+    return _check("moments.printed_coefficients", 0.0 if ok else 1.0, tolerances)
 
-    worst = 0.0
-    for mu in (0.1, 0.5, 1.0, 2.0, 4.0, 9.0, 16.0):
+
+def printed_polynomials(tolerances: Tolerances = None) -> CheckResult:
+    """f(2) = mu(1 + mu) and f(4) = mu^4 + 6 mu^3 + 7 mu^2 + mu."""
+    def rels(mu: float) -> tuple[float, float]:
         quadratic = mu * (1.0 + mu)
         quartic = mu ** 4 + 6.0 * mu ** 3 + 7.0 * mu ** 2 + mu
-        worst = max(worst,
-                    abs(moments.coherent_number_moment(2, mu) - quadratic) / quadratic,
-                    abs(moments.coherent_number_moment(4, mu) - quartic) / quartic)
-    results.append(_check("moments", "printed_polynomials", worst,
-                          _tol(tolerances, "moments.printed_polynomials")))
-    return results
+        return (abs(moments.coherent_number_moment(2, mu) - quadratic) / quadratic,
+                abs(moments.coherent_number_moment(4, mu) - quartic) / quartic)
+
+    worst = _worst(itertools.chain.from_iterable(map(rels, MOMENT_MUS)))
+    return _check("moments.printed_polynomials", worst, tolerances)
+
+
+def suite_moments(rng: np.random.Generator,
+                  tolerances: Tolerances = None) -> list[CheckResult]:
+    return [closed_vs_poisson(tolerances), printed_coefficients(tolerances),
+            printed_polynomials(tolerances)]
 
 
 # ---------------------------------------------------------- normalization
 
-def suite_normalization(rng: np.random.Generator,
-                        tolerances: Mapping[str, float] | None = None) -> list[CheckResult]:
-    results = []
+def oracle_norm(tolerances: Tolerances = None) -> CheckResult:
+    """The oracle's norm of the solved probe over 1000 weights below the cap."""
+    def deviations():
+        for d, alpha_sq in ((1, 1.0), (2, 1.0), (3, 4.0), (5, 2.25)):
+            cutoff = oracle.minimal_cutoff(alpha_sq, 1e-13) + 2
+            cap = states.b_domain_limit(d, alpha_sq)
+            for b in np.sqrt(cap) * np.linspace(0.0, 1.0, 1000, endpoint=False):
+                p = states.ecs_params(d, alpha_sq, float(b))
+                yield abs(oracle.norm_sq(oracle.build_ecs_state(p, cutoff)) - 1.0)
 
-    worst = 0.0
-    for d, alpha_sq in ((1, 1.0), (2, 1.0), (3, 4.0), (5, 2.25)):
-        cutoff = oracle.minimal_cutoff(alpha_sq, 1e-13) + 2
-        cap = states.b_domain_limit(d, alpha_sq)
-        for b in np.sqrt(cap) * np.linspace(0.0, 1.0, 1000, endpoint=False):
-            p = states.ecs_params(d, alpha_sq, float(b))
-            norm = oracle.norm_sq(oracle.build_ecs_state(p, cutoff))
-            worst = max(worst, abs(norm - 1.0))
-    results.append(_check("normalization", "oracle_norm", worst,
-                          _tol(tolerances, "normalization.oracle_norm")))
+    return _check("normalization.oracle_norm", _worst(deviations()), tolerances)
 
-    worst = 0.0
-    for d, alpha_sq, b in ((2, 1.0, 0.4), (3, 2.0, 0.3), (5, 4.0, 0.35)):
+
+def mean_photons(tolerances: Tolerances = None) -> CheckResult:
+    """Closed-form mean total photon number against the oracle's."""
+    def rel(d: int, alpha_sq: float, b: float) -> float:
         p = states.ecs_params(d, alpha_sq, b)
         cutoff = oracle.minimal_cutoff(alpha_sq, 1e-14) + 4
         from_oracle = oracle.total_photon_expectation(oracle.build_ecs_state(p, cutoff))
         closed = states.mean_total_photons(p)
-        worst = max(worst, abs(from_oracle - closed) / closed)
-    results.append(_check("normalization", "mean_photons", worst,
-                          _tol(tolerances, "normalization.mean_photons")))
-    return results
+        return abs(from_oracle - closed) / closed
+
+    worst = _worst(itertools.starmap(rel, ((2, 1.0, 0.4), (3, 2.0, 0.3), (5, 4.0, 0.35))))
+    return _check("normalization.mean_photons", worst, tolerances)
+
+
+def suite_normalization(rng: np.random.Generator,
+                        tolerances: Tolerances = None) -> list[CheckResult]:
+    return [oracle_norm(tolerances), mean_photons(tolerances)]
 
 
 # ------------------------------------------------------------------ qfim
 
-def suite_qfim(rng: np.random.Generator,
-               tolerances: Mapping[str, float] | None = None) -> list[CheckResult]:
-    results = []
-    grid = criterion_grid_params()
+def oracle_vs_analytic(probes: Iterable[states.EcsParams],
+                       tolerances: Tolerances = None) -> CheckResult:
+    """Moment-path oracle QFIM against the analytic matrix, relative Frobenius."""
+    worst = _worst(_rel_frobenius(oracle.numerical_qfim(p, tail_tol=GRID_TAIL_TOL),
+                                  _analytic(p)) for p in probes)
+    return _check("qfim.oracle_vs_analytic", worst, tolerances)
 
-    worst_oracle = 0.0
-    worst_fd = 0.0
-    worst_trace = 0.0
-    worst_comm = 0.0
-    for p in grid + wide_params():
-        analytic = qfim.to_dense(qfim.ecs_qfim(p))
-        numeric = oracle.numerical_qfim(p, tail_tol=GRID_TAIL_TOL)
-        worst_oracle = max(worst_oracle, _rel_frobenius(numeric, analytic))
-        fd = oracle.qfim_via_state_derivatives(p, tail_tol=GRID_TAIL_TOL)
-        worst_fd = max(worst_fd, _rel_frobenius(fd, analytic))
-        value = qfim.trace_inverse_bound(p)
-        dense_trace = float(np.trace(np.linalg.inv(analytic)))
-        worst_trace = max(worst_trace, abs(value - dense_trace) / abs(dense_trace))
-        # every pair on the grid; the first and last sensing modes on wide probes
+
+def fd_vs_analytic(probes: Iterable[states.EcsParams],
+                   tolerances: Tolerances = None) -> CheckResult:
+    """Derivative-path oracle QFIM against the analytic matrix, relative Frobenius."""
+    worst = _worst(_rel_frobenius(oracle.qfim_via_state_derivatives(p, tail_tol=GRID_TAIL_TOL),
+                                  _analytic(p)) for p in probes)
+    return _check("qfim.fd_vs_analytic", worst, tolerances)
+
+
+def trace_formula(probes: Iterable[states.EcsParams],
+                  tolerances: Tolerances = None) -> CheckResult:
+    """The closed-form Tr(F^-1) against the trace of the dense inverse."""
+    def rel(p: states.EcsParams) -> float:
+        dense_trace = float(np.trace(np.linalg.inv(_analytic(p))))
+        return abs(qfim.trace_inverse_bound(p) - dense_trace) / abs(dense_trace)
+
+    return _check("qfim.trace_formula", _worst(map(rel, probes)), tolerances)
+
+
+def commutators(probes: Iterable[states.EcsParams],
+                tolerances: Tolerances = None) -> CheckResult:
+    """|<[H_j, H_k]>|: every mode pair of a grid probe, the first and last of a wide one."""
+    def pairs(p: states.EcsParams):
         modes = range(1, p.d + 1) if p.d <= GRID_DS[-1] else (1, p.d)
-        for j in modes:
-            for k in modes:
-                worst_comm = max(worst_comm, abs(oracle.commutator_expectation(p, j, k)))
-    results.append(_check("qfim", "oracle_vs_analytic", worst_oracle,
-                          _tol(tolerances, "qfim.oracle_vs_analytic")))
-    results.append(_check("qfim", "fd_vs_analytic", worst_fd,
-                          _tol(tolerances, "qfim.fd_vs_analytic")))
-    results.append(_check("qfim", "trace_formula", worst_trace,
-                          _tol(tolerances, "qfim.trace_formula")))
-    results.append(_check("qfim", "commutators", worst_comm,
-                          _tol(tolerances, "qfim.commutators")))
+        return itertools.product(modes, modes)
 
-    worst = 0.0
-    for _ in range(10_000):
+    worst = _worst(abs(oracle.commutator_expectation(p, j, k))
+                   for p in probes for j, k in pairs(p))
+    return _check("qfim.commutators", worst, tolerances)
+
+
+def structured_inverse(rng: np.random.Generator,
+                       tolerances: Tolerances = None) -> CheckResult:
+    """F F^-1 = I for 10^4 random structured matrices; consumes 3 draws each."""
+    def residual() -> float:
         d = int(rng.integers(1, 9))
-        gamma = float(rng.uniform(0.1, 10.0))
-        omega = float(rng.uniform(-1.0 / d, 5.0))
-        if 1.0 + omega * d == 0.0:
-            continue
-        f = qfim.StructuredQfim(d=d, gamma=gamma, omega=omega)
+        f = qfim.StructuredQfim(d=d, gamma=float(rng.uniform(0.1, 10.0)),
+                                omega=float(rng.uniform(-1.0 / d, 5.0)))
+        if 1.0 + f.omega * d == 0.0:
+            return 0.0
         product = qfim.to_dense(f) @ qfim.to_dense(qfim.qfim_inverse(f))
-        worst = max(worst, float(np.max(np.abs(product - np.eye(d)))))
-    results.append(_check("qfim", "structured_inverse", worst,
-                          _tol(tolerances, "qfim.structured_inverse")))
+        return float(np.max(np.abs(product - np.eye(d))))
 
-    worst = 0.0
-    for p in (states.ecs_params(2, 1.0, 0.3, 1), states.ecs_params(3, 4.0, 0.2, 2)):
+    worst = _worst(residual() for _ in range(10_000))
+    return _check("qfim.structured_inverse", worst, tolerances)
+
+
+def theta_independence(rng: np.random.Generator,
+                       tolerances: Tolerances = None) -> CheckResult:
+    """The derivative-path QFIM at random phases equals that at theta = 0."""
+    def rel(p: states.EcsParams) -> float:
         at_zero = oracle.qfim_via_state_derivatives(p, tail_tol=GRID_TAIL_TOL)
         theta = rng.uniform(-math.pi, math.pi, size=p.d)
-        at_random = oracle.qfim_via_state_derivatives(p, theta=theta,
-                                                      tail_tol=GRID_TAIL_TOL)
-        worst = max(worst, _rel_frobenius(at_random, at_zero))
-    results.append(_check("qfim", "theta_independence", worst,
-                          _tol(tolerances, "qfim.theta_independence")))
-    return results
+        return _rel_frobenius(
+            oracle.qfim_via_state_derivatives(p, theta=theta, tail_tol=GRID_TAIL_TOL), at_zero)
+
+    worst = _worst(map(rel, (states.ecs_params(2, 1.0, 0.3, 1),
+                             states.ecs_params(3, 4.0, 0.2, 2))))
+    return _check("qfim.theta_independence", worst, tolerances)
+
+
+def suite_qfim(rng: np.random.Generator,
+               tolerances: Tolerances = None) -> list[CheckResult]:
+    probes = criterion_grid_params() + wide_params()
+    return [oracle_vs_analytic(probes, tolerances), fd_vs_analytic(probes, tolerances),
+            trace_formula(probes, tolerances), commutators(probes, tolerances),
+            structured_inverse(rng, tolerances), theta_independence(rng, tolerances)]
 
 
 # ------------------------------------------------------------- optimizer
 
-def optimizer_draws(rng: np.random.Generator, count: int = 50) -> list[tuple[int, int, float]]:
-    return [(int(rng.integers(1, 11)), int(rng.integers(1, 3)),
-             float(rng.uniform(0.5, 25.0))) for _ in range(count)]
+def scan_vs_closed(draws: Draws, tolerances: Tolerances = None) -> CheckResult:
+    """The piecewise optimum against a 10^4-point grid scan over b."""
+    def rel(d: int, m: int, alpha_sq: float) -> float:
+        closed = bounds.minimize_bound_over_b(d, m, alpha_sq).value
+        scan = bounds.grid_scan_minimizer(d, m, alpha_sq, grid_points=10_000).value
+        return abs(scan - closed) / closed
+
+    return _check("optimizer.scan_vs_closed", _worst(itertools.starmap(rel, draws)), tolerances)
+
+
+def interior_closed_forms(draws: Draws, tolerances: Tolerances = None) -> CheckResult:
+    """Where the optimum is interior, it equals the headline closed form."""
+    def rel(d: int, m: int, alpha_sq: float) -> float:
+        closed = bounds.minimize_bound_over_b(d, m, alpha_sq)
+        if closed.regime is not bounds.Regime.INTERIOR:
+            return 0.0
+        formula = (bounds.ecs_linear_value(d, alpha_sq) if m == 1
+                   else bounds.ecs_nonlinear_value(d, alpha_sq))
+        return abs(closed.value - formula) / formula
+
+    worst = _worst(itertools.starmap(rel, draws))
+    return _check("optimizer.interior_closed_forms", worst, tolerances)
+
+
+def unimodal(draws: Draws, tolerances: Tolerances = None) -> CheckResult:
+    """Count of draws whose bound over b^2 falls again after it first rises."""
+    def bad_shape(d: int, m: int, alpha_sq: float) -> bool:
+        geom = states.domain_geometry(d, m, alpha_sq)
+        beta = np.linspace(0.0, min(geom.gamma_cap, geom.g / d), 2001)[1:-1]
+        f_2m = moments.coherent_number_moment(2 * m, alpha_sq)
+        diffs = np.diff(d / (4.0 * f_2m) * (1.0 / beta + 1.0 / (geom.g - beta * d)))
+        rising = np.nonzero(diffs > 0)[0]
+        first_rise = rising[0] if len(rising) else len(diffs)
+        return bool(np.any(diffs[first_rise:] < 0))
+
+    count = float(sum(itertools.starmap(bad_shape, draws)))
+    return _check("optimizer.unimodal", count, tolerances)
 
 
 def suite_optimizer(rng: np.random.Generator,
-                    tolerances: Mapping[str, float] | None = None) -> list[CheckResult]:
-    results = []
+                    tolerances: Tolerances = None) -> list[CheckResult]:
     draws = optimizer_draws(rng)
-
-    worst_scan = 0.0
-    worst_interior = 0.0
-    bad_shape = 0.0
-    for d, m, alpha_sq in draws:
-        closed = bounds.minimize_bound_over_b(d, m, alpha_sq)
-        scan = bounds.grid_scan_minimizer(d, m, alpha_sq, grid_points=10_000)
-        worst_scan = max(worst_scan, abs(scan.value - closed.value) / closed.value)
-        if closed.regime is bounds.Regime.INTERIOR:
-            formula = (bounds.ecs_linear_value(d, alpha_sq) if m == 1
-                       else bounds.ecs_nonlinear_value(d, alpha_sq))
-            worst_interior = max(worst_interior,
-                                 abs(closed.value - formula) / formula)
-        geom = states.domain_geometry(d, m, alpha_sq)
-        pole = geom.g / d
-        hi = min(geom.gamma_cap, pole)
-        beta = np.linspace(0.0, hi, 2001)[1:-1]
-        f_2m = moments.coherent_number_moment(2 * m, alpha_sq)
-        values = d / (4.0 * f_2m) * (1.0 / beta + 1.0 / (geom.g - beta * d))
-        diffs = np.diff(values)
-        rising = np.nonzero(diffs > 0)[0]
-        first_rise = rising[0] if len(rising) else len(diffs)
-        if np.any(diffs[first_rise:] < 0):
-            bad_shape += 1.0
-    results.append(_check("optimizer", "scan_vs_closed", worst_scan,
-                          _tol(tolerances, "optimizer.scan_vs_closed")))
-    results.append(_check("optimizer", "interior_closed_forms", worst_interior,
-                          _tol(tolerances, "optimizer.interior_closed_forms")))
-    results.append(_check("optimizer", "unimodal", bad_shape,
-                          _tol(tolerances, "optimizer.unimodal")))
-    return results
+    return [scan_vs_closed(draws, tolerances), interior_closed_forms(draws, tolerances),
+            unimodal(draws, tolerances)]
 
 
 # ---------------------------------------------------------------- bounds
@@ -312,107 +382,140 @@ def o_of_d_advantage_fit(ds: Iterable[int] = (4, 8, 16, 32, 64),
     return c, residual, ratios
 
 
-def crossing_bracket(d: int = 5, step: float = 0.01) -> tuple[float, float]:
-    """One-cell bracket where the m=1 coherent bound crosses the m=2 NOON bound."""
-    def diff(n: float) -> float:
-        return bounds.ecs_linear_value(d, n) - bounds.noon_nonlinear_value(d, n)
-
-    steps = int(round(99.0 / step))
-    prev = diff(1.0)
-    for i in range(1, steps + 1):
-        n = 1.0 + step * i
-        cur = diff(n)
-        if (prev < 0.0) != (cur < 0.0):
-            return 1.0 + step * (i - 1), n
-        prev = cur
-    raise AssertionError("no crossing found on [1, 100]")
-
-
-def suite_bounds(rng: np.random.Generator,
-                 tolerances: Mapping[str, float] | None = None) -> list[CheckResult]:
-    results = []
-
-    scale = 5.0 * (math.sqrt(5.0) + 1.0) ** 2
-    headline = max(
+def headline_values(tolerances: Tolerances = None) -> CheckResult:
+    """The d = 5 headline numbers: coherent at alpha = 2, NOON linear and nonlinear at N = 10."""
+    scale = HEADLINE_SCALE
+    disc = _worst((
         abs(bounds.qcrb_ecs_linear(5, 4.0).value - scale / 100.0) / (scale / 100.0),
         abs(bounds.qcrb_noon_linear(5, 10.0).value - scale / 400.0) / (scale / 400.0),
         abs(bounds.qcrb_noon_nonlinear(5, 10.0).value
             - bounds.qcrb_noon_linear(5, 10.0).value / 100.0) / (scale / 40000.0),
-    )
-    results.append(_check("bounds", "headline_values", headline,
-                          _tol(tolerances, "bounds.headline_values")))
+    ))
+    return _check("bounds.headline_values", disc, tolerances)
 
-    worst = 0.0
-    for d, alpha_sq in ((1, 1.0), (2, 4.0), (3, 36.0), (5, 9.0), (10, 0.5)):
+
+def noon_pair_exact(tolerances: Tolerances = None) -> CheckResult:
+    """The NOON pair at d = 5, N = 10 to the last bit: scale/400 and a factor N^2 apart."""
+    linear = bounds.qcrb_noon_linear(5, 10.0).value
+    nonlinear = bounds.qcrb_noon_nonlinear(5, 10.0).value
+    disc = _worst((abs(linear - HEADLINE_SCALE / 400.0) / (HEADLINE_SCALE / 400.0),
+                   abs(nonlinear - linear / 100.0) / (linear / 100.0)))
+    return _check("bounds.noon_pair_exact", disc, tolerances)
+
+
+def independent_match(tolerances: Tolerances = None) -> CheckResult:
+    """The independent coherent baseline via alpha_sq and via its total photons agree."""
+    def rel(d: int, alpha_sq: float) -> float:
         direct = bounds.qcrb_independent_ecs(d, alpha_sq).value
         n_tot = bounds.independent_ecs_total_photons(d, alpha_sq)
-        via_ntot = bounds.independent_ecs_vs_ntot(d, n_tot).value
-        worst = max(worst, abs(direct - via_ntot) / direct)
-    results.append(_check("bounds", "independent_match", worst,
-                          _tol(tolerances, "bounds.independent_match")))
+        return abs(direct - bounds.independent_ecs_vs_ntot(d, n_tot).value) / direct
 
-    worst_ratio = 0.0
-    for d in (2, 5, 10):
-        for n_tot in np.arange(1.0, 100.0 + 1e-9, 0.5):
-            ecs_ind = bounds.independent_ecs_vs_ntot(d, float(n_tot)).value
-            noon_ind = bounds.qcrb_independent_noon(d, float(n_tot)).value
-            worst_ratio = max(worst_ratio, ecs_ind / noon_ind)
-    results.append(CheckResult("bounds", "independent_below_noon_baseline",
-                               worst_ratio < _tol(tolerances, "bounds.independent_below_noon_baseline"),
-                               worst_ratio,
-                               _tol(tolerances, "bounds.independent_below_noon_baseline")))
+    worst = _worst(itertools.starmap(rel, ((1, 1.0), (2, 4.0), (3, 36.0), (5, 9.0), (10, 0.5))))
+    return _check("bounds.independent_match", worst, tolerances)
 
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    lo, hi = crossing_bracket(5)
-    disc = abs(0.5 * (lo + hi) - golden) if lo <= golden <= hi else math.inf
-    results.append(_check("bounds", "crossing_bracket", disc,
-                          _tol(tolerances, "bounds.crossing_bracket")))
 
-    grid = np.arange(1.0, 100.0 + 1e-9, 0.5)
-    ratio = np.array([bounds.ecs_linear_value(5, n) / bounds.noon_linear_value(5, n)
-                      for n in grid])
-    results.append(CheckResult("bounds", "ecs_below_noon",
-                               float(ratio.max()) < _tol(tolerances, "bounds.ecs_below_noon"),
-                               float(ratio.max()),
-                               _tol(tolerances, "bounds.ecs_below_noon")))
+def independent_below_noon_baseline(tolerances: Tolerances = None) -> CheckResult:
+    """Largest ratio of the independent coherent to the independent NOON baseline (< 1)."""
+    worst = _worst(bounds.independent_ecs_vs_ntot(d, float(n)).value
+                   / bounds.qcrb_independent_noon(d, float(n)).value
+                   for d in (2, 5, 10) for n in _ntot_grid(0.5))
+    return _check("bounds.independent_below_noon_baseline", worst, tolerances, strict=True)
 
-    tail = ratio[grid >= 50.0]
-    tail_disc = max(0.95 - float(tail.min()), float(tail.max()) - 1.0, 0.0)
-    results.append(_check("bounds", "large_ntot_ratio", tail_disc,
-                          _tol(tolerances, "bounds.large_ntot_ratio")))
 
-    worst_zzb = 0.0
-    for alpha_sq in (4.0, 9.0, 16.0):
-        worst_zzb = max(worst_zzb, bounds.zzb_ecs(5, alpha_sq).value
-                        / bounds.zzb_noon(5, alpha_sq).value)
+def crossing_bracket(n_tot: np.ndarray, tolerances: Tolerances = None) -> CheckResult:
+    """The d = 5 coherent m = 1 bound crosses the NOON m = 2 bound once, at the golden ratio.
+
+    The discrepancy is the distance from the golden ratio to the middle of
+    the one grid cell where the sign flips; infinite unless the coherent
+    bound starts below, flips exactly once, and that cell brackets it.
+    """
+    below = bounds.ecs_linear_value(5, n_tot) < bounds.noon_nonlinear_value(5, n_tot)
+    flips = np.flatnonzero(below[:-1] != below[1:])
+    disc = math.inf
+    if len(flips) == 1 and below[0]:
+        lo, hi = float(n_tot[flips[0]]), float(n_tot[flips[0] + 1])
+        if lo <= GOLDEN <= hi:
+            disc = abs(0.5 * (lo + hi) - GOLDEN)
+    return _check("bounds.crossing_bracket", disc, tolerances)
+
+
+def _ecs_over_noon(n_tot: np.ndarray) -> np.ndarray:
+    return bounds.ecs_linear_value(5, n_tot) / bounds.noon_linear_value(5, n_tot)
+
+
+def ecs_below_noon(n_tot: np.ndarray, tolerances: Tolerances = None) -> CheckResult:
+    """Largest ratio of the d = 5 coherent to the NOON linear bound over the grid (< 1)."""
+    worst = float(_ecs_over_noon(n_tot).max())
+    return _check("bounds.ecs_below_noon", worst, tolerances, strict=True)
+
+
+def large_ntot_ratio(n_tot: np.ndarray, tolerances: Tolerances = None) -> CheckResult:
+    """At n_tot >= 50 the coherent/NOON linear ratio lies in [1 - tolerance, 1].
+
+    The discrepancy is how far the ratio leaves that window, so the check
+    passes only at a discrepancy of 0.
+    """
+    window = _tolerance("bounds.large_ntot_ratio", tolerances)
+    tail = _ecs_over_noon(n_tot[n_tot >= 50.0])
+    disc = max((1.0 - window) - float(tail.min()), float(tail.max()) - 1.0, 0.0)
+    return CheckResult("bounds", "large_ntot_ratio", disc <= 0.0, disc, window)
+
+
+def zzb_ordering(tolerances: Tolerances = None) -> CheckResult:
+    """Largest coherent/NOON Ziv-Zakai ratio at d = 5 (< 1); infinite unless the
+    first branch is the maximum at d = 50."""
+    worst = _worst(bounds.zzb_ecs(5, alpha_sq).value / bounds.zzb_noon(5, alpha_sq).value
+                   for alpha_sq in (4.0, 9.0, 16.0))
     big = bounds.zzb_noon(50, 10.0)
     if big.value != big.params["branch_first"]:
-        worst_zzb = math.inf
-    results.append(CheckResult("bounds", "zzb_ordering",
-                               worst_zzb < _tol(tolerances, "bounds.zzb_ordering"),
-                               worst_zzb, _tol(tolerances, "bounds.zzb_ordering")))
+        worst = math.inf
+    return _check("bounds.zzb_ordering", worst, tolerances, strict=True)
 
-    misclassified = 0.0
-    for d in range(1, 11):
-        for alpha in np.linspace(2.5, 4.0, 61):
-            if not bounds.region_classify(d, float(alpha), 1).interior:
-                misclassified += 1.0
-    results.append(_check("bounds", "region_claim", misclassified,
-                          _tol(tolerances, "bounds.region_claim")))
 
-    worst = max(abs(states.b_domain_limit(d, 49.0) - 1.0 / d) for d in range(1, 11))
-    results.append(_check("bounds", "gamma_large_alpha", worst,
-                          _tol(tolerances, "bounds.gamma_large_alpha")))
+def region_claim(tolerances: Tolerances = None) -> CheckResult:
+    """Count of cells with alpha in [2.5, 4], d <= 10 that are not interior."""
+    misclassified = sum(not bounds.region_classify(d, float(alpha), 1).interior
+                        for d in range(1, 11) for alpha in np.linspace(2.5, 4.0, 61))
+    return _check("bounds.region_claim", float(misclassified), tolerances)
 
-    worst = max(abs(states.b_star(d, 1, B_STAR_LIMIT_ALPHA_SQ) - states.noon_optimal_b(d))
-                for d in range(1, 11))
-    results.append(_check("bounds", "b_star_limit", worst,
-                          _tol(tolerances, "bounds.b_star_limit")))
 
+def gamma_large_alpha(tolerances: Tolerances = None) -> CheckResult:
+    """The domain cap Gamma reaches 1/d at alpha_sq = 49."""
+    worst = _worst(abs(states.b_domain_limit(d, 49.0) - 1.0 / d) for d in range(1, 11))
+    return _check("bounds.gamma_large_alpha", worst, tolerances)
+
+
+def b_star_approach(tolerances: Tolerances = None) -> CheckResult:
+    """b_star = sqrt(1 + 1/alpha_sq) / sqrt(d + sqrt d) for m = 1 at alpha_sq = 49."""
+    alpha_sq = B_STAR_APPROACH_ALPHA_SQ
+    worst = _worst(abs(states.b_star(d, 1, alpha_sq)
+                       - math.sqrt(1.0 + 1.0 / alpha_sq) / math.sqrt(d + math.sqrt(d)))
+                   for d in range(1, 11))
+    return _check("bounds.b_star_approach", worst, tolerances)
+
+
+def b_star_limit(tolerances: Tolerances = None) -> CheckResult:
+    """b_star reaches the NOON weight 1/sqrt(d + sqrt d) at alpha_sq = 1e6."""
+    worst = _worst(abs(states.b_star(d, 1, B_STAR_LIMIT_ALPHA_SQ) - states.noon_optimal_b(d))
+                   for d in range(1, 11))
+    return _check("bounds.b_star_limit", worst, tolerances)
+
+
+def o_of_d_fit(tolerances: Tolerances = None) -> CheckResult:
+    """Relative residual of the O(d) advantage fit."""
     _, residual, _ = o_of_d_advantage_fit()
-    results.append(_check("bounds", "o_of_d_fit", residual,
-                          _tol(tolerances, "bounds.o_of_d_fit")))
-    return results
+    return _check("bounds.o_of_d_fit", residual, tolerances)
+
+
+def suite_bounds(rng: np.random.Generator,
+                 tolerances: Tolerances = None) -> list[CheckResult]:
+    n_tot = _ntot_grid(0.01)
+    return [headline_values(tolerances), noon_pair_exact(tolerances),
+            independent_match(tolerances), independent_below_noon_baseline(tolerances),
+            crossing_bracket(n_tot, tolerances), ecs_below_noon(n_tot, tolerances),
+            large_ntot_ratio(n_tot, tolerances), zzb_ordering(tolerances),
+            region_claim(tolerances), gamma_large_alpha(tolerances),
+            b_star_approach(tolerances), b_star_limit(tolerances), o_of_d_fit(tolerances)]
 
 
 _SUITES = {
@@ -425,7 +528,7 @@ _SUITES = {
 
 
 def run_suite(name: str, seed: int = 0,
-              tolerances: Mapping[str, float] | None = None) -> list[CheckResult]:
+              tolerances: Tolerances = None) -> list[CheckResult]:
     """Run one suite (or 'all'); deterministic for a given seed."""
     if name == "all":
         out = []

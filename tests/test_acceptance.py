@@ -1,178 +1,91 @@
 """Acceptance gate: every exit criterion at its pinned tolerance.
 
-Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in the
-failure report).  Criterion 7c checks the large-amplitude limit of the
-optimal branch coefficient, b_star -> 1/sqrt(d + sqrt d), at the 1e-6
-tolerance.  Unlike the domain cap of 7b, which reaches 1/d exponentially
-fast, b_star = sqrt(g / (d + sqrt d)) with g = 1 + 1/alpha_sq approaches
-the NOON weight only as 1/(2 alpha_sq), about 1e-2 at alpha_sq = 49.  So
-7c checks the approach at alpha_sq = 49 against that exact finite-alpha
-form, and the limit itself at the amplitude where 1/(2 alpha_sq) is below
-1e-6, the same check as ``verify --suite bounds``.
+The gate holds only inputs, wall-time limits and report lines.  Each
+criterion calls the ``phasebounds.verify`` checks it covers on its own
+pinned inputs (a probe grid, a seeded rng, an n_tot grid), at
+``verify.DEFAULT_TOLERANCES``, so ``verify`` and the gate share one
+implementation of every comparison.  Each test prints one
+``ACCEPTANCE <n> (<title>): PASS|FAIL`` line with every check's discrepancy
+and tolerance (visible with ``pytest -s`` or in the failure report).
+
+Criterion 7c checks the large-amplitude limit of the optimal branch
+coefficient, b_star -> 1/sqrt(d + sqrt d), at the 1e-6 tolerance.  Unlike
+the domain cap of 7b, which reaches 1/d exponentially fast,
+b_star = sqrt(g / (d + sqrt d)) with g = 1 + 1/alpha_sq approaches the NOON
+weight only as 1/(2 alpha_sq), about 1e-2 at alpha_sq = 49.  So 7c checks
+the approach at alpha_sq = 49 against that exact finite-alpha form, and the
+limit itself at the amplitude where 1/(2 alpha_sq) is below 1e-6.
 """
 
-import math
 import time
 
 import numpy as np
 
-from phasebounds import bounds, moments, oracle, qfim, states
-from phasebounds.verify import (B_STAR_LIMIT_ALPHA_SQ, DEFAULT_TOLERANCES,
-                                criterion_grid_params, o_of_d_advantage_fit)
-
-GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+from phasebounds import verify
+from phasebounds.verify import criterion_grid_params, optimizer_draws
 
 
-def report(criterion: str, passed: bool, detail: str) -> None:
+def report(criterion: str, results: list, started: float | None = None,
+           limit_s: float | None = None) -> None:
+    """Print the criterion's line and fail unless every check passed in time."""
+    passed = all(r.passed for r in results)
+    parts = [f"{r.suite}/{r.name} {r.discrepancy:.3e} (tol {r.tolerance:g})" for r in results]
+    if limit_s is not None:
+        elapsed = time.perf_counter() - started
+        passed = passed and elapsed < limit_s
+        parts.append(f"elapsed={elapsed:.2f}s (< {limit_s:g} s)")
+    detail = "; ".join(parts)
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'}  {detail}")
     assert passed, f"criterion {criterion}: {detail}"
 
 
 def test_criterion_01_moment_equivalence():
     t0 = time.perf_counter()
-    worst = 0.0
-    for m in range(0, 13):
-        for mu in (0.1, 0.5, 1.0, 2.0, 4.0, 9.0, 16.0):
-            closed = moments.coherent_number_moment(m, mu)
-            scale = max(1.0, closed)
-            series = moments.moment_via_poisson_sum(m, mu, tail_tol=1e-12 * scale)
-            worst = max(worst, abs(closed - series) / scale)
-    coeffs_ok = (
-        [moments.stirling2(2, k) for k in range(3)] == [0, 1, 1]
-        and [moments.stirling2(4, k) for k in range(5)] == [0, 1, 7, 6, 1])
-    poly_ok = all(
-        math.isclose(moments.coherent_number_moment(2, mu), mu * (1.0 + mu),
-                     rel_tol=1e-14)
-        and math.isclose(moments.coherent_number_moment(4, mu),
-                         mu ** 4 + 6.0 * mu ** 3 + 7.0 * mu ** 2 + mu, rel_tol=1e-14)
-        for mu in (0.1, 0.5, 1.0, 2.0, 4.0, 9.0, 16.0))
-    elapsed = time.perf_counter() - t0
     report("1 (moments equivalence)",
-           worst < 1e-10 and coeffs_ok and poly_ok and elapsed < 1.0,
-           f"max_rel={worst:.2e} (tol 1e-10), polynomial coefficients "
-           f"{'exact' if coeffs_ok else 'WRONG'}, elapsed={elapsed:.2f}s (< 1 s)")
+           [verify.closed_vs_poisson(), verify.printed_coefficients(),
+            verify.printed_polynomials()], t0, 1.0)
 
 
 def test_criterion_02_qfim_oracle_equivalence():
     t0 = time.perf_counter()
-    worst_oracle = 0.0
-    worst_fd = 0.0
-    for p in criterion_grid_params():
-        analytic = qfim.to_dense(qfim.ecs_qfim(p))
-        numeric = oracle.numerical_qfim(p, tail_tol=1e-14)
-        worst_oracle = max(worst_oracle, float(
-            np.linalg.norm(numeric - analytic) / np.linalg.norm(analytic)))
-        fd = oracle.qfim_via_state_derivatives(p, tail_tol=1e-14)
-        worst_fd = max(worst_fd, float(
-            np.linalg.norm(fd - analytic) / np.linalg.norm(analytic)))
-    elapsed = time.perf_counter() - t0
+    probes = criterion_grid_params()
     report("2 (QFIM oracle equivalence)",
-           worst_oracle < 1e-8 and worst_fd < 1e-5 and elapsed < 30.0,
-           f"moment-path rel Frobenius {worst_oracle:.2e} (tol 1e-8), "
-           f"derivative-path {worst_fd:.2e} (tol 1e-5), elapsed={elapsed:.1f}s (< 30 s)")
+           [verify.oracle_vs_analytic(probes), verify.fd_vs_analytic(probes)], t0, 30.0)
 
 
 def test_criterion_03_structured_inverse():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(12345)
-    worst_identity = 0.0
-    for _ in range(10_000):
-        d = int(rng.integers(1, 9))
-        f = qfim.StructuredQfim(d=d, gamma=float(rng.uniform(0.1, 10.0)),
-                                omega=float(rng.uniform(-1.0 / d, 5.0)))
-        if 1.0 + f.omega * f.d == 0.0:
-            continue
-        product = qfim.to_dense(f) @ qfim.to_dense(qfim.qfim_inverse(f))
-        worst_identity = max(worst_identity,
-                             float(np.max(np.abs(product - np.eye(d)))))
-    worst_trace = 0.0
-    for p in criterion_grid_params():
-        value = qfim.trace_inverse_bound(p)
-        dense = float(np.trace(np.linalg.inv(qfim.to_dense(qfim.ecs_qfim(p)))))
-        worst_trace = max(worst_trace, abs(value - dense) / abs(dense))
-    elapsed = time.perf_counter() - t0
     report("3 (structured inverse)",
-           worst_identity < 1e-10 and worst_trace < 1e-12 and elapsed < 5.0,
-           f"identity residual {worst_identity:.2e} (tol 1e-10) over 10^4 draws, "
-           f"trace formula {worst_trace:.2e} (tol 1e-12), elapsed={elapsed:.1f}s (< 5 s)")
+           [verify.structured_inverse(np.random.default_rng(12345)),
+            verify.trace_formula(criterion_grid_params())], t0, 5.0)
 
 
 def test_criterion_04_optimizer_correctness():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(20240811)
-    worst_scan = 0.0
-    worst_interior = 0.0
-    for _ in range(50):
-        d = int(rng.integers(1, 11))
-        m = int(rng.integers(1, 3))
-        alpha_sq = float(rng.uniform(0.5, 25.0))
-        closed = bounds.minimize_bound_over_b(d, m, alpha_sq)
-        scan = bounds.grid_scan_minimizer(d, m, alpha_sq, grid_points=10_000)
-        worst_scan = max(worst_scan, abs(scan.value - closed.value) / closed.value)
-        if closed.regime is bounds.Regime.INTERIOR:
-            formula = (bounds.ecs_linear_value(d, alpha_sq) if m == 1
-                       else bounds.ecs_nonlinear_value(d, alpha_sq))
-            worst_interior = max(worst_interior,
-                                 abs(closed.value - formula) / formula)
-    elapsed = time.perf_counter() - t0
+    draws = optimizer_draws(np.random.default_rng(20240811))
     report("4 (optimizer correctness)",
-           worst_scan < 1e-3 and worst_interior < 1e-12 and elapsed < 10.0,
-           f"scan agreement {worst_scan:.2e} (tol 1e-3) over 50 draws, interior "
-           f"closed forms {worst_interior:.2e} (tol 1e-12), elapsed={elapsed:.1f}s (< 10 s)")
+           [verify.scan_vs_closed(draws), verify.interior_closed_forms(draws)], t0, 10.0)
 
 
 def test_criterion_05_headline_values():
-    scale = 5.0 * (math.sqrt(5.0) + 1.0) ** 2
-    ecs = bounds.qcrb_ecs_linear(5, 4.0).value
-    noon_l = bounds.qcrb_noon_linear(5, 10.0).value
-    noon_nl = bounds.qcrb_noon_nonlinear(5, 10.0).value
-    rel = abs(ecs - scale / 100.0) / (scale / 100.0)
-    noon_ok = noon_l == scale / 400.0 and noon_nl == noon_l / 100.0
-    report("5 (headline reproduction)",
-           rel < 1e-12 and noon_ok,
-           f"coherent linear at d=5, alpha=2 off by {rel:.2e} (tol 1e-12); "
-           f"NOON pair {'exact' if noon_ok else 'WRONG'}")
+    report("5 (headline reproduction)", [verify.headline_values(), verify.noon_pair_exact()])
 
 
 def test_criterion_06_bound_comparison_curves():
     t0 = time.perf_counter()
-    grid = 1.0 + 0.01 * np.arange(9901)  # [1, 100] in 0.01 steps
-    ecs_l = np.array([bounds.ecs_linear_value(5, float(n)) for n in grid])
-    noon_l = np.array([bounds.noon_linear_value(5, float(n)) for n in grid])
-    noon_nl = np.array([bounds.noon_nonlinear_value(5, float(n)) for n in grid])
-    always_below = bool(np.all(ecs_l < noon_l))
-    sign = ecs_l < noon_nl
-    flips = np.nonzero(sign[:-1] != sign[1:])[0]
-    crossing_ok = (len(flips) == 1
-                   and grid[flips[0]] <= GOLDEN <= grid[flips[0] + 1]
-                   and bool(sign[0]) and not bool(sign[-1]))
-    tail = ecs_l[grid >= 50.0] / noon_l[grid >= 50.0]
-    tail_ok = bool(np.all((tail >= 0.95) & (tail <= 1.0)))
-    elapsed = time.perf_counter() - t0
+    n_tot = 1.0 + 0.01 * np.arange(9901)  # [1, 100] in 0.01 steps
     report("6 (bound comparison curves)",
-           always_below and crossing_ok and tail_ok and elapsed < 5.0,
-           f"coherent<NOON everywhere: {always_below}; crossing bracketed at "
-           f"[{grid[flips[0]]:.2f}, {grid[flips[0] + 1]:.2f}] around {GOLDEN:.4f}: "
-           f"{crossing_ok}; tail ratio in [0.95, 1]: {tail_ok}; "
-           f"elapsed={elapsed:.1f}s (< 5 s)")
+           [verify.ecs_below_noon(n_tot), verify.crossing_bracket(n_tot),
+            verify.large_ntot_ratio(n_tot)], t0, 5.0)
 
 
 def test_criterion_07a_region_claim():
     t0 = time.perf_counter()
-    cells = [(d, alpha) for d in range(1, 11)
-             for alpha in np.linspace(2.5, 4.0, 61)]
-    bad = [cell for cell in cells
-           if not bounds.region_classify(cell[0], float(cell[1]), 1).interior]
-    elapsed = time.perf_counter() - t0
-    report("7a (region claim)", not bad and elapsed < 5.0,
-           f"{len(cells) - len(bad)}/{len(cells)} cells with alpha >= 2.5, d <= 10 "
-           f"are interior; elapsed={elapsed:.1f}s (< 5 s)")
+    report("7a (region claim)", [verify.region_claim()], t0, 5.0)
 
 
 def test_criterion_07b_gamma_large_alpha_limit():
-    worst = max(abs(states.b_domain_limit(d, 49.0) - 1.0 / d) for d in range(1, 11))
-    report("7b (domain-cap limit)", worst < 1e-10,
-           f"max |Gamma - 1/d| at alpha_sq=49: {worst:.2e} (tol 1e-10)")
+    report("7b (domain-cap limit)", [verify.gamma_large_alpha()])
 
 
 def test_criterion_07c_b_star_large_alpha_limit():
@@ -184,55 +97,18 @@ def test_criterion_07c_b_star_large_alpha_limit():
     not by an exponentially small amount.  The approach is checked at
     alpha_sq = 49 against that exact form; the limit itself at alpha_sq = 1e6.
     """
-    alpha_sq = 49.0
-    mean_n, mean_n_sq = alpha_sq, alpha_sq ** 2 + alpha_sq
-    g = mean_n_sq / mean_n ** 2
-    approach = max(abs(states.b_star(d, 1, alpha_sq) - math.sqrt(g) / math.sqrt(d + math.sqrt(d)))
-                   for d in range(1, 11))
-    limit_tol = DEFAULT_TOLERANCES["bounds.b_star_limit"]
-    limit = max(abs(states.b_star(d, 1, B_STAR_LIMIT_ALPHA_SQ) - states.noon_optimal_b(d))
-                for d in range(1, 11))
-    report("7c (b_star large-alpha limit)", approach < 1e-6 and limit < limit_tol,
-           f"max |b_star - sqrt(1 + 1/alpha_sq)/sqrt(d+sqrt d)| at alpha_sq=49: "
-           f"{approach:.2e} (tol 1e-6); max |b_star - 1/sqrt(d+sqrt d)| at "
-           f"alpha_sq={B_STAR_LIMIT_ALPHA_SQ:.0e}: {limit:.2e} (tol {limit_tol:.0e})")
+    report("7c (b_star large-alpha limit)", [verify.b_star_approach(), verify.b_star_limit()])
 
 
 def test_criterion_08_independent_baselines():
-    worst_match = 0.0
-    for d, alpha_sq in ((1, 1.0), (2, 4.0), (3, 36.0), (5, 9.0), (10, 0.5)):
-        direct = bounds.qcrb_independent_ecs(d, alpha_sq).value
-        n_tot = bounds.independent_ecs_total_photons(d, alpha_sq)
-        via = bounds.independent_ecs_vs_ntot(d, n_tot).value
-        worst_match = max(worst_match, abs(direct - via) / direct)
-    dominated = all(
-        bounds.independent_ecs_vs_ntot(d, float(n)).value
-        < bounds.qcrb_independent_noon(d, float(n)).value
-        for d in (2, 5, 10) for n in np.arange(1.0, 100.5, 0.5))
-    c, residual, ratios = o_of_d_advantage_fit(ds=(4, 8, 16, 32, 64), alpha_sq=100.0)
     report("8 (independent baselines)",
-           worst_match < 1e-12 and dominated and residual < 0.05,
-           f"matched-argument agreement {worst_match:.2e} (tol 1e-12); "
-           f"coherent independent < d^3/n_tot^2 everywhere: {dominated}; "
-           f"O(d) advantage fit c={c:.3f} with relative residual "
-           f"{residual:.2%} (tol 5%)")
+           [verify.independent_match(), verify.independent_below_noon_baseline(),
+            verify.o_of_d_fit()])
 
 
 def test_criterion_09_ziv_zakai():
-    ordered = all(bounds.zzb_ecs(5, a).value < bounds.zzb_noon(5, a).value
-                  for a in (4.0, 9.0, 16.0))
-    big = bounds.zzb_noon(50, 10.0)
-    first_dominates = big.value == big.params["branch_first"]
-    report("9 (Ziv-Zakai)", ordered and first_dominates,
-           f"coherent ZZB < NOON ZZB at matched photons: {ordered}; "
-           f"first branch is the max at d=50: {first_dominates}")
+    report("9 (Ziv-Zakai)", [verify.zzb_ordering()])
 
 
 def test_criterion_10_attainability():
-    worst = 0.0
-    for p in criterion_grid_params():
-        for j in range(1, p.d + 1):
-            for k in range(1, p.d + 1):
-                worst = max(worst, abs(oracle.commutator_expectation(p, j, k)))
-    report("10 (attainability)", worst <= 1e-14,
-           f"max |<[H_j, H_k]>| over the verification grid: {worst:.2e} (tol 1e-14)")
+    report("10 (attainability)", [verify.commutators(criterion_grid_params())])

@@ -71,6 +71,8 @@ class TestBoundsCommand:
         (("--family", "ecs-optimal", "--d", "3", "--m", "0", "--alpha", "2"), "--m"),
         (("--family", "ecs-at-b", "--d", "3", "--m", "-1", "--alpha", "2", "--b", "0.1"),
          "--m"),
+        # a family that does not read --m still rejects a bad one
+        (("--family", "noon-linear", "--d", "3", "--N", "4", "--m", "0"), "--m"),
     ])
     def test_zero_d_or_m_names_the_flag(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, "bounds", *argv)
@@ -409,6 +411,20 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--suite", "moments",
                                "--tol", "nope=1")
         assert code == 2 and "unknown tolerance" in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "abc"])
+    def test_bad_tolerance_value_rejected(self, capsys, value):
+        code, out, err = run_cli(capsys, "verify", "--suite", "moments",
+                                 "--tol", f"moments.closed_vs_poisson={value}")
+        assert code == 2 and out == ""
+        assert err == ("error: --tol moments.closed_vs_poisson must be a finite number "
+                       f">= 0, got {value!r}\n")
+
+    def test_zero_tolerance_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "moments",
+                               "--tol", "moments.printed_coefficients=0")
+        assert code == 0
+        assert "[PASS] moments/printed_coefficients  max_discrepancy=0.000e+00  tolerance=0" in out
 
     def test_seeded_report_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "optimizer", "--seed", "7")

@@ -421,8 +421,7 @@ class TestDenseTensor:
         p = states.ecs_params(1, 1.0, 0.4)
         tensor = oracle.dense_tensor_state(p, 8)
         sparse = oracle.build_ecs_state(p, 8)
-        assert abs(oracle.dense_inner_product(tensor, tensor).real
-                   - oracle.norm_sq(sparse)) < 1e-12
+        assert abs(np.vdot(tensor, tensor).real - oracle.norm_sq(sparse)) < 1e-12
 
     def test_qfim_matches_sparse(self):
         p = states.ecs_params(2, 1.0, 0.3, m=1)

@@ -116,15 +116,6 @@ class TestDenseRoundTrip:
         dense = qfim.to_dense(qfim.StructuredQfim(d=2, gamma=2.0, omega=0.5))
         assert np.array_equal(dense, np.array([[3.0, 1.0], [1.0, 3.0]]))
 
-    def test_fit_recovers_scalars(self, rng):
-        for _ in range(100):
-            d = int(rng.integers(2, 9))
-            f = qfim.StructuredQfim(d=d, gamma=float(rng.uniform(0.5, 5.0)),
-                                    omega=float(rng.uniform(-0.1, 2.0)))
-            fitted = qfim.fit_structured(qfim.to_dense(f))
-            assert fitted.gamma == pytest.approx(f.gamma, rel=1e-14)
-            assert fitted.omega == pytest.approx(f.omega, rel=1e-13, abs=1e-14)
-
 
 class TestTraceInverseBound:
     def test_single_mode_value(self):
