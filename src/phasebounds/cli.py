@@ -130,7 +130,12 @@ def _require_positive(flag: str, value: int) -> int:
 def _bounds_report(args: argparse.Namespace) -> bounds.BoundReport:
     family = args.family
     _require_positive("--d", args.d)
-    _require_positive("--m", args.m)
+    m = 1
+    if args.m is not None:
+        m = _require_positive("--m", args.m)
+        if family not in ("ecs-optimal", "ecs-at-b"):
+            raise PhaseBoundsError(
+                f"--m applies to families ecs-optimal and ecs-at-b only, not {family}")
     if family in ("ecs-linear", "ecs-nonlinear", "zzb-ecs", "ecs-optimal", "ecs-at-b"):
         alpha = _require(args, "alpha", family)
         alpha_sq = alpha * alpha
@@ -141,13 +146,13 @@ def _bounds_report(args: argparse.Namespace) -> bounds.BoundReport:
         if family == "zzb-ecs":
             return bounds.zzb_ecs(args.d, alpha_sq)
         if family == "ecs-optimal":
-            return bounds.minimize_bound_over_b(args.d, args.m, alpha_sq)
+            return bounds.minimize_bound_over_b(args.d, m, alpha_sq)
         b = _require(args, "b", family)
-        p = states.ecs_params(args.d, alpha_sq, b, args.m)
+        p = states.ecs_params(args.d, alpha_sq, b, m)
         return bounds.BoundReport(value=trace_inverse_bound(p),
                                   kind=bounds.BoundKind.GENERAL_ECS_AT_B,
                                   regime=bounds.Regime.NOT_APPLICABLE,
-                                  params={"d": args.d, "m": args.m,
+                                  params={"d": args.d, "m": m,
                                           "alpha_sq": alpha_sq, "b": b})
     if family == "noon-linear":
         return bounds.qcrb_noon_linear(args.d, _require(args, "N", family))
@@ -222,6 +227,8 @@ def cmd_region(args: argparse.Namespace) -> int:
         raise PhaseBoundsError("--alpha-min must be > 0")
     _check_axis_end("--alpha-min", args.alpha_min, power)
     _check_axis_end("--alpha-max", args.alpha_max, power)
+    if not args.alpha_max >= args.alpha_min:
+        raise PhaseBoundsError("--alpha-max must be >= --alpha-min")
     _require_positive("--alpha-steps", args.alpha_steps)
     if args.d_steps is not None:
         _require_positive("--d-steps", args.d_steps)
@@ -271,6 +278,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             tol = math.nan
         if not 0.0 <= tol < math.inf:
             raise PhaseBoundsError(f"--tol {name} must be a finite number >= 0, got {value!r}")
+        suite = name.partition(".")[0]
+        if args.suite not in ("all", suite):
+            raise PhaseBoundsError(
+                f"--tol {name} sets a {suite} check, which --suite {args.suite} does not run")
         overrides[name] = tol
     results = verify.run_suite(args.suite, seed=args.seed, tolerances=overrides)
     for result in results:
@@ -295,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--alpha", type=float, help="coherent amplitude |alpha|")
     b.add_argument("--N", type=float, help="NOON photon number")
     b.add_argument("--n-tot", type=float, help="mean total photon number")
-    b.add_argument("--m", type=int, default=1, help="generator order (ecs-optimal/ecs-at-b)")
+    b.add_argument("--m", type=int,
+                   help="generator order, for ecs-optimal/ecs-at-b only (default 1)")
     b.add_argument("--b", type=float, help="sensing coefficient (ecs-at-b)")
     b.add_argument("--format", choices=["json", "csv"], default="json")
     b.add_argument("--out", help="output path (default: stdout)")

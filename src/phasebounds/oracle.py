@@ -9,7 +9,8 @@ renormalized; the discarded Poisson tail mass is recorded so that any
 discrepancy stays attributable to the truncation.
 
 Mode 0 is the reference beam; modes 1..d carry the phases, imprinted by the
-diagonal generators (a^dag a)^m.
+diagonal generators (a^dag a)^m.  Probes are valid by construction (see
+``states``), so the oracle builds them without checking them again.
 
 Per-mode factor tables.  A probe holds only a few distinct amplitude vectors
 (vacuum and coherent, then their images under n^m, a phase or the
@@ -40,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CutoffError, SizeLimitError
-from .states import EcsParams, NoonParams, validate_ecs, validate_noon
+from .states import EcsParams, NoonParams
 
 __all__ = [
     "ModeVector",
@@ -232,17 +233,6 @@ def _branch_state(p: EcsParams | NoonParams, excited: ModeVector,
     return SparseProductState(num_modes=p.d + 1, terms=tuple(terms))
 
 
-def _ecs_state(p: EcsParams, cutoff: int, tail_tol: float | None) -> SparseProductState:
-    return _branch_state(p, truncated_coherent(math.sqrt(p.alpha_sq), cutoff, tail_tol), cutoff)
-
-
-def _noon_state(p: NoonParams, cutoff: int) -> SparseProductState:
-    if cutoff < p.photon_number:
-        raise CutoffError(
-            f"cutoff {cutoff} cannot hold {p.photon_number} photons in one mode")
-    return _branch_state(p, fock_mode(p.photon_number, cutoff), cutoff)
-
-
 def build_ecs_state(p: EcsParams, cutoff: int,
                     tail_tol: float | None = None) -> SparseProductState:
     """Assemble the d+1 branch terms of the entangled coherent probe.
@@ -251,12 +241,15 @@ def build_ecs_state(p: EcsParams, cutoff: int,
     mode j and vacuum elsewhere; the last term carries c with it on the
     reference.
     """
-    return _ecs_state(validate_ecs(p), cutoff, tail_tol)
+    return _branch_state(p, truncated_coherent(math.sqrt(p.alpha_sq), cutoff, tail_tol), cutoff)
 
 
 def build_noon_state(p: NoonParams, cutoff: int) -> SparseProductState:
     """Assemble the NOON probe; branches are orthogonal Fock products."""
-    return _noon_state(validate_noon(p), cutoff)
+    if cutoff < p.photon_number:
+        raise CutoffError(
+            f"cutoff {cutoff} cannot hold {p.photon_number} photons in one mode")
+    return _branch_state(p, fock_mode(p.photon_number, cutoff), cutoff)
 
 
 def build_state(p: EcsParams | NoonParams, cutoff: int,
@@ -442,19 +435,15 @@ def _default_cutoff(p: EcsParams | NoonParams, tail_tol: float) -> int:
 
 
 def _prepared(p: EcsParams | NoonParams, cutoff: int | None,
-              tail_tol: float) -> tuple[SparseProductState, int, int]:
-    """Validate the probe once and build it at the requested or auto-selected cutoff.
+              tail_tol: float) -> SparseProductState:
+    """Build the probe at the requested or auto-selected cutoff.
 
     The tail tolerance is enforced only when the cutoff is auto-selected; an
     explicit cutoff is taken as the caller owning the truncation error.
     """
-    if isinstance(p, NoonParams):
-        validate_noon(p)
-        return _noon_state(p, p.photon_number if cutoff is None else cutoff), p.d, p.m
-    validate_ecs(p)
     if cutoff is None:
-        return _ecs_state(p, _default_cutoff(p, tail_tol), tail_tol), p.d, p.m
-    return _ecs_state(p, cutoff, None), p.d, p.m
+        return build_state(p, _default_cutoff(p, tail_tol), tail_tol)
+    return build_state(p, cutoff)
 
 
 def numerical_qfim(p: EcsParams | NoonParams, cutoff: int | None = None,
@@ -465,8 +454,8 @@ def numerical_qfim(p: EcsParams | NoonParams, cutoff: int | None = None,
     assembled from the factor tables of the weights n^m and n^2m.  Exactly
     symmetric by construction.
     """
-    state, d, m = _prepared(p, cutoff, tail_tol)
-    _, means, second = _overlap_tables(state, state, _levels(state) ** m, start=1, pairs=True)
+    state = _prepared(p, cutoff, tail_tol)
+    _, means, second = _overlap_tables(state, state, _levels(state) ** p.m, start=1, pairs=True)
     means = means.real
     return 4.0 * (second.real - np.outer(means, means))
 
@@ -487,17 +476,17 @@ def qfim_via_state_derivatives(p: EcsParams | NoonParams,
     """
     if not 1e-6 <= fd_step <= 1e-3:
         raise ValueError(f"fd_step must lie in [1e-6, 1e-3], got {fd_step}")
-    state, d, m = _prepared(p, cutoff, tail_tol)
-    theta_vec = np.zeros(d) if theta is None else np.asarray(theta, dtype=float)
-    if theta_vec.shape != (d,):
-        raise ValueError(f"theta must hold {d} phases, got shape {theta_vec.shape}")
-    base = apply_phase_evolution(state, theta_vec, m)
+    state = _prepared(p, cutoff, tail_tol)
+    theta_vec = np.zeros(p.d) if theta is None else np.asarray(theta, dtype=float)
+    if theta_vec.shape != (p.d,):
+        raise ValueError(f"theta must hold {p.d} phases, got shape {theta_vec.shape}")
+    base = apply_phase_evolution(state, theta_vec, p.m)
     # |d_j psi> = (psi(theta + h e_j) - psi(theta - h e_j)) / 2h.  The two
     # evolved states differ per term only in the mode-j factor, so the
     # quotient collapses to the per-amplitude multiplier
     # e^{i n^m theta_j} i sin(n^m h)/h, with no cancelling subtraction;
     # the evolved phase sits in base, the rest is the table weight.
-    multiplier = 1j * np.sin(_levels(base) ** m * fd_step) / fd_step
+    multiplier = 1j * np.sin(_levels(base) ** p.m * fd_step) / fd_step
     _, ket_side, second = _overlap_tables(base, base, multiplier, start=1, pairs=True)
     # ket_side[j] = <psi|d_j psi>, second[j, k] = <d_j psi|d_k psi>
     return 4.0 * (second - np.outer(np.conj(ket_side), ket_side)).real
@@ -512,10 +501,10 @@ def commutator_expectation(p: EcsParams | NoonParams, j: int, k: int,
     orders produce bitwise-identical states and the result is exactly zero;
     computing it exercises that the oracle agrees.
     """
-    state, d, m_default = _prepared(p, cutoff, tail_tol)
-    m_use = m_default if m is None else m
-    if not (1 <= j <= d and 1 <= k <= d):
-        raise ValueError(f"mode indices must lie in 1..{d}, got j={j}, k={k}")
+    state = _prepared(p, cutoff, tail_tol)
+    m_use = p.m if m is None else m
+    if not (1 <= j <= p.d and 1 <= k <= p.d):
+        raise ValueError(f"mode indices must lie in 1..{p.d}, got j={j}, k={k}")
     jk = apply_number_power(apply_number_power(state, k, m_use), j, m_use)
     kj = apply_number_power(apply_number_power(state, j, m_use), k, m_use)
     return inner_product(state, jk) - inner_product(state, kj)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DegenerateInputError, SingularMatrixError
 from .moments import coherent_number_moment, second_moment_ratio
-from .states import EcsParams, NoonParams, validate_ecs, validate_noon
+from .states import EcsParams, NoonParams
 
 __all__ = [
     "StructuredQfim",
@@ -67,7 +67,6 @@ def ecs_qfim(p: EcsParams) -> StructuredQfim:
     gamma = 4 b^2 f(2m) and omega = -b^2 f(m)^2 / f(2m), equivalent to the
     dense entries F_jk = 4 [delta_jk b^2 f(2m) - b^4 f(m)^2].
     """
-    validate_ecs(p)
     if p.alpha_sq <= 0.0:
         raise DegenerateInputError("vacuum probe: information matrix is zero")
     if p.b == 0.0:
@@ -81,7 +80,6 @@ def ecs_qfim(p: EcsParams) -> StructuredQfim:
 
 def noon_qfim(p: NoonParams) -> StructuredQfim:
     """Information matrix of the NOON probe: gamma = 4 b^2 N^{2m}, omega = -b^2."""
-    validate_noon(p)
     if p.b == 0.0:
         raise DegenerateInputError(
             "b = 0 leaves the sensing branches empty: information matrix is zero")
@@ -120,7 +118,6 @@ def trace_inverse_bound(p: EcsParams) -> float:
     Defined for 0 < b^2 < g/d; both endpoints are excluded because the bound
     diverges there, and callers optimizing over b must treat them as such.
     """
-    validate_ecs(p)
     if p.alpha_sq <= 0.0 or p.b == 0.0:
         raise DegenerateInputError(
             "trace bound diverges: probe carries no photons in the sensing branches")

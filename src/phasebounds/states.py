@@ -12,6 +12,10 @@ By convention b is real and nonnegative: the bounds depend only on |b|^2,
 and the global phase can always be chosen to make c real, so nothing is
 lost and the normalization quadratic stays real.
 
+Probes are validated on construction: EcsParams and NoonParams run
+validate_ecs / validate_noon, so code holding a probe never checks it again.
+``_overlaps`` is the one place the sums u, v and u - v^2 are formed.
+
 The coherent-probe functions broadcast over d, alpha_sq and b (see
 ``_arrays``): a sweep passes arrays, a scalar call gets Python types back.
 """
@@ -63,6 +67,9 @@ class EcsParams:
     c: float
     m: int = 1
 
+    def __post_init__(self) -> None:
+        validate_ecs(self)
+
 
 @dataclass(frozen=True)
 class NoonParams:
@@ -73,6 +80,9 @@ class NoonParams:
     b: float
     c: float
     m: int = 1
+
+    def __post_init__(self) -> None:
+        validate_noon(self)
 
 
 @dataclass(frozen=True)
@@ -104,30 +114,24 @@ def _check_alpha_sq(alpha_sq, allow_zero: bool) -> None:
             f"alpha_sq must be finite and {bound}, got {first_failing(alpha_sq, ok)}")
 
 
-def uv_coefficients(d, alpha_sq):
-    """Overlap sums entering the normalization quadratic.
+def _overlaps(d, alpha_sq):
+    """Overlap sums of the normalization quadratic: (u, v, u - v^2).
 
     u = d + d(d-1) e^{-alpha_sq} collects the sensing-branch mutual overlaps
     and v = d e^{-alpha_sq} the sensing-reference overlaps; u >= v > 0 for
-    finite alpha_sq.
+    finite alpha_sq.  u - v^2 takes the cancellation-free form
+    d (1 - x)(1 + d x), x = e^{-alpha_sq}, with 1 - x = -expm1(-alpha_sq):
+    the direct difference loses precision at small alpha_sq.
     """
     _check_d(d)
     _check_alpha_sq(alpha_sq, allow_zero=True)
     x = libm(math.exp, -alpha_sq)
-    return d + d * (d - 1) * x, d * x
+    return d + d * (d - 1) * x, d * x, d * -libm(math.expm1, -alpha_sq) * (1.0 + d * x)
 
 
-def _u_minus_v_sq(d, alpha_sq):
-    """u - v^2 in the cancellation-free factored form d (1 - x)(1 + d x).
-
-    The direct difference loses precision at small alpha_sq where u and v^2
-    are both close to d^2; the factorization with 1 - x = -expm1(-alpha_sq)
-    keeps full relative accuracy.
-    """
-    _check_d(d)
-    _check_alpha_sq(alpha_sq, allow_zero=True)
-    x = libm(math.exp, -alpha_sq)
-    return d * -libm(math.expm1, -alpha_sq) * (1.0 + d * x)
+def uv_coefficients(d, alpha_sq):
+    """The overlap sums (u, v) entering the normalization quadratic (see _overlaps)."""
+    return _overlaps(d, alpha_sq)[:2]
 
 
 def solve_c(b, d, alpha_sq, *, smaller_root: bool = False):
@@ -146,8 +150,7 @@ def solve_c(b, d, alpha_sq, *, smaller_root: bool = False):
     ok = (b >= 0.0) & (b < math.inf)
     if not all_true(ok):
         raise CoefficientDomainError(f"b must be finite and >= 0, got {first_failing(b, ok)}")
-    _, v = uv_coefficients(d, alpha_sq)
-    denom = _u_minus_v_sq(d, alpha_sq)
+    _, v, denom = _overlaps(d, alpha_sq)
     disc = 1.0 - b * b * denom
     ok = disc >= -DOMAIN_ATOL
     if not all_true(ok):
@@ -165,7 +168,7 @@ def b_domain_limit(d, alpha_sq):
     At alpha_sq = 0 every branch collapses to vacuum and u - v^2 vanishes;
     that input is rejected rather than assigned a limit value.
     """
-    denom = _u_minus_v_sq(d, alpha_sq)
+    _, _, denom = _overlaps(d, alpha_sq)
     ok = denom > 0.0
     if not all_true(ok):
         raise DegenerateInputError(
@@ -206,7 +209,6 @@ def mean_total_photons(p: EcsParams):
     In the regime d e^{-alpha_sq} << 1 this is within O(d e^{-alpha_sq}) of
     alpha_sq itself.
     """
-    validate_ecs(p)
     return p.alpha_sq * (p.d * p.b * p.b + p.c * p.c)
 
 
@@ -229,17 +231,17 @@ def validate_ecs(p: EcsParams) -> EcsParams:
     ok = (c > -math.inf) & (c < math.inf)
     if not all_true(ok):
         raise NormalizationError(f"c must be finite, got {first_failing(c, ok)}")
+    u, v, denom = _overlaps(p.d, p.alpha_sq)
     # domain first: an out-of-cap b cannot be normalized by any choice of c.
     # At alpha_sq = 0 the cap 1/(u - v^2) is undefined and b is unconstrained;
     # u - v^2 = 0 is replaced by 1 there and the element passes.
     vacuum = p.alpha_sq == 0.0
-    gamma_cap = 1.0 / (_u_minus_v_sq(p.d, p.alpha_sq) + vacuum)
+    gamma_cap = 1.0 / (denom + vacuum)
     ok = vacuum | (b * b <= gamma_cap + DOMAIN_ATOL)
     if not all_true(ok):
         raise CoefficientDomainError(
             f"b^2 = {first_failing(b * b, ok):.12g} exceeds the domain cap "
             f"Gamma = {first_failing(gamma_cap, ok):.12g}")
-    u, v = uv_coefficients(p.d, p.alpha_sq)
     residual = c * c + 2.0 * b * v * c + b * b * u - 1.0
     ok = abs(residual) <= NORMALIZATION_ATOL
     if not all_true(ok):
@@ -267,13 +269,12 @@ def validate_noon(p: NoonParams) -> NoonParams:
 
 
 def ecs_params(d, alpha_sq, b, m: int = 1) -> EcsParams:
-    """Build a validated entangled coherent probe, solving for c (broadcasts like solve_c)."""
-    c = solve_c(b, d, alpha_sq)
-    return validate_ecs(EcsParams(d=d, alpha_sq=alpha_sq, b=b, c=c, m=m))
+    """Build an entangled coherent probe, solving for c (broadcasts like solve_c)."""
+    return EcsParams(d=d, alpha_sq=alpha_sq, b=b, c=solve_c(b, d, alpha_sq), m=m)
 
 
 def noon_params(d: int, photon_number: int, b: float | None = None, m: int = 1) -> NoonParams:
-    """Build a validated NOON probe; b defaults to the optimal 1/sqrt(d + sqrt d)."""
+    """Build a NOON probe; b defaults to the optimal 1/sqrt(d + sqrt d)."""
     if b is None:
         b = noon_optimal_b(d)
     remainder = 1.0 - d * b * b
@@ -283,4 +284,4 @@ def noon_params(d: int, photon_number: int, b: float | None = None, m: int = 1) 
                 f"d b^2 = {d * b * b:.12g} exceeds 1; no normalizable c exists")
         remainder = 0.0
     c = math.sqrt(remainder)
-    return validate_noon(NoonParams(d=d, photon_number=photon_number, b=b, c=c, m=m))
+    return NoonParams(d=d, photon_number=photon_number, b=b, c=c, m=m)

@@ -138,3 +138,41 @@ class TestKernels:
     def test_headline_values(self, fn, d, x):
         # the NOON forms reject a photon number below 1 on both paths
         _same(fn, [d, x])
+
+
+def _reference_overlaps(d, alpha_sq):
+    """The overlap sums as two separate formulas, each with its own exp."""
+    x = math.exp(-alpha_sq)
+    u, v = d + d * (d - 1) * x, d * x
+    u_minus_v_sq = d * -math.expm1(-alpha_sq) * (1.0 + d * math.exp(-alpha_sq))
+    return u, v, u_minus_v_sq
+
+
+class TestOverlapBits:
+    """uv_coefficients, b_domain_limit and solve_c keep the bits of the
+    separate u, v and u - v^2 formulas, for numbers and one-element arrays."""
+
+    @staticmethod
+    def _assert_bits(fn, numbers, expected):
+        arrays = [np.array([x]) for x in numbers]
+        for got in (fn(*numbers), fn(*arrays)):
+            got = got if isinstance(got, tuple) else (got,)
+            assert [_bits(_cell(g)) for g in got] == [_bits(e) for e in expected], numbers
+
+    @settings(max_examples=300, deadline=None)
+    @given(D, ALPHA_SQ)
+    def test_uv_and_cap(self, d, alpha_sq):
+        u, v, u_minus_v_sq = _reference_overlaps(d, alpha_sq)
+        self._assert_bits(states.uv_coefficients, [d, alpha_sq], [u, v])
+        self._assert_bits(states.b_domain_limit, [d, alpha_sq], [1.0 / u_minus_v_sq])
+
+    @settings(max_examples=300, deadline=None)
+    @given(D, ALPHA_SQ, st.floats(0.0, 1.0), st.booleans())
+    def test_solve_c(self, d, alpha_sq, fraction, smaller_root):
+        _, v, u_minus_v_sq = _reference_overlaps(d, alpha_sq)
+        b = fraction * math.sqrt(1.0 / u_minus_v_sq)
+        disc = 1.0 - b * b * u_minus_v_sq
+        root = math.sqrt(0.0 if disc < 0.0 else disc)
+        c = -b * v - root if smaller_root else -b * v + root
+        self._assert_bits(lambda b, d, a: states.solve_c(b, d, a, smaller_root=smaller_root),
+                          [b, d, alpha_sq], [c])

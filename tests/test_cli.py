@@ -79,6 +79,25 @@ class TestBoundsCommand:
         assert code == 2 and out == ""
         assert err == f"error: {flag} must be >= 1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("--family", "noon-linear", "--d", "3", "--N", "4"),
+        ("--family", "ecs-linear", "--d", "3", "--alpha", "2"),
+        ("--family", "independent-ecs", "--d", "3", "--n-tot", "10"),
+        ("--family", "zzb-noon", "--d", "3", "--N", "4"),
+    ])
+    def test_m_on_family_that_ignores_it(self, capsys, argv):
+        code, out, err = run_cli(capsys, "bounds", *argv, "--m", "2")
+        assert code == 2 and out == ""
+        assert err == (f"error: --m applies to families ecs-optimal and ecs-at-b only, "
+                       f"not {argv[1]}\n")
+
+    def test_m_defaults_to_one(self, capsys):
+        for family in ("ecs-optimal", "ecs-at-b"):
+            argv = ("bounds", "--family", family, "--d", "3", "--alpha", "2", "--b", "0.3")
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and json.loads(out)["params"]["m"] == 1
+            assert run_cli(capsys, *argv, "--m", "1")[1] == out
+
     def test_ecs_at_b_requires_b(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--family", "ecs-at-b",
                                "--d", "2", "--alpha", "1")
@@ -142,6 +161,12 @@ class TestRegionCommand:
     def test_rejects_zero_d_min(self, capsys):
         code, out, err = run_cli(capsys, "region", "--d-min", "0")
         assert code == 2 and "--d-min must be >= 1" in err and out == ""
+
+    @pytest.mark.parametrize("alpha_min,alpha_max", [("3", "1"), ("0.01", "-1")])
+    def test_rejects_descending_alpha_range(self, capsys, alpha_min, alpha_max):
+        code, out, err = run_cli(capsys, "region", "--d-max", "2", "--alpha-min", alpha_min,
+                                 "--alpha-max", alpha_max, "--alpha-steps", "3")
+        assert code == 2 and out == "" and err == "error: --alpha-max must be >= --alpha-min\n"
 
     def test_rejects_zero_m(self, capsys):
         code, out, err = run_cli(capsys, "region", "--m", "0")
@@ -419,6 +444,13 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == ("error: --tol moments.closed_vs_poisson must be a finite number "
                        f">= 0, got {value!r}\n")
+
+    def test_tolerance_for_unselected_suite_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "moments",
+                                 "--tol", "qfim.commutators=1e-300")
+        assert code == 2 and out == ""
+        assert err == ("error: --tol qfim.commutators sets a qfim check, "
+                       "which --suite moments does not run\n")
 
     def test_zero_tolerance_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "moments",

@@ -163,9 +163,8 @@ class TestValidation:
 
     def test_b_beyond_cap(self):
         cap = states.b_domain_limit(2, 4.0)
-        p = states.EcsParams(d=2, alpha_sq=4.0, b=math.sqrt(cap) * 1.01, c=0.0, m=1)
         with pytest.raises(CoefficientDomainError):
-            states.validate_ecs(p)
+            states.EcsParams(d=2, alpha_sq=4.0, b=math.sqrt(cap) * 1.01, c=0.0, m=1)
 
     def test_normalization_violation(self):
         with pytest.raises(NormalizationError):
@@ -178,6 +177,52 @@ class TestValidation:
             states.validate_noon(states.NoonParams(d=2, photon_number=3, b=0.5, c=0.9))
         with pytest.raises(ValueError):
             states.validate_noon(states.NoonParams(d=2, photon_number=0, b=0.1, c=0.99))
+
+
+class TestValidOnConstruction:
+    """Building a probe runs its validator exactly once; an invalid one is never built."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        original = getattr(states, name)
+
+        def counted(q):
+            calls.append(q)
+            return original(q)
+        monkeypatch.setattr(states, name, counted)
+        return calls
+
+    def test_valid_probes(self, monkeypatch):
+        ecs_calls = self._count(monkeypatch, "validate_ecs")
+        noon_calls = self._count(monkeypatch, "validate_noon")
+        ecs = states.ecs_params(2, 1.0, 0.3)
+        noon = states.noon_params(2, 3)
+        assert ecs_calls == [ecs] and noon_calls == [noon]
+        states.mean_total_photons(ecs)
+        assert ecs_calls == [ecs]
+
+    @pytest.mark.parametrize("cls, args, validator, error, message", [
+        (states.EcsParams, (2, 1.0, 0.3, states.ecs_params(2, 1.0, 0.3).c + 1e-9),
+         "validate_ecs", NormalizationError,
+         "normalization violated: c^2 + 2bvc + b^2 u - 1 = 1.792e-09 exceeds 1e-12"),
+        (states.EcsParams, (2, 4.0, math.sqrt(states.b_domain_limit(2, 4.0)) * 1.01, 0.0),
+         "validate_ecs", CoefficientDomainError,
+         "b^2 = 0.501206357353 exceeds the domain cap Gamma = 0.491330612051"),
+        (states.EcsParams, (2, 1.0, 0.3, math.nan), "validate_ecs",
+         NormalizationError, "c must be finite, got nan"),
+        (states.EcsParams, (2, 1.0, 0.3, math.inf), "validate_ecs",
+         NormalizationError, "c must be finite, got inf"),
+        (states.NoonParams, (2, 0, 0.1, 0.99), "validate_noon",
+         ValueError, "photon_number must be a positive int, got 0"),
+    ], ids=["c-off-1e-9", "b-beyond-cap", "c-nan", "c-inf", "noon-zero-photons"])
+    def test_invalid_probe_raises_once(self, monkeypatch, cls, args, validator, error, message):
+        calls = self._count(monkeypatch, validator)
+        with pytest.raises(error) as info:
+            cls(*args)
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert len(calls) == 1
 
 
 def test_oracle_norm_on_b_grid():
