@@ -114,10 +114,26 @@ def _emit_report(report: bounds.BoundReport, fmt: str, out: str | None) -> None:
     _write_table(out, "csv", ["kind", "regime", "value"] + keys, [[row]])
 
 
+# The values each numeric `bounds` flag accepts: the ranges the kernels
+# enforce, checked here so that the message names the flag and the value
+# given.  `--alpha` is squared before use, so its square must stay finite
+# and nonzero too.
+_BOUNDS_RANGES = {
+    "alpha": (lambda a: a > 0.0 and 0.0 < a * a < math.inf,
+              "> 0 with a finite, nonzero square"),
+    "N": (lambda n: 1.0 <= n < math.inf, "finite and >= 1"),
+    "n-tot": (lambda n: 0.0 < n < math.inf, "finite and > 0"),
+    "b": (lambda b: 0.0 <= b < math.inf, "finite and >= 0"),
+}
+
+
 def _require(args: argparse.Namespace, flag: str, family: str) -> float:
     value = getattr(args, flag.replace("-", "_"))
     if value is None:
         raise PhaseBoundsError(f"--{flag} is required for family {family}")
+    accepts, rule = _BOUNDS_RANGES[flag]
+    if not accepts(value):
+        raise PhaseBoundsError(f"--{flag} must be {rule}, got {value!r}")
     return value
 
 
@@ -162,7 +178,7 @@ def _bounds_report(args: argparse.Namespace) -> bounds.BoundReport:
         return bounds.zzb_noon(args.d, _require(args, "N", family))
     if family == "independent-ecs":
         if args.n_tot is not None:
-            return bounds.independent_ecs_vs_ntot(args.d, args.n_tot)
+            return bounds.independent_ecs_vs_ntot(args.d, _require(args, "n-tot", family))
         alpha = _require(args, "alpha", family)
         return bounds.qcrb_independent_ecs(args.d, alpha * alpha)
     if family == "independent-noon":
@@ -265,6 +281,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
+    if args.seed < 0:
+        raise PhaseBoundsError(f"--seed must be >= 0, got {args.seed}")
     overrides = {}
     for item in args.tol:
         name, _, value = item.partition("=")

@@ -24,11 +24,12 @@ exactly 0).  Inner products, photon numbers, both information matrices and
 the commutator witness all go through it, at O(d^4) for a d x d matrix
 instead of O(d^5) vdots.
 
-A full dense amplitude tensor is the second-layer oracle at small sizes.  It
-is built straight into its one output array by contracting the per-mode
-factor stacks over the term index, and its information matrix comes from the
-marginal of |psi|^2 over the reference mode, so no full-size copy is made
-and no factor table is used.
+A dense amplitude tensor is the second-layer oracle at small sizes.  Every
+amplitude is formed densely, with no factor table, by contracting the
+per-mode factor stacks over the term index, one reference level (a levels^d
+slab) at a time.  Its information matrix needs only the marginal of |psi|^2
+over the reference mode, which sums the slabs as they come, so that path
+never holds the full tensor.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -518,13 +519,15 @@ def _kron_rows(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def dense_tensor_state(p: EcsParams | NoonParams, cutoff: int,
-                       tail_tol: float | None = None) -> np.ndarray:
-    """Full multimode amplitude tensor; second-layer oracle for the sparse form.
+def _dense_slabs(p: EcsParams | NoonParams, cutoff: int,
+                 tail_tol: float | None) -> Iterator[np.ndarray]:
+    """The dense amplitude tensor one reference level at a time: tensor[n0] for n0 = 0..cutoff.
 
     sum_t coeff_t prod_modes factor_t[mode] is one contraction over the term
-    index of the row-wise Kronecker products of the first and the last modes,
-    written straight into the output: no full-size temporary is made.
+    index of the row-wise Kronecker products of the first and the last modes.
+    Mode 0 is the slowest index of the rows, so slab n0 contracts their n0-th
+    block of columns into a fresh levels^d array.  The size limit is checked
+    and the probe built when this is called, before any slab is made.
     """
     num_modes = p.d + 1
     size = (cutoff + 1) ** num_modes
@@ -539,24 +542,39 @@ def dense_tensor_state(p: EcsParams | NoonParams, cutoff: int,
     half = num_modes // 2
     rows = coeffs[:, None] * _kron_rows(stacks[:half])
     cols = _kron_rows(stacks[half:])
-    out = np.empty((cutoff + 1,) * num_modes, dtype=complex)
-    np.einsum("tr,tc->rc", rows, cols, out=out.reshape(rows.shape[1], cols.shape[1]))
+    width = rows.shape[1] // (cutoff + 1)
+    shape = (cutoff + 1,) * p.d
+    return (np.einsum("tr,tc->rc", rows[:, n0 * width:(n0 + 1) * width], cols).reshape(shape)
+            for n0 in range(cutoff + 1))
+
+
+def dense_tensor_state(p: EcsParams | NoonParams, cutoff: int,
+                       tail_tol: float | None = None) -> np.ndarray:
+    """Full multimode amplitude tensor; second-layer oracle for the sparse form.
+
+    Every amplitude is formed densely, with no factor table, one reference
+    level at a time, and written into the one output array.
+    """
+    slabs = _dense_slabs(p, cutoff, tail_tol)  # checks the size before out is made
+    out = np.empty((cutoff + 1,) * (p.d + 1), dtype=complex)
+    for n0, slab in enumerate(slabs):
+        out[n0] = slab
     return out
 
 
 def dense_qfim(p: EcsParams | NoonParams, cutoff: int,
                tail_tol: float | None = None) -> np.ndarray:
-    """Information matrix from the dense tensor, for cross-checking the sparse path.
+    """Information matrix from the dense amplitudes, for cross-checking the sparse path.
 
     The generators are real and diagonal, so <H_j H_k> = sum |psi|^2 w_j w_k
     exactly; the sums run over the marginal of |psi|^2 on the sensing modes,
-    formed from the real and imaginary views of the tensor without a copy.
+    accumulated one reference level at a time, so the full tensor is never held.
     """
-    tensor = dense_tensor_state(p, cutoff, tail_tol)
     d, levels = p.d, cutoff + 1
-    flat = tensor.reshape(levels, -1)
-    prob = (np.einsum("ij,ij->j", flat.real, flat.real)
-            + np.einsum("ij,ij->j", flat.imag, flat.imag)).reshape((levels,) * d)
+    slabs = _dense_slabs(p, cutoff, tail_tol)  # checks the size before prob is made
+    prob = np.zeros((levels,) * d)
+    for slab in slabs:
+        prob += slab.real ** 2 + slab.imag ** 2
     w = np.arange(levels, dtype=float) ** p.m
     axes = set(range(d))
     single = [prob.sum(axis=tuple(axes - {j})) for j in range(d)]

@@ -98,6 +98,35 @@ class TestBoundsCommand:
             assert code == 0 and json.loads(out)["params"]["m"] == 1
             assert run_cli(capsys, *argv, "--m", "1")[1] == out
 
+    @pytest.mark.parametrize("family", ["ecs-linear", "ecs-nonlinear", "zzb-ecs",
+                                        "ecs-optimal", "ecs-at-b", "independent-ecs"])
+    @pytest.mark.parametrize("alpha,shown", [
+        ("-2", "-2.0"),  # its square 4.0 is valid, but the flag is |alpha|
+        ("nan", "nan"),
+        ("1e200", "1e+200"),  # square overflows to inf
+        ("1e-170", "1e-170"),  # square underflows to 0
+    ])
+    def test_bad_alpha_names_the_flag(self, capsys, family, alpha, shown):
+        code, out, err = run_cli(capsys, "bounds", "--family", family, "--d", "3",
+                                 "--alpha", alpha, "--b", "0.3")
+        assert code == 2 and out == ""
+        assert err == f"error: --alpha must be > 0 with a finite, nonzero square, got {shown}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--family", "noon-linear", "--N", "nan"), "--N must be finite and >= 1, got nan"),
+        (("--family", "zzb-noon", "--N", "0.5"), "--N must be finite and >= 1, got 0.5"),
+        (("--family", "independent-noon", "--n-tot", "inf"),
+         "--n-tot must be finite and > 0, got inf"),
+        (("--family", "independent-ecs", "--n-tot", "-1"),
+         "--n-tot must be finite and > 0, got -1.0"),
+        (("--family", "ecs-at-b", "--alpha", "1", "--b", "nan"),
+         "--b must be finite and >= 0, got nan"),
+    ], ids=["N-nan", "N-below-1", "n-tot-inf", "n-tot-negative", "b-nan"])
+    def test_bad_number_names_the_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "bounds", "--d", "3", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_ecs_at_b_requires_b(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--family", "ecs-at-b",
                                "--d", "2", "--alpha", "1")
@@ -457,6 +486,11 @@ class TestVerifyCommand:
                                "--tol", "moments.printed_coefficients=0")
         assert code == 0
         assert "[PASS] moments/printed_coefficients  max_discrepancy=0.000e+00  tolerance=0" in out
+
+    def test_negative_seed_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "moments", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: --seed must be >= 0, got -1\n"
 
     def test_seeded_report_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "optimizer", "--seed", "7")

@@ -438,6 +438,12 @@ class TestDenseTensor:
         with pytest.raises(SizeLimitError):
             oracle.dense_tensor_state(p, 12)
 
+    def test_dense_qfim_size_limit_comes_first(self):
+        # 2^61 amplitudes: the check must fire before any levels^d array is made
+        p = states.ecs_params(60, 1.0, _weight(60, 1, 1.0), 1)
+        with pytest.raises(SizeLimitError):
+            oracle.dense_qfim(p, 1)
+
     @pytest.mark.parametrize("p,cutoff", [
         (states.ecs_params(2, 1.5, _weight(2, 1, 1.5), 1), 12),
         (states.ecs_params(3, 2.0, _weight(3, 2, 2.0), 2), 9),
@@ -460,6 +466,17 @@ class TestDenseTensor:
         ref = _weighted_copy_reference_qfim(p, cutoff)
         assert rel_frobenius(oracle.dense_qfim(p, cutoff), ref) < 1e-13
 
+    @pytest.mark.parametrize("p,cutoff", [
+        # one slab of one amplitude; the matrix is exactly zero, so the
+        # tolerance scales with the reference's norm instead of dividing by it
+        (states.ecs_params(60, 1.0, _weight(60, 1, 1.0), 1), 0),
+        (states.ecs_params(9, 0.5, _weight(9, 1, 0.5), 2), 1),
+    ], ids=["d60-cutoff0", "d9-cutoff1"])
+    def test_qfim_equals_weighted_copy_reference_at_awkward_shapes(self, p, cutoff):
+        ref = _weighted_copy_reference_qfim(p, cutoff)
+        dense = oracle.dense_qfim(p, cutoff)
+        assert np.linalg.norm(dense - ref) <= 1e-13 * np.linalg.norm(ref)
+
     def test_dense_qfim_makes_no_full_size_copy(self):
         p = states.ecs_params(2, 4.0, _weight(2, 2, 4.0), 2)
         nbytes = 100 ** 3 * np.dtype(complex).itemsize
@@ -470,6 +487,18 @@ class TestDenseTensor:
         finally:
             tracemalloc.stop()
         assert peak <= nbytes + 2 ** 20, peak
+
+    def test_dense_qfim_holds_one_slab(self):
+        # the 16 MB tensor of this probe is never held: one 160 kB slab at a
+        # time, the 80 kB marginal and the 480 kB Kronecker rows of modes 1, 2
+        p = states.ecs_params(2, 4.0, _weight(2, 2, 4.0), 2)
+        tracemalloc.start()
+        try:
+            oracle.dense_qfim(p, 99)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000, peak
 
 
 def test_linear_combination():
