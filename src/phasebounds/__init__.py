@@ -24,6 +24,7 @@ from .bounds import (
     minimize_bound_over_b,
     noon_linear_value,
     noon_nonlinear_value,
+    qcrb_ecs_at_b,
     qcrb_ecs_linear,
     qcrb_ecs_nonlinear,
     qcrb_independent_ecs,

@@ -35,7 +35,8 @@ from ._arrays import (all_true, check_positive_int, first_failing, libm, quiet_o
                       scalar, sqrt)
 from .errors import DegenerateInputError, RegionError
 from .moments import coherent_number_moment
-from .states import domain_geometry
+from .qfim import trace_inverse_bound
+from .states import domain_geometry, ecs_params
 
 __all__ = [
     "BoundKind",
@@ -50,6 +51,7 @@ __all__ = [
     "minimize_bound_over_b",
     "qcrb_ecs_linear",
     "qcrb_ecs_nonlinear",
+    "qcrb_ecs_at_b",
     "qcrb_noon_linear",
     "qcrb_noon_nonlinear",
     "two_mode_ecs_norm_sq",
@@ -223,6 +225,13 @@ def _checked_ecs(d: int, m: int, alpha_sq: float, value: float) -> BoundReport:
                        params={"d": d, "m": m, "alpha_sq": alpha_sq,
                                "b_star": geom.b_star, "gamma_cap": geom.gamma_cap,
                                "b_sq_used": geom.b_star ** 2})
+
+
+def qcrb_ecs_at_b(d: int, m: int, alpha_sq: float, b: float) -> BoundReport:
+    """The coherent-probe bound Tr(F^-1) at a given weight b, not optimized over b."""
+    return BoundReport(value=trace_inverse_bound(ecs_params(d, alpha_sq, b, m)),
+                       kind=BoundKind.GENERAL_ECS_AT_B, regime=Regime.NOT_APPLICABLE,
+                       params={"d": d, "m": m, "alpha_sq": alpha_sq, "b": b})
 
 
 def qcrb_noon_linear(d: int, photon_number: float) -> BoundReport:

@@ -31,7 +31,6 @@ from . import bounds, states
 from ._arrays import minimum, sqrt
 from ._suites import SUITE_NAMES
 from .errors import PhaseBoundsError
-from .qfim import trace_inverse_bound
 
 __all__ = ["main"]
 
@@ -127,8 +126,32 @@ _BOUNDS_RANGES = {
 }
 
 
+# What each `bounds` family reads besides --d, and the bound it reports from
+# those values: (family, flags, report).  --m is optional (default 1) and
+# comes last.  independent-ecs has two rows: it reads --n-tot when that is
+# given, --alpha otherwise.
+_FAMILIES = (
+    ("ecs-linear", ("alpha",), lambda d, a: bounds.qcrb_ecs_linear(d, a * a)),
+    ("ecs-nonlinear", ("alpha",), lambda d, a: bounds.qcrb_ecs_nonlinear(d, a * a)),
+    ("ecs-optimal", ("alpha", "m"), lambda d, a, m=1: bounds.minimize_bound_over_b(d, m, a * a)),
+    ("ecs-at-b", ("alpha", "b", "m"), lambda d, a, b, m=1: bounds.qcrb_ecs_at_b(d, m, a * a, b)),
+    ("noon-linear", ("N",), bounds.qcrb_noon_linear),
+    ("noon-nonlinear", ("N",), bounds.qcrb_noon_nonlinear),
+    ("independent-ecs", ("n-tot",), bounds.independent_ecs_vs_ntot),
+    ("independent-ecs", ("alpha",), lambda d, a: bounds.qcrb_independent_ecs(d, a * a)),
+    ("independent-noon", ("n-tot",), bounds.qcrb_independent_noon),
+    ("zzb-ecs", ("alpha",), lambda d, a: bounds.zzb_ecs(d, a * a)),
+    ("zzb-noon", ("N",), bounds.zzb_noon),
+)
+_FAMILY_NAMES = list(dict.fromkeys(fam for fam, _, _ in _FAMILIES))
+
+
+def _value(args: argparse.Namespace, flag: str):
+    return getattr(args, flag.replace("-", "_"))
+
+
 def _require(args: argparse.Namespace, flag: str, family: str) -> float:
-    value = getattr(args, flag.replace("-", "_"))
+    value = _value(args, flag)
     if value is None:
         raise PhaseBoundsError(f"--{flag} is required for family {family}")
     accepts, rule = _BOUNDS_RANGES[flag]
@@ -143,47 +166,42 @@ def _require_positive(flag: str, value: int) -> int:
     return value
 
 
+def _unread(flag: str, family: str, flags: Sequence[str]) -> PhaseBoundsError:
+    """The error for a flag given to a family that does not read it."""
+    readers = list(dict.fromkeys(fam for fam, read, _ in _FAMILIES if flag in read))
+    if family in readers:
+        return PhaseBoundsError(
+            f"--{flag} and --{flags[0]} are alternatives for family {family}; give one")
+    *rest, last = readers
+    names = f"families {', '.join(rest)} and {last}" if rest else f"family {last}"
+    return PhaseBoundsError(f"--{flag} applies to {names} only, not {family}")
+
+
 def _bounds_report(args: argparse.Namespace) -> bounds.BoundReport:
+    """Check --d, --m and the family's flags, reject flags it does not read, then report.
+
+    Any error the report raises exits 2 naming --d and each flag given.
+    """
     family = args.family
     _require_positive("--d", args.d)
-    m = 1
     if args.m is not None:
-        m = _require_positive("--m", args.m)
-        if family not in ("ecs-optimal", "ecs-at-b"):
-            raise PhaseBoundsError(
-                f"--m applies to families ecs-optimal and ecs-at-b only, not {family}")
-    if family in ("ecs-linear", "ecs-nonlinear", "zzb-ecs", "ecs-optimal", "ecs-at-b"):
-        alpha = _require(args, "alpha", family)
-        alpha_sq = alpha * alpha
-        if family == "ecs-linear":
-            return bounds.qcrb_ecs_linear(args.d, alpha_sq)
-        if family == "ecs-nonlinear":
-            return bounds.qcrb_ecs_nonlinear(args.d, alpha_sq)
-        if family == "zzb-ecs":
-            return bounds.zzb_ecs(args.d, alpha_sq)
-        if family == "ecs-optimal":
-            return bounds.minimize_bound_over_b(args.d, m, alpha_sq)
-        b = _require(args, "b", family)
-        p = states.ecs_params(args.d, alpha_sq, b, m)
-        return bounds.BoundReport(value=trace_inverse_bound(p),
-                                  kind=bounds.BoundKind.GENERAL_ECS_AT_B,
-                                  regime=bounds.Regime.NOT_APPLICABLE,
-                                  params={"d": args.d, "m": m,
-                                          "alpha_sq": alpha_sq, "b": b})
-    if family == "noon-linear":
-        return bounds.qcrb_noon_linear(args.d, _require(args, "N", family))
-    if family == "noon-nonlinear":
-        return bounds.qcrb_noon_nonlinear(args.d, _require(args, "N", family))
-    if family == "zzb-noon":
-        return bounds.zzb_noon(args.d, _require(args, "N", family))
-    if family == "independent-ecs":
-        if args.n_tot is not None:
-            return bounds.independent_ecs_vs_ntot(args.d, _require(args, "n-tot", family))
-        alpha = _require(args, "alpha", family)
-        return bounds.qcrb_independent_ecs(args.d, alpha * alpha)
-    if family == "independent-noon":
-        return bounds.qcrb_independent_noon(args.d, _require(args, "n-tot", family))
-    raise PhaseBoundsError(f"unknown family {family!r}")
+        _require_positive("--m", args.m)
+    rows = [(flags, report) for fam, flags, report in _FAMILIES if fam == family]
+    flags, report = next((row for row in rows if _value(args, row[0][0]) is not None), rows[-1])
+    given = {"d": args.d}
+    for flag in flags:
+        if flag != "m":
+            given[flag] = _require(args, flag, family)
+        elif args.m is not None:
+            given[flag] = args.m
+    for flag in ("m", *_BOUNDS_RANGES):
+        if flag not in flags and _value(args, flag) is not None:
+            raise _unread(flag, family, flags)
+    try:
+        return report(*given.values())
+    except Exception as exc:
+        shown = " ".join(f"--{flag} {value!r}" for flag, value in given.items())
+        raise PhaseBoundsError(f"{exc} (at {shown})") from exc
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -316,10 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("bounds", help="evaluate one bound, printed as JSON")
-    b.add_argument("--family", required=True,
-                   choices=["ecs-linear", "ecs-nonlinear", "ecs-optimal", "ecs-at-b",
-                            "noon-linear", "noon-nonlinear", "independent-ecs",
-                            "independent-noon", "zzb-ecs", "zzb-noon"])
+    b.add_argument("--family", required=True, choices=_FAMILY_NAMES)
     b.add_argument("--d", type=int, required=True, help="number of phases")
     b.add_argument("--alpha", type=float, help="coherent amplitude |alpha|")
     b.add_argument("--N", type=float, help="NOON photon number")

@@ -5,19 +5,21 @@ moments against the raw Poisson series, analytic information matrices
 against the truncated-Fock oracle, the piecewise optimum against a dense
 grid scan, and the headline bound values and orderings against direct
 arithmetic.  Every check is a named function of explicit inputs (a probe
-list, an rng, optimizer draws or an n_tot grid) that returns one
-``CheckResult`` under the tolerance key ``"<suite>.<name>"``.  The
-``suite_*`` functions are lists of calls on the ``verify`` subcommand's
-inputs; the acceptance gate calls the same functions on its own pinned
-inputs, so each comparison is written once.  Tolerances can be overridden
-per check for sensitivity studies.
+list, an rng, optimizer draws or an n_tot grid) that measures one
+discrepancy and returns it as a ``CheckResult`` at its default tolerance,
+``DEFAULT_TOLERANCES["<suite>.<name>"]``.  The pass rule is written once,
+on ``CheckResult``.  The ``suite_*`` functions are lists of calls on the
+``verify`` subcommand's inputs; the acceptance gate calls the same
+functions on its own pinned inputs, so each comparison is written once.
+``run_suite`` is the one place a tolerance can be overridden, for
+sensitivity studies: it judges the same discrepancy against the new value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -28,7 +30,6 @@ from ._suites import SUITE_NAMES
 __all__ = ["CheckResult", "DEFAULT_TOLERANCES", "SUITE_NAMES", "run_suite",
            "criterion_grid_params", "optimizer_draws"]
 
-Tolerances = Mapping[str, float] | None
 Draws = Iterable[tuple[int, int, float]]  # (d, m, alpha_sq)
 
 
@@ -36,9 +37,20 @@ Draws = Iterable[tuple[int, int, float]]  # (d, m, alpha_sq)
 class CheckResult:
     suite: str
     name: str
-    passed: bool
     discrepancy: float
     tolerance: float
+    strict: bool = False
+
+    @property
+    def key(self) -> str:
+        return f"{self.suite}.{self.name}"
+
+    @property
+    def passed(self) -> bool:
+        """discrepancy <= tolerance, or < for a strict check; NaN never passes."""
+        if self.strict:
+            return self.discrepancy < self.tolerance
+        return self.discrepancy <= self.tolerance
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -132,19 +144,10 @@ def _ntot_grid(step: float) -> np.ndarray:
     return 1.0 + step * np.arange(int(round(99.0 / step)) + 1)
 
 
-def _tolerance(key: str, tolerances: Tolerances) -> float:
-    if tolerances and key in tolerances:
-        return float(tolerances[key])
-    return DEFAULT_TOLERANCES[key]
-
-
-def _check(key: str, disc: float, tolerances: Tolerances,
-           strict: bool = False) -> CheckResult:
-    """The result of one check: passed if disc <= tolerance (< when strict)."""
-    tol = _tolerance(key, tolerances)
+def _check(key: str, disc: float, strict: bool = False) -> CheckResult:
+    """The discrepancy of one check, at its default tolerance."""
     suite, name = key.split(".")
-    return CheckResult(suite=suite, name=name, passed=disc < tol if strict else disc <= tol,
-                       discrepancy=disc, tolerance=tol)
+    return CheckResult(suite, name, disc, DEFAULT_TOLERANCES[key], strict)
 
 
 def _worst(values: Iterable[float]) -> float:
@@ -162,7 +165,7 @@ def _analytic(p: states.EcsParams) -> np.ndarray:
 
 # ---------------------------------------------------------------- moments
 
-def closed_vs_poisson(tolerances: Tolerances = None) -> CheckResult:
+def closed_vs_poisson() -> CheckResult:
     """Stirling-form moments f(m), m <= 12, against the raw Poisson series."""
     def rel(m: int, mu: float) -> float:
         closed = moments.coherent_number_moment(m, mu)
@@ -170,17 +173,17 @@ def closed_vs_poisson(tolerances: Tolerances = None) -> CheckResult:
         return abs(closed - moments.moment_via_poisson_sum(m, mu, tail_tol=1e-12 * scale)) / scale
 
     worst = _worst(rel(m, mu) for m in range(13) for mu in MOMENT_MUS)
-    return _check("moments.closed_vs_poisson", worst, tolerances)
+    return _check("moments.closed_vs_poisson", worst)
 
 
-def printed_coefficients(tolerances: Tolerances = None) -> CheckResult:
+def printed_coefficients() -> CheckResult:
     """The Stirling rows behind the quadratic and quartic moment polynomials, exactly."""
     ok = (tuple(moments.stirling2(2, k) for k in range(3)) == (0, 1, 1)
           and tuple(moments.stirling2(4, k) for k in range(5)) == (0, 1, 7, 6, 1))
-    return _check("moments.printed_coefficients", 0.0 if ok else 1.0, tolerances)
+    return _check("moments.printed_coefficients", 0.0 if ok else 1.0)
 
 
-def printed_polynomials(tolerances: Tolerances = None) -> CheckResult:
+def printed_polynomials() -> CheckResult:
     """f(2) = mu(1 + mu) and f(4) = mu^4 + 6 mu^3 + 7 mu^2 + mu."""
     def rels(mu: float) -> tuple[float, float]:
         quadratic = mu * (1.0 + mu)
@@ -189,18 +192,16 @@ def printed_polynomials(tolerances: Tolerances = None) -> CheckResult:
                 abs(moments.coherent_number_moment(4, mu) - quartic) / quartic)
 
     worst = _worst(itertools.chain.from_iterable(map(rels, MOMENT_MUS)))
-    return _check("moments.printed_polynomials", worst, tolerances)
+    return _check("moments.printed_polynomials", worst)
 
 
-def suite_moments(rng: np.random.Generator,
-                  tolerances: Tolerances = None) -> list[CheckResult]:
-    return [closed_vs_poisson(tolerances), printed_coefficients(tolerances),
-            printed_polynomials(tolerances)]
+def suite_moments(rng: np.random.Generator) -> list[CheckResult]:
+    return [closed_vs_poisson(), printed_coefficients(), printed_polynomials()]
 
 
 # ---------------------------------------------------------- normalization
 
-def oracle_norm(tolerances: Tolerances = None) -> CheckResult:
+def oracle_norm() -> CheckResult:
     """The oracle's norm of the solved probe over 1000 weights below the cap."""
     def deviations():
         for d, alpha_sq in ((1, 1.0), (2, 1.0), (3, 4.0), (5, 2.25)):
@@ -210,10 +211,10 @@ def oracle_norm(tolerances: Tolerances = None) -> CheckResult:
                 p = states.ecs_params(d, alpha_sq, float(b))
                 yield abs(oracle.norm_sq(oracle.build_ecs_state(p, cutoff)) - 1.0)
 
-    return _check("normalization.oracle_norm", _worst(deviations()), tolerances)
+    return _check("normalization.oracle_norm", _worst(deviations()))
 
 
-def mean_photons(tolerances: Tolerances = None) -> CheckResult:
+def mean_photons() -> CheckResult:
     """Closed-form mean total photon number against the oracle's."""
     def rel(d: int, alpha_sq: float, b: float) -> float:
         p = states.ecs_params(d, alpha_sq, b)
@@ -223,44 +224,39 @@ def mean_photons(tolerances: Tolerances = None) -> CheckResult:
         return abs(from_oracle - closed) / closed
 
     worst = _worst(itertools.starmap(rel, ((2, 1.0, 0.4), (3, 2.0, 0.3), (5, 4.0, 0.35))))
-    return _check("normalization.mean_photons", worst, tolerances)
+    return _check("normalization.mean_photons", worst)
 
 
-def suite_normalization(rng: np.random.Generator,
-                        tolerances: Tolerances = None) -> list[CheckResult]:
-    return [oracle_norm(tolerances), mean_photons(tolerances)]
+def suite_normalization(rng: np.random.Generator) -> list[CheckResult]:
+    return [oracle_norm(), mean_photons()]
 
 
 # ------------------------------------------------------------------ qfim
 
-def oracle_vs_analytic(probes: Iterable[states.EcsParams],
-                       tolerances: Tolerances = None) -> CheckResult:
+def oracle_vs_analytic(probes: Iterable[states.EcsParams]) -> CheckResult:
     """Moment-path oracle QFIM against the analytic matrix, relative Frobenius."""
     worst = _worst(_rel_frobenius(oracle.numerical_qfim(p, tail_tol=GRID_TAIL_TOL),
                                   _analytic(p)) for p in probes)
-    return _check("qfim.oracle_vs_analytic", worst, tolerances)
+    return _check("qfim.oracle_vs_analytic", worst)
 
 
-def fd_vs_analytic(probes: Iterable[states.EcsParams],
-                   tolerances: Tolerances = None) -> CheckResult:
+def fd_vs_analytic(probes: Iterable[states.EcsParams]) -> CheckResult:
     """Derivative-path oracle QFIM against the analytic matrix, relative Frobenius."""
     worst = _worst(_rel_frobenius(oracle.qfim_via_state_derivatives(p, tail_tol=GRID_TAIL_TOL),
                                   _analytic(p)) for p in probes)
-    return _check("qfim.fd_vs_analytic", worst, tolerances)
+    return _check("qfim.fd_vs_analytic", worst)
 
 
-def trace_formula(probes: Iterable[states.EcsParams],
-                  tolerances: Tolerances = None) -> CheckResult:
+def trace_formula(probes: Iterable[states.EcsParams]) -> CheckResult:
     """The closed-form Tr(F^-1) against the trace of the dense inverse."""
     def rel(p: states.EcsParams) -> float:
         dense_trace = float(np.trace(np.linalg.inv(_analytic(p))))
         return abs(qfim.trace_inverse_bound(p) - dense_trace) / abs(dense_trace)
 
-    return _check("qfim.trace_formula", _worst(map(rel, probes)), tolerances)
+    return _check("qfim.trace_formula", _worst(map(rel, probes)))
 
 
-def commutators(probes: Iterable[states.EcsParams],
-                tolerances: Tolerances = None) -> CheckResult:
+def commutators(probes: Iterable[states.EcsParams]) -> CheckResult:
     """|<[H_j, H_k]>|: every mode pair of a grid probe, the first and last of a wide one."""
     def pairs(p: states.EcsParams):
         modes = range(1, p.d + 1) if p.d <= GRID_DS[-1] else (1, p.d)
@@ -268,11 +264,10 @@ def commutators(probes: Iterable[states.EcsParams],
 
     worst = _worst(abs(oracle.commutator_expectation(p, j, k))
                    for p in probes for j, k in pairs(p))
-    return _check("qfim.commutators", worst, tolerances)
+    return _check("qfim.commutators", worst)
 
 
-def structured_inverse(rng: np.random.Generator,
-                       tolerances: Tolerances = None) -> CheckResult:
+def structured_inverse(rng: np.random.Generator) -> CheckResult:
     """F F^-1 = I for 10^4 random structured matrices; consumes 3 draws each."""
     def residual() -> float:
         d = int(rng.integers(1, 9))
@@ -284,11 +279,10 @@ def structured_inverse(rng: np.random.Generator,
         return float(np.max(np.abs(product - np.eye(d))))
 
     worst = _worst(residual() for _ in range(10_000))
-    return _check("qfim.structured_inverse", worst, tolerances)
+    return _check("qfim.structured_inverse", worst)
 
 
-def theta_independence(rng: np.random.Generator,
-                       tolerances: Tolerances = None) -> CheckResult:
+def theta_independence(rng: np.random.Generator) -> CheckResult:
     """The derivative-path QFIM at random phases equals that at theta = 0."""
     def rel(p: states.EcsParams) -> float:
         at_zero = oracle.qfim_via_state_derivatives(p, tail_tol=GRID_TAIL_TOL)
@@ -298,30 +292,28 @@ def theta_independence(rng: np.random.Generator,
 
     worst = _worst(map(rel, (states.ecs_params(2, 1.0, 0.3, 1),
                              states.ecs_params(3, 4.0, 0.2, 2))))
-    return _check("qfim.theta_independence", worst, tolerances)
+    return _check("qfim.theta_independence", worst)
 
 
-def suite_qfim(rng: np.random.Generator,
-               tolerances: Tolerances = None) -> list[CheckResult]:
+def suite_qfim(rng: np.random.Generator) -> list[CheckResult]:
     probes = criterion_grid_params() + wide_params()
-    return [oracle_vs_analytic(probes, tolerances), fd_vs_analytic(probes, tolerances),
-            trace_formula(probes, tolerances), commutators(probes, tolerances),
-            structured_inverse(rng, tolerances), theta_independence(rng, tolerances)]
+    return [oracle_vs_analytic(probes), fd_vs_analytic(probes), trace_formula(probes),
+            commutators(probes), structured_inverse(rng), theta_independence(rng)]
 
 
 # ------------------------------------------------------------- optimizer
 
-def scan_vs_closed(draws: Draws, tolerances: Tolerances = None) -> CheckResult:
+def scan_vs_closed(draws: Draws) -> CheckResult:
     """The piecewise optimum against a 10^4-point grid scan over b."""
     def rel(d: int, m: int, alpha_sq: float) -> float:
         closed = bounds.minimize_bound_over_b(d, m, alpha_sq).value
         scan = bounds.grid_scan_minimizer(d, m, alpha_sq, grid_points=10_000).value
         return abs(scan - closed) / closed
 
-    return _check("optimizer.scan_vs_closed", _worst(itertools.starmap(rel, draws)), tolerances)
+    return _check("optimizer.scan_vs_closed", _worst(itertools.starmap(rel, draws)))
 
 
-def interior_closed_forms(draws: Draws, tolerances: Tolerances = None) -> CheckResult:
+def interior_closed_forms(draws: Draws) -> CheckResult:
     """Where the optimum is interior, it equals the headline closed form."""
     def rel(d: int, m: int, alpha_sq: float) -> float:
         closed = bounds.minimize_bound_over_b(d, m, alpha_sq)
@@ -332,10 +324,10 @@ def interior_closed_forms(draws: Draws, tolerances: Tolerances = None) -> CheckR
         return abs(closed.value - formula) / formula
 
     worst = _worst(itertools.starmap(rel, draws))
-    return _check("optimizer.interior_closed_forms", worst, tolerances)
+    return _check("optimizer.interior_closed_forms", worst)
 
 
-def unimodal(draws: Draws, tolerances: Tolerances = None) -> CheckResult:
+def unimodal(draws: Draws) -> CheckResult:
     """Count of draws whose bound over b^2 falls again after it first rises."""
     def bad_shape(d: int, m: int, alpha_sq: float) -> bool:
         geom = states.domain_geometry(d, m, alpha_sq)
@@ -347,14 +339,12 @@ def unimodal(draws: Draws, tolerances: Tolerances = None) -> CheckResult:
         return bool(np.any(diffs[first_rise:] < 0))
 
     count = float(sum(itertools.starmap(bad_shape, draws)))
-    return _check("optimizer.unimodal", count, tolerances)
+    return _check("optimizer.unimodal", count)
 
 
-def suite_optimizer(rng: np.random.Generator,
-                    tolerances: Tolerances = None) -> list[CheckResult]:
+def suite_optimizer(rng: np.random.Generator) -> list[CheckResult]:
     draws = optimizer_draws(rng)
-    return [scan_vs_closed(draws, tolerances), interior_closed_forms(draws, tolerances),
-            unimodal(draws, tolerances)]
+    return [scan_vs_closed(draws), interior_closed_forms(draws), unimodal(draws)]
 
 
 # ---------------------------------------------------------------- bounds
@@ -382,7 +372,7 @@ def o_of_d_advantage_fit(ds: Iterable[int] = (4, 8, 16, 32, 64),
     return c, residual, ratios
 
 
-def headline_values(tolerances: Tolerances = None) -> CheckResult:
+def headline_values() -> CheckResult:
     """The d = 5 headline numbers: coherent at alpha = 2, NOON linear and nonlinear at N = 10."""
     scale = HEADLINE_SCALE
     disc = _worst((
@@ -391,19 +381,19 @@ def headline_values(tolerances: Tolerances = None) -> CheckResult:
         abs(bounds.qcrb_noon_nonlinear(5, 10.0).value
             - bounds.qcrb_noon_linear(5, 10.0).value / 100.0) / (scale / 40000.0),
     ))
-    return _check("bounds.headline_values", disc, tolerances)
+    return _check("bounds.headline_values", disc)
 
 
-def noon_pair_exact(tolerances: Tolerances = None) -> CheckResult:
+def noon_pair_exact() -> CheckResult:
     """The NOON pair at d = 5, N = 10 to the last bit: scale/400 and a factor N^2 apart."""
     linear = bounds.qcrb_noon_linear(5, 10.0).value
     nonlinear = bounds.qcrb_noon_nonlinear(5, 10.0).value
     disc = _worst((abs(linear - HEADLINE_SCALE / 400.0) / (HEADLINE_SCALE / 400.0),
                    abs(nonlinear - linear / 100.0) / (linear / 100.0)))
-    return _check("bounds.noon_pair_exact", disc, tolerances)
+    return _check("bounds.noon_pair_exact", disc)
 
 
-def independent_match(tolerances: Tolerances = None) -> CheckResult:
+def independent_match() -> CheckResult:
     """The independent coherent baseline via alpha_sq and via its total photons agree."""
     def rel(d: int, alpha_sq: float) -> float:
         direct = bounds.qcrb_independent_ecs(d, alpha_sq).value
@@ -411,18 +401,18 @@ def independent_match(tolerances: Tolerances = None) -> CheckResult:
         return abs(direct - bounds.independent_ecs_vs_ntot(d, n_tot).value) / direct
 
     worst = _worst(itertools.starmap(rel, ((1, 1.0), (2, 4.0), (3, 36.0), (5, 9.0), (10, 0.5))))
-    return _check("bounds.independent_match", worst, tolerances)
+    return _check("bounds.independent_match", worst)
 
 
-def independent_below_noon_baseline(tolerances: Tolerances = None) -> CheckResult:
+def independent_below_noon_baseline() -> CheckResult:
     """Largest ratio of the independent coherent to the independent NOON baseline (< 1)."""
     worst = _worst(bounds.independent_ecs_vs_ntot(d, float(n)).value
                    / bounds.qcrb_independent_noon(d, float(n)).value
                    for d in (2, 5, 10) for n in _ntot_grid(0.5))
-    return _check("bounds.independent_below_noon_baseline", worst, tolerances, strict=True)
+    return _check("bounds.independent_below_noon_baseline", worst, strict=True)
 
 
-def crossing_bracket(n_tot: np.ndarray, tolerances: Tolerances = None) -> CheckResult:
+def crossing_bracket(n_tot: np.ndarray) -> CheckResult:
     """The d = 5 coherent m = 1 bound crosses the NOON m = 2 bound once, at the golden ratio.
 
     The discrepancy is the distance from the golden ratio to the middle of
@@ -436,32 +426,30 @@ def crossing_bracket(n_tot: np.ndarray, tolerances: Tolerances = None) -> CheckR
         lo, hi = float(n_tot[flips[0]]), float(n_tot[flips[0] + 1])
         if lo <= GOLDEN <= hi:
             disc = abs(0.5 * (lo + hi) - GOLDEN)
-    return _check("bounds.crossing_bracket", disc, tolerances)
+    return _check("bounds.crossing_bracket", disc)
 
 
 def _ecs_over_noon(n_tot: np.ndarray) -> np.ndarray:
     return bounds.ecs_linear_value(5, n_tot) / bounds.noon_linear_value(5, n_tot)
 
 
-def ecs_below_noon(n_tot: np.ndarray, tolerances: Tolerances = None) -> CheckResult:
+def ecs_below_noon(n_tot: np.ndarray) -> CheckResult:
     """Largest ratio of the d = 5 coherent to the NOON linear bound over the grid (< 1)."""
     worst = float(_ecs_over_noon(n_tot).max())
-    return _check("bounds.ecs_below_noon", worst, tolerances, strict=True)
+    return _check("bounds.ecs_below_noon", worst, strict=True)
 
 
-def large_ntot_ratio(n_tot: np.ndarray, tolerances: Tolerances = None) -> CheckResult:
-    """At n_tot >= 50 the coherent/NOON linear ratio lies in [1 - tolerance, 1].
+def large_ntot_ratio(n_tot: np.ndarray) -> CheckResult:
+    """At n_tot >= 50 the coherent/NOON linear ratio stays within tolerance below 1.
 
-    The discrepancy is how far the ratio leaves that window, so the check
-    passes only at a discrepancy of 0.
+    The discrepancy is 1 - min(ratio), or infinite if any ratio exceeds 1.
     """
-    window = _tolerance("bounds.large_ntot_ratio", tolerances)
     tail = _ecs_over_noon(n_tot[n_tot >= 50.0])
-    disc = max((1.0 - window) - float(tail.min()), float(tail.max()) - 1.0, 0.0)
-    return CheckResult("bounds", "large_ntot_ratio", disc <= 0.0, disc, window)
+    disc = math.inf if np.any(tail > 1.0) else 1.0 - float(tail.min())
+    return _check("bounds.large_ntot_ratio", disc)
 
 
-def zzb_ordering(tolerances: Tolerances = None) -> CheckResult:
+def zzb_ordering() -> CheckResult:
     """Largest coherent/NOON Ziv-Zakai ratio at d = 5 (< 1); infinite unless the
     first branch is the maximum at d = 50."""
     worst = _worst(bounds.zzb_ecs(5, alpha_sq).value / bounds.zzb_noon(5, alpha_sq).value
@@ -469,72 +457,66 @@ def zzb_ordering(tolerances: Tolerances = None) -> CheckResult:
     big = bounds.zzb_noon(50, 10.0)
     if big.value != big.params["branch_first"]:
         worst = math.inf
-    return _check("bounds.zzb_ordering", worst, tolerances, strict=True)
+    return _check("bounds.zzb_ordering", worst, strict=True)
 
 
-def region_claim(tolerances: Tolerances = None) -> CheckResult:
+def region_claim() -> CheckResult:
     """Count of cells with alpha in [2.5, 4], d <= 10 that are not interior."""
     misclassified = sum(not bounds.region_classify(d, float(alpha), 1).interior
                         for d in range(1, 11) for alpha in np.linspace(2.5, 4.0, 61))
-    return _check("bounds.region_claim", float(misclassified), tolerances)
+    return _check("bounds.region_claim", float(misclassified))
 
 
-def gamma_large_alpha(tolerances: Tolerances = None) -> CheckResult:
+def gamma_large_alpha() -> CheckResult:
     """The domain cap Gamma reaches 1/d at alpha_sq = 49."""
     worst = _worst(abs(states.b_domain_limit(d, 49.0) - 1.0 / d) for d in range(1, 11))
-    return _check("bounds.gamma_large_alpha", worst, tolerances)
+    return _check("bounds.gamma_large_alpha", worst)
 
 
-def b_star_approach(tolerances: Tolerances = None) -> CheckResult:
+def b_star_approach() -> CheckResult:
     """b_star = sqrt(1 + 1/alpha_sq) / sqrt(d + sqrt d) for m = 1 at alpha_sq = 49."""
     alpha_sq = B_STAR_APPROACH_ALPHA_SQ
     worst = _worst(abs(states.b_star(d, 1, alpha_sq)
                        - math.sqrt(1.0 + 1.0 / alpha_sq) / math.sqrt(d + math.sqrt(d)))
                    for d in range(1, 11))
-    return _check("bounds.b_star_approach", worst, tolerances)
+    return _check("bounds.b_star_approach", worst)
 
 
-def b_star_limit(tolerances: Tolerances = None) -> CheckResult:
+def b_star_limit() -> CheckResult:
     """b_star reaches the NOON weight 1/sqrt(d + sqrt d) at alpha_sq = 1e6."""
     worst = _worst(abs(states.b_star(d, 1, B_STAR_LIMIT_ALPHA_SQ) - states.noon_optimal_b(d))
                    for d in range(1, 11))
-    return _check("bounds.b_star_limit", worst, tolerances)
+    return _check("bounds.b_star_limit", worst)
 
 
-def o_of_d_fit(tolerances: Tolerances = None) -> CheckResult:
+def o_of_d_fit() -> CheckResult:
     """Relative residual of the O(d) advantage fit."""
     _, residual, _ = o_of_d_advantage_fit()
-    return _check("bounds.o_of_d_fit", residual, tolerances)
+    return _check("bounds.o_of_d_fit", residual)
 
 
-def suite_bounds(rng: np.random.Generator,
-                 tolerances: Tolerances = None) -> list[CheckResult]:
+def suite_bounds(rng: np.random.Generator) -> list[CheckResult]:
     n_tot = _ntot_grid(0.01)
-    return [headline_values(tolerances), noon_pair_exact(tolerances),
-            independent_match(tolerances), independent_below_noon_baseline(tolerances),
-            crossing_bracket(n_tot, tolerances), ecs_below_noon(n_tot, tolerances),
-            large_ntot_ratio(n_tot, tolerances), zzb_ordering(tolerances),
-            region_claim(tolerances), gamma_large_alpha(tolerances),
-            b_star_approach(tolerances), b_star_limit(tolerances), o_of_d_fit(tolerances)]
+    return [headline_values(), noon_pair_exact(), independent_match(),
+            independent_below_noon_baseline(), crossing_bracket(n_tot), ecs_below_noon(n_tot),
+            large_ntot_ratio(n_tot), zzb_ordering(), region_claim(), gamma_large_alpha(),
+            b_star_approach(), b_star_limit(), o_of_d_fit()]
 
 
-_SUITES = {
-    "moments": suite_moments,
-    "normalization": suite_normalization,
-    "qfim": suite_qfim,
-    "optimizer": suite_optimizer,
-    "bounds": suite_bounds,
-}
+_SUITES = {name: globals()[f"suite_{name}"] for name in SUITE_NAMES}
 
 
 def run_suite(name: str, seed: int = 0,
-              tolerances: Tolerances = None) -> list[CheckResult]:
-    """Run one suite (or 'all'); deterministic for a given seed."""
-    if name == "all":
-        out = []
-        for suite in SUITE_NAMES:
-            out.extend(_SUITES[suite](np.random.default_rng(seed), tolerances))
-        return out
-    if name not in _SUITES:
+              tolerances: Mapping[str, float] | None = None) -> list[CheckResult]:
+    """Run one suite (or 'all'); deterministic for a given seed.
+
+    `tolerances` overrides DEFAULT_TOLERANCES by check key: each check's
+    discrepancy is judged again at the given value.
+    """
+    if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    return _SUITES[name](np.random.default_rng(seed), tolerances)
+    results = [r for suite in (SUITE_NAMES if name == "all" else (name,))
+               for r in _SUITES[suite](np.random.default_rng(seed))]
+    overrides = tolerances or {}
+    return [replace(r, tolerance=float(overrides[r.key])) if r.key in overrides else r
+            for r in results]

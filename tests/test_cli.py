@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phasebounds import bounds, cli
+from phasebounds import bounds, cli, verify
 from phasebounds.cli import main
 
 
@@ -92,8 +95,8 @@ class TestBoundsCommand:
                        f"not {argv[1]}\n")
 
     def test_m_defaults_to_one(self, capsys):
-        for family in ("ecs-optimal", "ecs-at-b"):
-            argv = ("bounds", "--family", family, "--d", "3", "--alpha", "2", "--b", "0.3")
+        for family, extra in (("ecs-optimal", ()), ("ecs-at-b", ("--b", "0.3"))):
+            argv = ("bounds", "--family", family, "--d", "3", "--alpha", "2", *extra)
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0 and json.loads(out)["params"]["m"] == 1
             assert run_cli(capsys, *argv, "--m", "1")[1] == out
@@ -127,6 +130,47 @@ class TestBoundsCommand:
         assert code == 2 and out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv,shown", [
+        (("--family", "ecs-at-b", "--d", "3", "--alpha", "1", "--b", "1e-300"),
+         "--d 3 --alpha 1.0 --b 1e-300"),  # b^2 underflows to 0
+        (("--family", "independent-noon", "--d", "3", "--n-tot", "1e-300"),
+         "--d 3 --n-tot 1e-300"),  # n_tot^2 underflows to 0
+        (("--family", "ecs-linear", "--d", "3", "--alpha", "1e100"), "--d 3 --alpha 1e+100"),
+        (("--family", "noon-linear", "--d", "3", "--N", "1e300"), "--d 3 --N 1e+300"),
+        (("--family", "zzb-noon", "--d", "3", "--N", "1e300"), "--d 3 --N 1e+300"),
+        (("--family", "ecs-nonlinear", "--d", "3", "--alpha", "1e60"), "--d 3 --alpha 1e+60"),
+        (("--family", "ecs-linear", "--d", "3", "--alpha", "1e-160"), "--d 3 --alpha 1e-160"),
+        (("--family", "ecs-linear", "--d", "1" + "0" * 400, "--alpha", "2"),
+         f"--d {10 ** 400} --alpha 2.0"),
+    ], ids=["b-underflow", "n-tot-underflow", "alpha-power-overflow", "N-power-overflow",
+            "zzb-N-overflow", "alpha-moment-overflow", "alpha-moment-underflow", "huge-d"])
+    def test_kernel_error_names_every_flag_read(self, capsys, argv, shown):
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.endswith(f" (at {shown})\n"), err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--family", "ecs-linear", "--alpha", "2", "--b", "0.3"),
+         "--b applies to family ecs-at-b only, not ecs-linear"),
+        (("--family", "independent-ecs", "--alpha", "2", "--n-tot", "10"),
+         "--alpha and --n-tot are alternatives for family independent-ecs; give one"),
+        (("--family", "noon-linear", "--N", "4", "--alpha", "2"),
+         "--alpha applies to families ecs-linear, ecs-nonlinear, ecs-optimal, ecs-at-b, "
+         "independent-ecs and zzb-ecs only, not noon-linear"),
+        (("--family", "zzb-ecs", "--alpha", "2", "--N", "4"),
+         "--N applies to families noon-linear, noon-nonlinear and zzb-noon only, not zzb-ecs"),
+        (("--family", "ecs-optimal", "--alpha", "2", "--n-tot", "4"),
+         "--n-tot applies to families independent-ecs and independent-noon only, "
+         "not ecs-optimal"),
+        # the flags the family reads are checked first
+        (("--family", "noon-nonlinear", "--N", "0.5", "--b", "0.3"),
+         "--N must be finite and >= 1, got 0.5"),
+    ], ids=["b", "alpha-with-n-tot", "alpha", "N", "n-tot", "read-flag-first"])
+    def test_flag_the_family_does_not_read(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "bounds", "--d", "3", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_ecs_at_b_requires_b(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--family", "ecs-at-b",
                                "--d", "2", "--alpha", "1")
@@ -148,6 +192,46 @@ class TestBoundsCommand:
         assert float(data[2]) == pytest.approx(2.0 * (math.sqrt(2.0) + 1) ** 2 / 36.0)
 
 
+# the flags each bounds family reads besides --d and --m (independent-ecs: either)
+BOUNDS_READS = {
+    "ecs-linear": [("--alpha",)], "ecs-nonlinear": [("--alpha",)],
+    "ecs-optimal": [("--alpha",)], "ecs-at-b": [("--alpha", "--b")],
+    "noon-linear": [("--N",)], "noon-nonlinear": [("--N",)], "zzb-noon": [("--N",)],
+    "independent-ecs": [("--alpha",), ("--n-tot",)], "independent-noon": [("--n-tot",)],
+    "zzb-ecs": [("--alpha",)],
+}
+FLOAT_FLAGS = ("--alpha", "--N", "--n-tot", "--b")
+# every double, with the edges named so that each draw can reach them, and
+# values the kernels accept, so that some runs exit 0
+FLAG_VALUE = st.floats() | st.floats(0.01, 100.0) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_every_accepted_bounds_argv_exits_0_or_2(data):
+    family = data.draw(st.sampled_from(sorted(BOUNDS_READS)), "family")
+    d = data.draw(st.integers(1, 64) | st.sampled_from([10 ** 20, 10 ** 400]), "d")
+    m = data.draw(st.none() | st.integers(1, 2) | st.integers(-1, 0), "m")
+    # half the draws give just the flags the family reads, half any of them
+    flags = data.draw(st.sampled_from(BOUNDS_READS[family])
+                      | st.lists(st.sampled_from(FLOAT_FLAGS), unique=True), "flags")
+    # --flag=value, so that the parser takes a negative value too
+    argv = ["bounds", "--family", family, "--d", str(d),
+            *(f"{flag}={data.draw(FLAG_VALUE, flag)!r}" for flag in flags)]
+    if m is not None:
+        argv.append(f"--m={m}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        flag_named = any(flag in err.getvalue() for flag in ("--d", "--m", *FLOAT_FLAGS))
+        assert out.getvalue() == "" and flag_named, argv
+    else:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["value"] >= 0.0, argv
+
+
 class TestRegionCommand:
     def test_csv_structure_and_claims(self, capsys, tmp_path):
         out_file = tmp_path / "region.csv"
@@ -156,7 +240,8 @@ class TestRegionCommand:
                              "--alpha-max", "4.0", "--alpha-steps", "16",
                              "--out", str(out_file))
         assert code == 0
-        rows = list(csv.reader(out_file.open()))
+        with out_file.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["d", "alpha", "m", "b_star", "sqrt_gamma", "interior"]
         cells = rows[1:]
         assert len(cells) == 10 * 16
@@ -486,6 +571,16 @@ class TestVerifyCommand:
                                "--tol", "moments.printed_coefficients=0")
         assert code == 0
         assert "[PASS] moments/printed_coefficients  max_discrepancy=0.000e+00  tolerance=0" in out
+
+    @pytest.mark.parametrize("name,status,code", [
+        ("bounds.ecs_below_noon", "FAIL", 1),  # strict: must stay below its tolerance
+        ("bounds.crossing_bracket", "PASS", 0),
+    ])
+    def test_tolerance_equal_to_the_discrepancy(self, capsys, name, status, code):
+        disc = next(r.discrepancy for r in verify.run_suite("bounds") if r.key == name)
+        got, out, _ = run_cli(capsys, "verify", "--suite", "bounds", "--tol", f"{name}={disc!r}")
+        line = f"[{status}] {name.replace('.', '/')}  max_discrepancy={disc:.3e}  "
+        assert got == code and f"{line}tolerance={disc:g}\n" in out
 
     def test_negative_seed_names_the_flag(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "moments", "--seed", "-1")

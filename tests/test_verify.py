@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phasebounds import moments, states, verify
+from phasebounds import bounds, moments, states, verify
 
 N_TOT = 1.0 + 0.01 * np.arange(9901)
 
@@ -37,9 +37,27 @@ def test_crossing_needs_one_upward_flip(n_tot):
     assert not result.passed and result.discrepancy == np.inf
 
 
-def test_large_ntot_ratio_tolerance_is_the_window_below_one():
-    assert verify.large_ntot_ratio(N_TOT).discrepancy == 0.0
-    # the ratio is 2500/2601 at n_tot = 50, outside [0.99, 1]
-    narrow = verify.large_ntot_ratio(N_TOT, {"bounds.large_ntot_ratio": 0.01})
-    assert not narrow.passed
-    assert narrow.discrepancy == pytest.approx(0.99 - 2500.0 / 2601.0, rel=1e-12)
+def test_large_ntot_ratio_tolerance_is_the_window_below_one(monkeypatch):
+    # the ratio is smallest at n_tot = 50, where it is 2500/2601
+    result = verify.large_ntot_ratio(N_TOT)
+    assert result.passed
+    assert result.discrepancy == pytest.approx(1.0 - 2500.0 / 2601.0, rel=1e-12)
+    narrow = verify.run_suite("bounds", tolerances={"bounds.large_ntot_ratio": 0.01})
+    assert [r.passed for r in narrow if r.name == "large_ntot_ratio"] == [False]
+    exact = bounds.noon_linear_value
+    monkeypatch.setattr(bounds, "noon_linear_value", lambda d, n: 0.5 * exact(d, n))
+    above = verify.large_ntot_ratio(N_TOT)
+    assert not above.passed and above.discrepancy == np.inf
+
+
+STRICT = {"bounds.independent_below_noon_baseline", "bounds.ecs_below_noon",
+          "bounds.zzb_ordering"}
+
+
+def test_override_equal_to_the_discrepancy_passes_unless_strict():
+    measured = verify.run_suite("bounds")
+    assert all(r.passed for r in measured)
+    judged = verify.run_suite("bounds", tolerances={r.key: r.discrepancy for r in measured})
+    assert [r.discrepancy for r in judged] == [r.discrepancy for r in measured]
+    assert [r.tolerance for r in judged] == [r.discrepancy for r in measured]
+    assert {r.key for r in judged if not r.passed} == STRICT
