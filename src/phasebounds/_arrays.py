@@ -21,7 +21,6 @@ process that calls the kernels with numbers alone never loads NumPy.
 from __future__ import annotations
 
 import math
-import sys
 from contextlib import nullcontext
 from itertools import repeat
 
@@ -114,14 +113,3 @@ def first_failing(x, ok):
 
     return np.broadcast_to(x, np.shape(ok))[np.logical_not(ok)][0].item()
 
-
-def check_positive_int(what: str, n) -> None:
-    """Raise ValueError unless n is a positive int or an integer array of them."""
-    np = sys.modules.get("numpy")  # an ndarray n means NumPy is loaded
-    if np is None or not isinstance(n, np.ndarray):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"{what} must be a positive int, got {n!r}")
-        return
-    ok = n >= 1 if n.dtype.kind in "iu" else np.zeros(n.shape, bool)
-    if not ok.all():
-        raise ValueError(f"{what} must be a positive int, got {first_failing(n, ok)!r}")

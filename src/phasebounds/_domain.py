@@ -1,0 +1,87 @@
+"""The input domain: the values each parameter of the kernels and the CLI may take.
+
+Each row of ``DOMAIN`` gives a parameter's label, the exception for a value
+that is not an integer (``None`` for a real), the ends of its interval, each
+open or closed, and the exception for a value outside it.  ``check`` tests
+numbers or NumPy arrays, picking its namespace as ``_arrays`` does.  A CLI
+flag reads one row and names itself: ``--m must be <= 109``.
+
+``d`` counts the phases; ``m`` is the order of the generator ``(a^dag a)^m``,
+1 for the linear protocol and 2 for the nonlinear one.  f(2m) sums Stirling
+numbers S(2m, k): every S(218, k) converts to a double and some S(220, k)
+does not, so m stops at 109.  A moment ``order`` has no upper limit.
+``alpha`` is the coherent amplitude; its square ``alpha_sq`` is nonzero in a
+bound, since the vacuum carries no phase information, and ``mu`` is that
+square where the vacuum is allowed, in a moment or a probe.  ``b`` and ``c``
+are the branch weights of a probe, ``N`` the photon number of a NOON bound,
+``photon_number`` that of a NOON probe and ``n_tot`` the total photon number
+of independent estimation.  ``count``, ``points``, ``seed`` and ``tol`` are
+read by the CLI alone.
+
+Limits joining several inputs stay in the kernels: b^2 <= Gamma, f(m)^2 > 0
+and an overflow at a given alpha and m, which a sweep also checks at its
+axis ends.  An error a kernel raises under a command exits 2 naming the
+flags read: ``... (at --d 3 --alpha 2.0)``.
+"""
+
+from math import inf
+
+from ._arrays import all_true, first_failing
+from .errors import CoefficientDomainError, DegenerateInputError, NormalizationError
+
+DOMAIN = {
+    # name: (label, not an integer, lo, lo closed, hi, hi closed, outside)
+    "d": ("d", ValueError, 1, True, inf, False, ValueError),
+    "m": ("generator order m", ValueError, 1, True, 109, True, ValueError),
+    "order": ("moment order", TypeError, 0, True, inf, False, ValueError),
+    "alpha": ("alpha", None, 0.0, False, inf, False, DegenerateInputError),
+    "alpha_sq": ("alpha_sq", None, 0.0, False, inf, False, DegenerateInputError),
+    "mu": ("alpha_sq", None, 0.0, True, inf, False, DegenerateInputError),
+    "b": ("b", None, 0.0, True, inf, False, CoefficientDomainError),
+    "c": ("c", None, -inf, False, inf, False, NormalizationError),
+    "N": ("photon-number argument", None, 1.0, True, inf, False, DegenerateInputError),
+    "photon_number": ("photon_number", ValueError, 1, True, inf, False, ValueError),
+    "n_tot": ("n_tot", None, 0.0, False, inf, False, DegenerateInputError),
+    "count": ("count", ValueError, 1, True, inf, False, ValueError),
+    "points": ("points", ValueError, 2, True, inf, False, ValueError),
+    "seed": ("seed", ValueError, 0, True, inf, False, ValueError),
+    "tol": ("tolerance", None, 0.0, True, inf, False, ValueError),
+}
+
+
+def ends(name: str) -> tuple[str, str]:
+    """A row's lower and upper end as text: ('>= 1', '<= 109'), ('> 0', 'finite')."""
+    _, _, lo, lo_closed, hi, hi_closed, _ = DOMAIN[name]
+    upper = "finite" if hi == inf else f"{'<=' if hi_closed else '<'} {hi:g}"
+    return f"{'>=' if lo_closed else '>'} {lo:g}", upper
+
+
+def rule(name: str) -> str:
+    """What a row accepts: 'finite and > 0', 'a positive int', 'an int >= 0'."""
+    _, integer, lo, *_ = DOMAIN[name]
+    lower, upper = ends(name)
+    if integer is None:
+        return upper if lo == -inf else f"{upper} and {lower}"
+    kind = "a positive int" if lower == ">= 1" else f"an int {lower}"
+    return kind if upper == "finite" else f"{kind} {upper}"
+
+
+def inside(name: str, x):
+    """Whether x is above the row's lower end, and below its upper end (elementwise)."""
+    _, _, lo, lo_closed, hi, hi_closed, _ = DOMAIN[name]
+    return (x >= lo if lo_closed else x > lo), (x <= hi if hi_closed else x < hi)
+
+
+def check(**values) -> None:
+    """Raise unless each value (every element) lies in the row its keyword names,
+    ``check(d=d, alpha_sq=alpha_sq)``; an integer is an int, not a bool, or an int array."""
+    for name, x in values.items():
+        label, integer, lo, lo_closed, hi, hi_closed, outside = DOMAIN[name]
+        # inside(name, x), written out: the call would cost a scalar kernel ~10%
+        ok = (x >= lo if lo_closed else x > lo) & (x <= hi if hi_closed else x < hi)
+        if integer is not None and type(x) is not int and not (
+                x.dtype.kind in "iu" if getattr(x, "ndim", 0)
+                else isinstance(x, int) and not isinstance(x, bool)):
+            ok, outside = ok & False, integer
+        if ok is not True and not all_true(ok):
+            raise outside(f"{label} must be {rule(name)}, got {first_failing(x, ok)!r}")

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from ._arrays import (all_true, check_positive_int, first_failing, libm, quiet_overflow,
-                      scalar, sqrt)
+from ._arrays import libm, quiet_overflow, scalar, sqrt
+from ._domain import check
 from .errors import DegenerateInputError, RegionError
 from .moments import coherent_number_moment
 from .qfim import trace_inverse_bound
@@ -113,23 +113,6 @@ class RegionCell:
     interior: bool
 
 
-def _check_d(d) -> None:
-    check_positive_int("parameter count d", d)
-
-
-def _check_positive(name: str, x) -> None:
-    ok = (x > 0.0) & (x < math.inf)
-    if not all_true(ok):
-        raise DegenerateInputError(f"{name} must be finite and > 0, got {first_failing(x, ok)}")
-
-
-def _check_photons(n) -> None:
-    ok = (n >= 1.0) & (n < math.inf)
-    if not all_true(ok):
-        raise DegenerateInputError(
-            f"photon-number argument must be >= 1, got {first_failing(n, ok)}")
-
-
 def _headline_scale(d):
     """Common d-scaling of all optimized bounds: d (sqrt d + 1)^2 / 4."""
     return d * libm(pow, sqrt(d) + 1.0, 2) / 4.0
@@ -145,15 +128,13 @@ def _ecs_kind(m: int) -> BoundKind:
 
 def ecs_linear_value(d, alpha_sq):
     """Interior-regime coherent-probe optimum for m = 1 (raw formula, unchecked)."""
-    _check_d(d)
-    _check_positive("alpha_sq", alpha_sq)
+    check(d=d, alpha_sq=alpha_sq)
     return scalar(_headline_scale(d) / libm(pow, 1.0 + alpha_sq, 2))
 
 
 def ecs_nonlinear_value(d, alpha_sq):
     """Interior-regime coherent-probe optimum for m = 2 (raw formula, unchecked)."""
-    _check_d(d)
-    _check_positive("alpha_sq", alpha_sq)
+    check(d=d, alpha_sq=alpha_sq)
     mu = alpha_sq
     with quiet_overflow(mu):
         cubic = ((mu + 6.0) * mu + 7.0) * mu + 1.0  # f(4)/mu
@@ -161,14 +142,12 @@ def ecs_nonlinear_value(d, alpha_sq):
 
 
 def noon_linear_value(d, photon_number):
-    _check_d(d)
-    _check_photons(photon_number)
+    check(d=d, N=photon_number)
     return scalar(_headline_scale(d) / libm(pow, photon_number, 2))
 
 
 def noon_nonlinear_value(d, photon_number):
-    _check_d(d)
-    _check_photons(photon_number)
+    check(d=d, N=photon_number)
     return scalar(_headline_scale(d) / libm(pow, photon_number, 4))
 
 
@@ -250,13 +229,13 @@ def qcrb_noon_nonlinear(d: int, photon_number: float) -> BoundReport:
 
 def two_mode_ecs_norm_sq(alpha_sq: float) -> float:
     """Squared normalization 1/(2(1 + e^{-alpha_sq})) of one two-mode coherent probe."""
-    _check_positive("alpha_sq", alpha_sq)
+    check(alpha_sq=alpha_sq)
     return 1.0 / (2.0 * (1.0 + math.exp(-alpha_sq)))
 
 
 def independent_ecs_total_photons(d: int, alpha_sq: float) -> float:
     """Mean total photons across d independent two-mode probes: 2 d N^2 alpha_sq."""
-    _check_d(d)
+    check(d=d)
     return 2.0 * d * two_mode_ecs_norm_sq(alpha_sq) * alpha_sq
 
 
@@ -265,7 +244,7 @@ def qcrb_independent_ecs(d: int, alpha_sq: float) -> BoundReport:
 
     d times the single-probe variance 1/(4 N^2 alpha_sq [1 + alpha_sq (1 - N^2)]).
     """
-    _check_d(d)
+    check(d=d)
     n_sq = two_mode_ecs_norm_sq(alpha_sq)
     single = 1.0 / (4.0 * n_sq * alpha_sq * (1.0 + alpha_sq * (1.0 - n_sq)))
     return BoundReport(value=d * single, kind=BoundKind.INDEPENDENT_ECS,
@@ -317,8 +296,7 @@ def independent_ecs_vs_ntot(d: int, n_tot: float) -> BoundReport:
     d^3 / (n_tot [2 d + n_tot (N^{-2} - 1)]); for matched arguments this
     agrees with :func:`qcrb_independent_ecs` to rounding.
     """
-    _check_d(d)
-    _check_positive("n_tot", n_tot)
+    check(d=d, n_tot=n_tot)
     alpha_sq = _independent_alpha_sq(d, n_tot)
     inv_n_sq = 2.0 * (1.0 + math.exp(-alpha_sq))
     value = d ** 3 / (n_tot * (2.0 * d + n_tot * (inv_n_sq - 1.0)))
@@ -329,8 +307,7 @@ def independent_ecs_vs_ntot(d: int, n_tot: float) -> BoundReport:
 
 def qcrb_independent_noon(d: int, n_tot: float) -> BoundReport:
     """d separate two-mode NOON probes sharing n_tot photons: d^3 / n_tot^2."""
-    _check_d(d)
-    _check_positive("n_tot", n_tot)
+    check(d=d, n_tot=n_tot)
     return BoundReport(value=d ** 3 / n_tot ** 2, kind=BoundKind.INDEPENDENT_NOON,
                        regime=Regime.NOT_APPLICABLE, params={"d": d, "n_tot": n_tot})
 
@@ -353,8 +330,7 @@ def zzb_noon(d: int, photon_number: float, lam: float = ZIV_ZAKAI_LAMBDA) -> Bou
 
     with no smoothing; the first dominates for large d (d >= 4).
     """
-    _check_d(d)
-    _check_photons(photon_number)
+    check(d=d, N=photon_number)
     first, second = _zzb_branches(d, float(photon_number) ** 2, lam)
     return BoundReport(value=max(first, second), kind=BoundKind.ZIV_ZAKAI_NOON,
                        regime=Regime.NOT_APPLICABLE,
@@ -364,8 +340,7 @@ def zzb_noon(d: int, photon_number: float, lam: float = ZIV_ZAKAI_LAMBDA) -> Bou
 
 def zzb_ecs(d: int, alpha_sq: float, lam: float = ZIV_ZAKAI_LAMBDA) -> BoundReport:
     """Bayesian bound for the coherent probe: the NOON form with N^2 -> (alpha_sq + 1)^2."""
-    _check_d(d)
-    _check_positive("alpha_sq", alpha_sq)
+    check(d=d, alpha_sq=alpha_sq)
     first, second = _zzb_branches(d, (alpha_sq + 1.0) ** 2, lam)
     return BoundReport(value=max(first, second), kind=BoundKind.ZIV_ZAKAI_ECS,
                        regime=Regime.NOT_APPLICABLE,
@@ -378,7 +353,7 @@ def region_classify(d, alpha, m: int) -> RegionCell:
 
     d and alpha broadcast against each other.
     """
-    _check_positive("alpha", alpha)
+    check(alpha=alpha)
     with quiet_overflow(alpha):
         alpha_sq = alpha * alpha  # an overflow to inf is rejected by domain_geometry
     geom = domain_geometry(d, m, alpha_sq)

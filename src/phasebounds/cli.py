@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from itertools import repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import bounds, states
+from . import _domain, bounds, states
 from ._arrays import minimum, sqrt
 from ._suites import SUITE_NAMES
 from .errors import PhaseBoundsError
@@ -91,9 +91,12 @@ def _rows(columns: Sequence) -> list[tuple]:
 
 def _write_sweep(args: argparse.Namespace, header: Sequence[str],
                  chunks: Callable[[], Iterable[Sequence]]) -> None:
-    """Evaluate every chunk once, so any check fails before output exists, then write."""
-    for _ in chunks():
-        pass
+    """Evaluate every chunk once, so that any error exits 2 naming the sweep's
+    numeric flags before output exists, then write."""
+    given = {k.replace("_", "-"): v for k, v in vars(args).items() if type(v) in (int, float)}
+    with _naming(given):
+        for _ in chunks():
+            pass
     _write_table(args.out, args.format, header, map(_rows, chunks()))
 
 
@@ -111,19 +114,6 @@ def _emit_report(report: bounds.BoundReport, fmt: str, out: str | None) -> None:
     row = (report.kind.value, report.regime.value, report.value,
            *(report.params[k] for k in keys))
     _write_table(out, "csv", ["kind", "regime", "value"] + keys, [[row]])
-
-
-# The values each numeric `bounds` flag accepts: the ranges the kernels
-# enforce, checked here so that the message names the flag and the value
-# given.  `--alpha` is squared before use, so its square must stay finite
-# and nonzero too.
-_BOUNDS_RANGES = {
-    "alpha": (lambda a: a > 0.0 and 0.0 < a * a < math.inf,
-              "> 0 with a finite, nonzero square"),
-    "N": (lambda n: 1.0 <= n < math.inf, "finite and >= 1"),
-    "n-tot": (lambda n: 0.0 < n < math.inf, "finite and > 0"),
-    "b": (lambda b: 0.0 <= b < math.inf, "finite and >= 0"),
-}
 
 
 # What each `bounds` family reads besides --d, and the bound it reports from
@@ -154,16 +144,37 @@ def _require(args: argparse.Namespace, flag: str, family: str) -> float:
     value = _value(args, flag)
     if value is None:
         raise PhaseBoundsError(f"--{flag} is required for family {family}")
-    accepts, rule = _BOUNDS_RANGES[flag]
-    if not accepts(value):
+    return value
+
+
+def _inside(flag: str, name: str, value, upper: bool = True, got: str = "") -> None:
+    """Exit 2 naming flag and the end of domain row `name` (or of its lower end
+    alone) that value is outside."""
+    above, below = _domain.inside(name, value)
+    if not above or (upper and not below):
+        raise PhaseBoundsError(f"{flag} must be {_domain.ends(name)[above]}{got}")
+
+
+def _number(flag: str, value: float) -> None:
+    """Exit 2 unless the domain row of a `bounds` flag (--n-tot: n_tot) accepts value;
+    --alpha is squared before use, so its square must lie in the alpha_sq row too."""
+    name = flag.replace("-", "_")
+    ok, rule = all(_domain.inside(name, value)), _domain.rule(name)
+    if name == "alpha":
+        ok = ok and all(_domain.inside("alpha_sq", value * value))
+        rule = f"{_domain.ends(name)[0]} with a finite, nonzero square"
+    if not ok:
         raise PhaseBoundsError(f"--{flag} must be {rule}, got {value!r}")
-    return value
 
 
-def _require_positive(flag: str, value: int) -> int:
-    if value < 1:
-        raise PhaseBoundsError(f"{flag} must be >= 1")
-    return value
+@contextmanager
+def _naming(given: dict) -> Iterator[None]:
+    """Re-raise any error of the block naming each flag read: `... (at --d 3 --alpha 2.0)`."""
+    try:
+        yield
+    except Exception as exc:
+        shown = " ".join(f"--{flag} {value!r}" for flag, value in given.items())
+        raise PhaseBoundsError(f"{exc} (at {shown})") from exc
 
 
 def _unread(flag: str, family: str, flags: Sequence[str]) -> PhaseBoundsError:
@@ -178,30 +189,25 @@ def _unread(flag: str, family: str, flags: Sequence[str]) -> PhaseBoundsError:
 
 
 def _bounds_report(args: argparse.Namespace) -> bounds.BoundReport:
-    """Check --d, --m and the family's flags, reject flags it does not read, then report.
-
-    Any error the report raises exits 2 naming --d and each flag given.
-    """
+    """Check --d, --m and the family's flags, reject flags it does not read, then report."""
     family = args.family
-    _require_positive("--d", args.d)
+    _inside("--d", "d", args.d)
     if args.m is not None:
-        _require_positive("--m", args.m)
+        _inside("--m", "m", args.m)
     rows = [(flags, report) for fam, flags, report in _FAMILIES if fam == family]
     flags, report = next((row for row in rows if _value(args, row[0][0]) is not None), rows[-1])
     given = {"d": args.d}
     for flag in flags:
         if flag != "m":
             given[flag] = _require(args, flag, family)
+            _number(flag, given[flag])
         elif args.m is not None:
             given[flag] = args.m
-    for flag in ("m", *_BOUNDS_RANGES):
+    for flag in ("m", "alpha", "N", "n-tot", "b"):
         if flag not in flags and _value(args, flag) is not None:
             raise _unread(flag, family, flags)
-    try:
+    with _naming(given):
         return report(*given.values())
-    except Exception as exc:
-        shown = " ".join(f"--{flag} {value!r}" for flag, value in given.items())
-        raise PhaseBoundsError(f"{exc} (at {shown})") from exc
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -235,14 +241,9 @@ def _curves_chunks(d: int, axis) -> Iterator[tuple]:
                exact_mean)
 
 
-def _check_axis_end(flag: str, value: float, power: int) -> None:
-    """Reject an axis end whose given power is not finite, before np.linspace.
-
-    The sweep kernels raise the axis to this power (the moments f(2m) of
-    alpha^2 in `region`, n_tot^4 in the quadratic bounds of `curves`), so a
-    larger end could only fail later, in a message that does not name the
-    flag, and np.linspace itself warns on inf.
-    """
+def _finite_power(flag: str, value: float, power: int) -> None:
+    """Exit 2 naming flag unless this power of a sweep axis end, which the kernels form
+    (f(2m) of alpha^2, n_tot^4), is finite: checked before np.linspace warns on inf."""
     try:
         finite = math.isfinite(math.pow(value, power))
     except OverflowError:
@@ -256,51 +257,48 @@ def _check_axis_end(flag: str, value: float, power: int) -> None:
 def cmd_region(args: argparse.Namespace) -> int:
     import numpy as np
 
-    power = 4 * _require_positive("--m", args.m)
-    if not args.alpha_min > 0:
-        raise PhaseBoundsError("--alpha-min must be > 0")
-    _check_axis_end("--alpha-min", args.alpha_min, power)
-    _check_axis_end("--alpha-max", args.alpha_max, power)
+    _inside("--m", "m", args.m)
+    _inside("--alpha-min", "alpha", args.alpha_min, upper=False)
+    _finite_power("--alpha-min", args.alpha_min, 4 * args.m)
+    _finite_power("--alpha-max", args.alpha_max, 4 * args.m)
     if not args.alpha_max >= args.alpha_min:
         raise PhaseBoundsError("--alpha-max must be >= --alpha-min")
-    _require_positive("--alpha-steps", args.alpha_steps)
+    _inside("--alpha-steps", "count", args.alpha_steps)
     if args.d_steps is not None:
-        _require_positive("--d-steps", args.d_steps)
-    _require_positive("--d-min", args.d_min)
+        _inside("--d-steps", "count", args.d_steps)
+    _inside("--d-min", "d", args.d_min)
     if args.d_max < args.d_min:
         raise PhaseBoundsError("--d-max must be >= --d-min")
-    if args.d_steps is None:
-        d_values = list(range(args.d_min, args.d_max + 1))
-    else:
-        # rounded to integers; repeats keep the cell count at the requested product
-        d_values = [int(round(x)) for x in
-                    np.linspace(args.d_min, args.d_max, args.d_steps)]
-    alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
-    _write_sweep(args, REGION_HEADER, lambda: _region_chunks(d_values, alphas, args.m))
+
+    def chunks():
+        # d rounded to integers; repeats keep the cell count at the requested product
+        d_values = (list(range(args.d_min, args.d_max + 1)) if args.d_steps is None else
+                    [int(round(x)) for x in np.linspace(args.d_min, args.d_max, args.d_steps)])
+        alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
+        return _region_chunks(d_values, alphas, args.m)
+
+    _write_sweep(args, REGION_HEADER, chunks)
     return 0
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
     import numpy as np
 
-    _require_positive("--d", args.d)
-    if args.points < 2:
-        raise PhaseBoundsError("--points must be >= 2")
-    if not args.ntot_min >= 1.0:
-        raise PhaseBoundsError("--ntot-min must be >= 1")
+    _inside("--d", "d", args.d)
+    _inside("--points", "points", args.points)
+    _inside("--ntot-min", "N", args.ntot_min, upper=False)
     if not args.ntot_max >= args.ntot_min:
         raise PhaseBoundsError("--ntot-max must be >= --ntot-min")
-    _check_axis_end("--ntot-max", args.ntot_max, 4)
-    axis = np.linspace(args.ntot_min, args.ntot_max, args.points)
-    _write_sweep(args, CURVES_HEADER, lambda: _curves_chunks(args.d, axis))
+    _finite_power("--ntot-max", args.ntot_max, 4)
+    _write_sweep(args, CURVES_HEADER, lambda: _curves_chunks(
+        args.d, np.linspace(args.ntot_min, args.ntot_max, args.points)))
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
-    if args.seed < 0:
-        raise PhaseBoundsError(f"--seed must be >= 0, got {args.seed}")
+    _inside("--seed", "seed", args.seed, got=f", got {args.seed}")
     overrides = {}
     for item in args.tol:
         name, _, value = item.partition("=")
@@ -312,8 +310,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             tol = float(value)
         except ValueError:
             tol = math.nan
-        if not 0.0 <= tol < math.inf:
-            raise PhaseBoundsError(f"--tol {name} must be a finite number >= 0, got {value!r}")
+        if not all(_domain.inside("tol", tol)):
+            lower, upper = _domain.ends("tol")
+            raise PhaseBoundsError(f"--tol {name} must be a {upper} number {lower}, got {value!r}")
         suite = name.partition(".")[0]
         if args.suite not in ("all", suite):
             raise PhaseBoundsError(
@@ -381,10 +380,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PhaseBoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
+    except (PhaseBoundsError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,6 +17,7 @@ import math
 from functools import lru_cache
 
 from ._arrays import all_true, first_failing, quiet_overflow, scalar
+from ._domain import check
 from .errors import DegenerateInputError
 
 __all__ = [
@@ -56,17 +57,6 @@ def stirling2(m: int, k: int) -> int:
     return _stirling_row(m)[k]
 
 
-def _check_moment_args(m: int, mu) -> None:
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise TypeError(f"moment order must be an int, got {m!r}")
-    if m < 0:
-        raise ValueError(f"moment order must be >= 0, got {m}")
-    ok = (mu >= 0.0) & (mu < math.inf)
-    if not all_true(ok):
-        raise ValueError(
-            f"mean photon number must be finite and >= 0, got {first_failing(mu, ok)}")
-
-
 def coherent_number_moment(m: int, mu):
     """m-th photon-number moment of a coherent state with ``|alpha|^2 = mu``.
 
@@ -91,7 +81,7 @@ def coherent_number_moment(m: int, mu):
         If the polynomial exceeds the double-precision range; the result is
         never silently saturated.
     """
-    _check_moment_args(m, mu)
+    check(order=m, mu=mu)
     total = 0.0 * mu  # zero in mu's shape
     power = 1.0  # mu^k
     with quiet_overflow(mu):
@@ -118,7 +108,7 @@ def moment_via_poisson_sum(m: int, mu: float, tail_tol: float) -> float:
     ratio ``mu/(n+1) (1 + 1/n)^m`` is at most 1/2, so the tail beyond the
     current term is bounded by the term itself via the geometric series.
     """
-    _check_moment_args(m, mu)
+    check(order=m, mu=mu)
     if not tail_tol > 0.0:
         raise ValueError(f"tail_tol must be > 0, got {tail_tol}")
     if mu > _EXP_UNDERFLOW_MU:

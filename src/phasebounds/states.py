@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._arrays import (all_true, check_positive_int, clip_negative, first_failing, libm,
-                      quiet_overflow, scalar, sqrt)
+from ._arrays import all_true, clip_negative, first_failing, libm, quiet_overflow, scalar, sqrt
+from ._domain import check
 from .errors import CoefficientDomainError, DegenerateInputError, NormalizationError
 from .moments import second_moment_ratio
 
@@ -97,23 +97,6 @@ class DomainGeometry:
     interior: bool
 
 
-def _check_d(d) -> None:
-    check_positive_int("mode count d", d)
-
-
-def _check_m(m: int) -> None:
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"generator order m must be a positive int, got {m!r}")
-
-
-def _check_alpha_sq(alpha_sq, allow_zero: bool) -> None:
-    ok = (alpha_sq >= 0.0 if allow_zero else alpha_sq > 0.0) & (alpha_sq < math.inf)
-    if not all_true(ok):
-        bound = ">= 0" if allow_zero else "> 0"
-        raise DegenerateInputError(
-            f"alpha_sq must be finite and {bound}, got {first_failing(alpha_sq, ok)}")
-
-
 def _overlaps(d, alpha_sq):
     """Overlap sums of the normalization quadratic: (u, v, u - v^2).
 
@@ -123,8 +106,7 @@ def _overlaps(d, alpha_sq):
     d (1 - x)(1 + d x), x = e^{-alpha_sq}, with 1 - x = -expm1(-alpha_sq):
     the direct difference loses precision at small alpha_sq.
     """
-    _check_d(d)
-    _check_alpha_sq(alpha_sq, allow_zero=True)
+    check(d=d, mu=alpha_sq)
     x = libm(math.exp, -alpha_sq)
     return d + d * (d - 1) * x, d * x, d * -libm(math.expm1, -alpha_sq) * (1.0 + d * x)
 
@@ -147,9 +129,7 @@ def solve_c(b, d, alpha_sq, *, smaller_root: bool = False):
         If b^2 exceeds the cap Gamma, i.e. the discriminant is negative and
         no real c exists.
     """
-    ok = (b >= 0.0) & (b < math.inf)
-    if not all_true(ok):
-        raise CoefficientDomainError(f"b must be finite and >= 0, got {first_failing(b, ok)}")
+    check(b=b)
     _, v, denom = _overlaps(d, alpha_sq)
     disc = 1.0 - b * b * denom
     ok = disc >= -DOMAIN_ATOL
@@ -185,9 +165,7 @@ def b_star(d, m: int, alpha_sq):
     g = f(2m)/f(m)^2 tends to 1 for large alpha_sq, where b_star approaches
     the orthogonal-branch value 1/sqrt(d + sqrt d).
     """
-    _check_d(d)
-    _check_m(m)
-    _check_alpha_sq(alpha_sq, allow_zero=False)
+    check(d=d, m=m, alpha_sq=alpha_sq)
     g = second_moment_ratio(m, alpha_sq)
     return scalar(sqrt(g / (sqrt(d) + d)))
 
@@ -195,8 +173,7 @@ def b_star(d, m: int, alpha_sq):
 def domain_geometry(d, m: int, alpha_sq) -> DomainGeometry:
     """Cap, optimizer and regime flag in one record, broadcast over d and alpha_sq."""
     gamma_cap = b_domain_limit(d, alpha_sq)
-    _check_m(m)
-    _check_alpha_sq(alpha_sq, allow_zero=False)
+    check(m=m, alpha_sq=alpha_sq)
     g = second_moment_ratio(m, alpha_sq)
     bs = sqrt(g / (sqrt(d) + d))
     return DomainGeometry(gamma_cap=gamma_cap, b_star=scalar(bs), g=g,
@@ -214,23 +191,14 @@ def mean_total_photons(p: EcsParams):
 
 def noon_optimal_b(d: int) -> float:
     """Sensing coefficient minimizing the NOON-probe bound: 1/sqrt(d + sqrt d)."""
-    _check_d(d)
+    check(d=d)
     return 1.0 / math.sqrt(d + math.sqrt(d))
 
 
 def validate_ecs(p: EcsParams) -> EcsParams:
     """Return p unchanged if every invariant holds, else raise naming the violation."""
-    _check_d(p.d)
-    _check_m(p.m)
-    _check_alpha_sq(p.alpha_sq, allow_zero=True)
+    check(m=p.m, b=p.b, c=p.c)
     b, c = p.b, p.c
-    ok = (b >= 0.0) & (b < math.inf)
-    if not all_true(ok):
-        raise CoefficientDomainError(
-            f"b must be finite and >= 0 under the real-b convention, got {first_failing(b, ok)}")
-    ok = (c > -math.inf) & (c < math.inf)
-    if not all_true(ok):
-        raise NormalizationError(f"c must be finite, got {first_failing(c, ok)}")
     u, v, denom = _overlaps(p.d, p.alpha_sq)
     # domain first: an out-of-cap b cannot be normalized by any choice of c.
     # At alpha_sq = 0 the cap 1/(u - v^2) is undefined and b is unconstrained;
@@ -253,13 +221,7 @@ def validate_ecs(p: EcsParams) -> EcsParams:
 
 def validate_noon(p: NoonParams) -> NoonParams:
     """Return p unchanged if every invariant holds, else raise naming the violation."""
-    _check_d(p.d)
-    _check_m(p.m)
-    if isinstance(p.photon_number, bool) or not isinstance(p.photon_number, int) \
-            or p.photon_number < 1:
-        raise ValueError(f"photon_number must be a positive int, got {p.photon_number!r}")
-    if not (math.isfinite(p.b) and p.b >= 0.0):
-        raise CoefficientDomainError(f"b must be finite and >= 0, got {p.b}")
+    check(d=p.d, m=p.m, photon_number=p.photon_number, b=p.b)
     residual = p.d * p.b * p.b + p.c * p.c - 1.0
     if abs(residual) > NORMALIZATION_ATOL:
         raise NormalizationError(

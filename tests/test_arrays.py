@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebounds import _arrays, bounds, states
+from phasebounds import _arrays, _domain, bounds, states
 
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.0])
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | EDGE_FLOATS
@@ -107,7 +107,7 @@ class TestHelpers:
     @pytest.mark.parametrize("n", [0, -1, 2.0, True, np.int64(3)])
     def test_check_positive_int_rejects(self, n):
         with pytest.raises(ValueError, match="must be a positive int"):
-            _arrays.check_positive_int("d", n)
+            _domain.check(d=n)
 
 
 class TestKernels:
