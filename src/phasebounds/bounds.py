@@ -33,9 +33,8 @@ from typing import Mapping
 
 from ._arrays import libm, quiet_overflow, scalar, sqrt
 from ._domain import check
-from .errors import DegenerateInputError, RegionError
-from .moments import coherent_number_moment
-from .qfim import trace_inverse_bound
+from .errors import RegionError
+from .qfim import trace_inverse_bound, trace_inverse_value
 from .states import domain_geometry, ecs_params
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "qcrb_ecs_at_b",
     "qcrb_noon_linear",
     "qcrb_noon_nonlinear",
-    "two_mode_ecs_norm_sq",
     "independent_ecs_total_photons",
     "qcrb_independent_ecs",
     "independent_ecs_vs_ntot",
@@ -80,6 +78,7 @@ class BoundKind(str, Enum):
     ZIV_ZAKAI_ECS = "zzb-ecs"
     ZIV_ZAKAI_NOON = "zzb-noon"
     GENERAL_ECS_AT_B = "ecs-at-b"
+    ECS_OPTIMAL = "ecs-optimal"
 
 
 class Regime(str, Enum):
@@ -123,7 +122,7 @@ def _ecs_kind(m: int) -> BoundKind:
         return BoundKind.ECS_LINEAR
     if m == 2:
         return BoundKind.ECS_NONLINEAR
-    return BoundKind.GENERAL_ECS_AT_B
+    return BoundKind.ECS_OPTIMAL
 
 
 def ecs_linear_value(d, alpha_sq):
@@ -156,25 +155,18 @@ def minimize_bound_over_b(d: int, m: int, alpha_sq: float) -> BoundReport:
 
     Interior regime (b_star^2 <= Gamma): value
     d (sqrt d + 1)^2 / 4 * f(m)^2 / f(2m)^2 at b = b_star.  Otherwise the
-    minimum sits at the cap, b^2 = Gamma, where the general trace expression
-    is evaluated.  Clamping implies g > Gamma (d + sqrt d), so the clamped
-    expression is always well defined; the guard below is defensive.
+    minimum sits at the cap, b^2 = Gamma, where qfim.trace_inverse_value is
+    evaluated on the moments domain_geometry formed.  Clamping implies
+    g > Gamma (d + sqrt d), so that value's b^2 < g/d guard never fires here.
     """
     geom = domain_geometry(d, m, alpha_sq)
-    f_m = coherent_number_moment(m, alpha_sq)
-    f_2m = coherent_number_moment(2 * m, alpha_sq)
     params = {"d": d, "m": m, "alpha_sq": alpha_sq, "b_star": geom.b_star,
               "gamma_cap": geom.gamma_cap, "g": geom.g}
     if geom.interior:
-        value = _headline_scale(d) * (f_m / f_2m) ** 2
+        value = _headline_scale(d) * (geom.f_m / geom.f_2m) ** 2
         return BoundReport(value=value, kind=_ecs_kind(m), regime=Regime.INTERIOR,
                            params={**params, "b_sq_used": geom.b_star ** 2})
-    slack = geom.g - geom.gamma_cap * d
-    if slack <= 0.0:
-        raise DegenerateInputError(
-            f"clamped bound undefined: g - Gamma d = {slack:.3e} <= 0 "
-            f"(unreachable for this probe family)")
-    value = d / (4.0 * f_2m) * (1.0 / geom.gamma_cap + 1.0 / slack)
+    value = trace_inverse_value(d, geom.f_2m, geom.g, geom.gamma_cap)
     return BoundReport(value=value, kind=_ecs_kind(m), regime=Regime.CLAMPED,
                        params={**params, "b_sq_used": geom.gamma_cap})
 
@@ -227,7 +219,7 @@ def qcrb_noon_nonlinear(d: int, photon_number: float) -> BoundReport:
                        params={"d": d, "m": 2, "photon_number": photon_number})
 
 
-def two_mode_ecs_norm_sq(alpha_sq: float) -> float:
+def _two_mode_ecs_norm_sq(alpha_sq: float) -> float:
     """Squared normalization 1/(2(1 + e^{-alpha_sq})) of one two-mode coherent probe."""
     check(alpha_sq=alpha_sq)
     return 1.0 / (2.0 * (1.0 + math.exp(-alpha_sq)))
@@ -236,7 +228,7 @@ def two_mode_ecs_norm_sq(alpha_sq: float) -> float:
 def independent_ecs_total_photons(d: int, alpha_sq: float) -> float:
     """Mean total photons across d independent two-mode probes: 2 d N^2 alpha_sq."""
     check(d=d)
-    return 2.0 * d * two_mode_ecs_norm_sq(alpha_sq) * alpha_sq
+    return 2.0 * d * _two_mode_ecs_norm_sq(alpha_sq) * alpha_sq
 
 
 def qcrb_independent_ecs(d: int, alpha_sq: float) -> BoundReport:
@@ -245,7 +237,7 @@ def qcrb_independent_ecs(d: int, alpha_sq: float) -> BoundReport:
     d times the single-probe variance 1/(4 N^2 alpha_sq [1 + alpha_sq (1 - N^2)]).
     """
     check(d=d)
-    n_sq = two_mode_ecs_norm_sq(alpha_sq)
+    n_sq = _two_mode_ecs_norm_sq(alpha_sq)
     single = 1.0 / (4.0 * n_sq * alpha_sq * (1.0 + alpha_sq * (1.0 - n_sq)))
     return BoundReport(value=d * single, kind=BoundKind.INDEPENDENT_ECS,
                        regime=Regime.NOT_APPLICABLE,
@@ -376,13 +368,12 @@ def grid_scan_minimizer(d: int, m: int, alpha_sq: float,
     if grid_points < 1000:
         raise ValueError(f"grid_points must be >= 1000, got {grid_points}")
     geom = domain_geometry(d, m, alpha_sq)
-    f_2m = coherent_number_moment(2 * m, alpha_sq)
     pole = geom.g / d
     hi = min(geom.gamma_cap, pole)
     beta = np.linspace(0.0, hi, grid_points + 1)[1:]
     if pole <= geom.gamma_cap:
         beta = beta[:-1]
-    values = d / (4.0 * f_2m) * (1.0 / beta + 1.0 / (geom.g - beta * d))
+    values = trace_inverse_value(d, geom.f_2m, geom.g, beta)
     i = int(np.argmin(values))
     at_cap = geom.gamma_cap < pole and i == len(beta) - 1
     return BoundReport(value=float(values[i]), kind=BoundKind.GENERAL_ECS_AT_B,

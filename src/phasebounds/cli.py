@@ -155,10 +155,10 @@ def _inside(flag: str, name: str, value, upper: bool = True, got: str = "") -> N
         raise PhaseBoundsError(f"{flag} must be {_domain.ends(name)[above]}{got}")
 
 
-def _number(flag: str, value: float) -> None:
-    """Exit 2 unless the domain row of a `bounds` flag (--n-tot: n_tot) accepts value;
-    --alpha is squared before use, so its square must lie in the alpha_sq row too."""
-    name = flag.replace("-", "_")
+def _number(flag: str, value: float, name: str = "") -> None:
+    """Exit 2 unless domain row `name` (default the flag's: --n-tot reads n_tot) accepts
+    value; an alpha is squared before use, so its square must lie in the alpha_sq row too."""
+    name = name or flag.replace("-", "_")
     ok, rule = all(_domain.inside(name, value)), _domain.rule(name)
     if name == "alpha":
         ok = ok and all(_domain.inside("alpha_sq", value * value))
@@ -258,8 +258,8 @@ def cmd_region(args: argparse.Namespace) -> int:
     import numpy as np
 
     _inside("--m", "m", args.m)
-    _inside("--alpha-min", "alpha", args.alpha_min, upper=False)
     _finite_power("--alpha-min", args.alpha_min, 4 * args.m)
+    _number("alpha-min", args.alpha_min, "alpha")
     _finite_power("--alpha-max", args.alpha_max, 4 * args.m)
     if not args.alpha_max >= args.alpha_min:
         raise PhaseBoundsError("--alpha-max must be >= --alpha-min")

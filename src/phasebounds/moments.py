@@ -33,15 +33,12 @@ _EXP_UNDERFLOW_MU = 700.0
 
 @lru_cache(maxsize=None)
 def _stirling_row(m: int) -> tuple[int, ...]:
-    """Row m of the Stirling-second-kind triangle, S(m, 0..m), as exact ints."""
-    if m == 0:
-        return (1,)
-    prev = _stirling_row(m - 1)
-    row = [0] * (m + 1)
-    for k in range(1, m + 1):
-        above = prev[k] if k < m else 0
-        row[k] = k * above + prev[k - 1]
-    return tuple(row)
+    """Row m of the Stirling-second-kind triangle, S(m, 0..m), as exact ints, built
+    one order at a time (no recursion limit); only the rows asked for are cached."""
+    row = (1,)
+    for n in range(1, m + 1):
+        row = (0, *(k * row[k] + row[k - 1] for k in range(1, n)), 1)
+    return row
 
 
 def stirling2(m: int, k: int) -> int:
@@ -127,13 +124,8 @@ def moment_via_poisson_sum(m: int, mu: float, tail_tol: float) -> float:
         n += 1
 
 
-def second_moment_ratio(m: int, mu):
-    """Ratio ``f(2m)/f(m)^2`` of coherent-state number moments, elementwise over mu.
-
-    At least 1 for mu > 0 by the Cauchy-Schwarz inequality; tends to 1 as
-    mu grows.  Undefined at mu = 0 for m >= 1 (the probe holds no photons),
-    and wherever f(m)^2 underflows to 0 (mu below about 1e-154).
-    """
+def _moments(m: int, mu):
+    """``(f(m), f(2m), g = f(2m)/f(m)^2)`` elementwise over mu: the one place g is formed."""
     f_m = coherent_number_moment(m, mu)
     f_2m = coherent_number_moment(2 * m, mu)
     f_m_sq = f_m * f_m
@@ -141,4 +133,14 @@ def second_moment_ratio(m: int, mu):
     if not all_true(ok):
         raise DegenerateInputError(
             f"moment ratio undefined at mu={first_failing(mu, ok)}: f(m)^2 = 0")
-    return f_2m / f_m_sq
+    return f_m, f_2m, f_2m / f_m_sq
+
+
+def second_moment_ratio(m: int, mu):
+    """Ratio ``f(2m)/f(m)^2`` of coherent-state number moments, elementwise over mu.
+
+    At least 1 for mu > 0 by the Cauchy-Schwarz inequality; tends to 1 as
+    mu grows.  Undefined at mu = 0 for m >= 1 (the probe holds no photons),
+    and wherever f(m)^2 underflows to 0 (mu below about 1e-154).
+    """
+    return _moments(m, mu)[2]

@@ -11,7 +11,9 @@ inverse is closed form,
 
 and the eigenvalues are gamma (multiplicity d-1) and gamma (1 + omega d),
 so inversion, traces and definiteness tests are all O(1).  Dense matrices
-appear only for cross-checks against the brute-force oracle.
+appear only for cross-checks against the brute-force oracle.  The coherent
+probe's Tr(F^{-1}) is written once, in ``trace_inverse_value``; every bound
+over b evaluates it there, on moments formed once (``moments._moments``).
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._arrays import all_true, first_failing
 from .errors import DegenerateInputError, SingularMatrixError
-from .moments import coherent_number_moment, second_moment_ratio
+from .moments import _moments, coherent_number_moment
 from .states import EcsParams, NoonParams
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "qfim_inverse",
     "to_dense",
     "trace_inverse_bound",
+    "trace_inverse_value",
     "effective_qfi_2param",
 ]
 
@@ -112,23 +116,27 @@ def to_dense(f: StructuredQfim) -> np.ndarray:
     return out
 
 
-def trace_inverse_bound(p: EcsParams) -> float:
-    """Total-variance lower bound Tr(F^{-1}) = d/(4 f(2m)) (1/b^2 + 1/(g - b^2 d)).
+def trace_inverse_value(d, f_2m, g, b_sq):
+    """Tr(F^{-1}) = d/(4 f(2m)) (1/b^2 + 1/(g - b^2 d)), elementwise over b_sq.
 
     Defined for 0 < b^2 < g/d; both endpoints are excluded because the bound
     diverges there, and callers optimizing over b must treat them as such.
     """
+    ok = b_sq * d < g
+    if not all_true(ok):
+        raise SingularMatrixError(
+            f"b^2 = {first_failing(b_sq, ok):.12g} >= g/d = {first_failing(g / d, ok):.12g}: "
+            "information matrix singular or indefinite, bound undefined")
+    return d / (4.0 * f_2m) * (1.0 / b_sq + 1.0 / (g - b_sq * d))
+
+
+def trace_inverse_bound(p: EcsParams) -> float:
+    """Total-variance lower bound Tr(F^{-1}) of a probe (see trace_inverse_value)."""
     if p.alpha_sq <= 0.0 or p.b == 0.0:
         raise DegenerateInputError(
             "trace bound diverges: probe carries no photons in the sensing branches")
-    f_2m = coherent_number_moment(2 * p.m, p.alpha_sq)
-    g = second_moment_ratio(p.m, p.alpha_sq)
-    b_sq = p.b * p.b
-    if b_sq * p.d >= g:
-        raise SingularMatrixError(
-            f"b^2 = {b_sq:.12g} >= g/d = {g / p.d:.12g}: information matrix singular "
-            "or indefinite, bound undefined")
-    return p.d / (4.0 * f_2m) * (1.0 / b_sq + 1.0 / (g - b_sq * p.d))
+    _, f_2m, g = _moments(p.m, p.alpha_sq)
+    return trace_inverse_value(p.d, f_2m, g, p.b * p.b)
 
 
 def effective_qfi_2param(f: np.ndarray) -> float:

@@ -14,7 +14,8 @@ lost and the normalization quadratic stays real.
 
 Probes are validated on construction: EcsParams and NoonParams run
 validate_ecs / validate_noon, so code holding a probe never checks it again.
-``_overlaps`` is the one place the sums u, v and u - v^2 are formed.
+``_overlaps`` is the one place the sums u, v and u - v^2 are formed, and
+``domain_geometry`` the one pass forming Gamma, f(m), f(2m), g and b_star.
 
 The coherent-probe functions broadcast over d, alpha_sq and b (see
 ``_arrays``): a sweep passes arrays, a scalar call gets Python types back.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from ._arrays import all_true, clip_negative, first_failing, libm, quiet_overflow, scalar, sqrt
 from ._domain import check
 from .errors import CoefficientDomainError, DegenerateInputError, NormalizationError
-from .moments import second_moment_ratio
+from .moments import _moments
 
 __all__ = [
     "EcsParams",
@@ -87,14 +88,16 @@ class NoonParams:
 
 @dataclass(frozen=True)
 class DomainGeometry:
-    """Geometry of the sensing weight b^2: its cap, the unconstrained
-    optimizer of the variance bound, the moment ratio g, and whether the
-    optimizer falls inside the cap (arrays when the inputs were)."""
+    """Geometry of the sensing weight b^2: its cap, the unconstrained optimizer
+    of the variance bound, the moments f(m), f(2m) and their ratio g, and whether
+    the optimizer falls inside the cap (arrays when the inputs were)."""
 
     gamma_cap: float
     b_star: float
     g: float
     interior: bool
+    f_m: float
+    f_2m: float
 
 
 def _overlaps(d, alpha_sq):
@@ -166,18 +169,17 @@ def b_star(d, m: int, alpha_sq):
     the orthogonal-branch value 1/sqrt(d + sqrt d).
     """
     check(d=d, m=m, alpha_sq=alpha_sq)
-    g = second_moment_ratio(m, alpha_sq)
-    return scalar(sqrt(g / (sqrt(d) + d)))
+    return domain_geometry(d, m, alpha_sq).b_star
 
 
 def domain_geometry(d, m: int, alpha_sq) -> DomainGeometry:
-    """Cap, optimizer and regime flag in one record, broadcast over d and alpha_sq."""
+    """Cap, moments, optimizer and regime flag in one record, broadcast over d and alpha_sq."""
     gamma_cap = b_domain_limit(d, alpha_sq)
     check(m=m, alpha_sq=alpha_sq)
-    g = second_moment_ratio(m, alpha_sq)
+    f_m, f_2m, g = _moments(m, alpha_sq)
     bs = sqrt(g / (sqrt(d) + d))
     return DomainGeometry(gamma_cap=gamma_cap, b_star=scalar(bs), g=g,
-                          interior=scalar(bs * bs <= gamma_cap))
+                          interior=scalar(bs * bs <= gamma_cap), f_m=f_m, f_2m=f_2m)
 
 
 def mean_total_photons(p: EcsParams):

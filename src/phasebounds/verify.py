@@ -332,8 +332,7 @@ def unimodal(draws: Draws) -> CheckResult:
     def bad_shape(d: int, m: int, alpha_sq: float) -> bool:
         geom = states.domain_geometry(d, m, alpha_sq)
         beta = np.linspace(0.0, min(geom.gamma_cap, geom.g / d), 2001)[1:-1]
-        f_2m = moments.coherent_number_moment(2 * m, alpha_sq)
-        diffs = np.diff(d / (4.0 * f_2m) * (1.0 / beta + 1.0 / (geom.g - beta * d)))
+        diffs = np.diff(qfim.trace_inverse_value(d, geom.f_2m, geom.g, beta))
         rising = np.nonzero(diffs > 0)[0]
         first_rise = rising[0] if len(rising) else len(diffs)
         return bool(np.any(diffs[first_rise:] < 0))

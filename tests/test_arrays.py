@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebounds import _arrays, _domain, bounds, states
+from phasebounds import _arrays, _domain, bounds, qfim, states
 
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.0])
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | EDGE_FLOATS
@@ -124,6 +124,14 @@ class TestKernels:
         b = fraction * math.sqrt(states.b_domain_limit(d, alpha_sq))
         _same(lambda b, d, a: states.solve_c(b, d, a, smaller_root=smaller_root),
               [b, d, alpha_sq])
+
+    @settings(max_examples=300, deadline=None)
+    @given(D, M, ALPHA_SQ, st.floats(1e-6, 1.2))
+    def test_trace_inverse_value(self, d, m, alpha_sq, fraction):
+        # b^2 up to 1.2 g/d, so some draws reach the pole and raise
+        geom = states.domain_geometry(d, m, alpha_sq)
+        _same(lambda b_sq: qfim.trace_inverse_value(d, geom.f_2m, geom.g, b_sq),
+              [fraction * geom.g / d])
 
     @settings(max_examples=300, deadline=None)
     @given(D, M, ALPHA_SQ)

@@ -1,11 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebounds import bounds, qfim, states
+from phasebounds import bounds, moments, qfim, states
 from phasebounds.errors import DegenerateInputError, RegionError
 from phasebounds.verify import crossing_bracket, o_of_d_advantage_fit
 
@@ -43,6 +44,38 @@ class TestMinimizeOverB:
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInputError):
             bounds.minimize_bound_over_b(2, 1, 0.0)
+
+
+class TestOneMomentPass:
+    """domain_geometry forms f(m), f(2m), g and b_star; the bounds read them."""
+
+    @pytest.mark.parametrize("call,m", [
+        (lambda: bounds.minimize_bound_over_b(5, 1, 4.0), 1),  # interior
+        (lambda: bounds.minimize_bound_over_b(5, 2, 0.2), 2),  # clamped
+        (lambda: bounds.qcrb_ecs_at_b(3, 2, 4.0, 0.1), 2),
+        (lambda: bounds.grid_scan_minimizer(3, 1, 1.0, grid_points=1000), 1),
+    ], ids=["interior", "clamped", "at_b", "grid_scan"])
+    def test_moments_evaluated_once(self, monkeypatch, call, m):
+        # patched wherever the name is bound, so a caller cannot get round it
+        orders = []
+        original = moments.coherent_number_moment
+
+        def counted(order, mu):
+            orders.append(order)
+            return original(order, mu)
+        for module in (moments, states, qfim, bounds):
+            if hasattr(module, "coherent_number_moment"):
+                monkeypatch.setattr(module, "coherent_number_moment", counted)
+        call()
+        assert orders == [m, 2 * m]
+
+    @pytest.mark.parametrize("formula", [
+        "/ (4.0 * f_2m)",  # Tr F^-1 = d/(4 f(2m)) (1/b^2 + 1/(g - b^2 d))
+        "g / (sqrt(d) + d)",  # b_star^2
+    ])
+    def test_formula_written_once(self, formula):
+        package = Path(bounds.__file__).parent
+        assert sum(path.read_text().count(formula) for path in package.glob("*.py")) == 1
 
 
 class TestGridScan:

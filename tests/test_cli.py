@@ -68,6 +68,17 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert payload["regime"] == "clamped"
 
+    @pytest.mark.parametrize("m,kind", [("1", "ecs-linear"), ("2", "ecs-nonlinear"),
+                                        ("3", "ecs-optimal"), ("109", "ecs-optimal")])
+    def test_optimized_kind_by_m(self, capsys, m, kind):
+        # an optimized bound at m >= 3 is not the fixed-b family's ecs-at-b
+        code, out, _ = run_cli(capsys, "bounds", "--family", "ecs-optimal", "--d", "3",
+                               "--alpha", "0.1", "--m", m)
+        assert code == 0 and json.loads(out)["kind"] == kind
+        code, out, _ = run_cli(capsys, "bounds", "--family", "ecs-at-b", "--d", "3",
+                               "--alpha", "0.1", "--b", "0.05", "--m", m)
+        assert code == 0 and json.loads(out)["kind"] == "ecs-at-b"
+
     @pytest.mark.parametrize("argv,flag", [
         (("--family", "ecs-linear", "--d", "0", "--alpha", "2"), "--d"),
         (("--family", "noon-linear", "--d", "-3", "--N", "4"), "--d"),
@@ -285,6 +296,14 @@ class TestRegionCommand:
     def test_rejects_zero_m(self, capsys):
         code, out, err = run_cli(capsys, "region", "--m", "0")
         assert code == 2 and out == "" and err == "error: --m must be >= 1\n"
+
+    @pytest.mark.parametrize("alpha_min", ["0", "-1", "1e-170"])
+    def test_alpha_min_needs_a_nonzero_square(self, capsys, alpha_min):
+        # 1e-170 is > 0, but its square underflows to the vacuum
+        code, out, err = run_cli(capsys, "region", "--alpha-min", alpha_min)
+        assert code == 2 and out == ""
+        assert err == ("error: --alpha-min must be > 0 with a finite, nonzero square, "
+                       f"got {float(alpha_min)!r}\n")
 
     def test_underflowing_moment_ratio_warns_nothing(self, capsys, recwarn):
         # f(m)^2 underflows here; the b-domain cap 1/(u - v^2) overflows first

@@ -1,3 +1,4 @@
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,14 @@ class TestStirling2:
         assert moments.stirling2(4, 2) == 7
         assert moments.stirling2(3, 3) == 1
 
+    def test_order_past_the_recursion_limit(self):
+        # S(n, k) = (1/k!) sum_j (-1)^j C(k, j) (k - j)^n, in exact ints
+        n = 1000
+        for k in (0, 1, 2, 3, 17, 250, 500, 998, 999, 1000):
+            explicit = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+            assert explicit % math.factorial(k) == 0
+            assert moments.stirling2(n, k) == explicit // math.factorial(k)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             moments.stirling2(2, 3)
@@ -49,6 +58,11 @@ class TestClosedForm:
         assert moments.coherent_number_moment(2, 2.0) == 6.0
         # mu^4 + 6 mu^3 + 7 mu^2 + mu at mu = 4
         assert moments.coherent_number_moment(4, 4.0) == 756.0
+
+    def test_order_past_the_recursion_limit_overflows(self):
+        # some S(1000, k) exceeds the largest double
+        with pytest.raises(OverflowError):
+            moments.coherent_number_moment(1000, 1.0)
 
     def test_edge_values(self):
         assert moments.coherent_number_moment(0, 0.0) == 1.0

@@ -153,6 +153,17 @@ class TestTraceInverseBound:
         with pytest.raises(DegenerateInputError):
             qfim.trace_inverse_bound(states.ecs_params(2, 1.0, 0.0))
 
+    def test_value_at_the_pole_raises(self):
+        geom = states.domain_geometry(2, 1, 1.0)
+        pole = geom.g / 2
+        with pytest.raises(SingularMatrixError) as info:
+            qfim.trace_inverse_value(2, geom.f_2m, geom.g, pole)
+        assert str(info.value) == (f"b^2 = {pole:.12g} >= g/d = {pole:.12g}: information "
+                                   "matrix singular or indefinite, bound undefined")
+        # an array names its first b^2 at or past the pole
+        with pytest.raises(SingularMatrixError, match=f"^b\\^2 = {2 * pole:.12g} >= "):
+            qfim.trace_inverse_value(2, geom.f_2m, geom.g, np.array([0.5, 2.0, 3.0]) * pole)
+
 
 class TestEffectiveQfi:
     def test_values(self):
