@@ -8,7 +8,7 @@ the optimal probe weight sits.
 """
 
 
-from phasebounds import coherent_number_moment, moment_via_poisson_sum, second_moment_ratio, stirling2
+from phasebounds import coherent_moments, coherent_number_moment, moment_via_poisson_sum, stirling2
 
 print("Stirling triangle rows (the polynomial coefficients):")
 for m in range(0, 5):
@@ -27,5 +27,5 @@ for m in (1, 2, 4, 8, 12):
 
 print("\nmoment ratio g = f(2m)/f(m)^2  (tends to 1 as mu grows):")
 for m in (1, 2):
-    row = [f"{second_moment_ratio(m, mu):8.5f}" for mu in (0.25, 1.0, 4.0, 16.0, 100.0)]
+    row = [f"{coherent_moments(m, mu)[2]:8.5f}" for mu in (0.25, 1.0, 4.0, 16.0, 100.0)]
     print(f"  m={m}: ", "  ".join(row))

@@ -16,8 +16,8 @@ from phasebounds import (
     b_star,
     ecs_params,
     mean_total_photons,
+    overlaps,
     region_classify,
-    uv_coefficients,
 )
 from phasebounds import oracle
 
@@ -37,12 +37,12 @@ print("  b_star(5, 1, alpha_sq=1e6) =", b_star(5, 1, 1e6),
 print("\noracle check: c solved from the quadratic keeps <psi|psi> = 1")
 alpha_sq = 2.0
 cutoff = oracle.minimal_cutoff(alpha_sq, 1e-13) + 2
-u, v = uv_coefficients(d, alpha_sq)
+u, v, _ = overlaps(d, alpha_sq)
 print(f"  u = {u:.6f}, v = {v:.6f}")
 for frac in (0.0, 0.3, 0.7, 0.999):
     b = frac * math.sqrt(b_domain_limit(d, alpha_sq))
     p = ecs_params(d, alpha_sq, b)
-    norm = oracle.norm_sq(oracle.build_ecs_state(p, cutoff))
+    norm = oracle.norm_sq(oracle.build_state(p, cutoff))
     print(f"  b = {b:.5f}  c = {p.c:+.5f}  <psi|psi> - 1 = {norm - 1.0:+.2e}")
 
 p = ecs_params(5, 16.0, b_star(5, 1, 16.0))

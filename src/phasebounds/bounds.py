@@ -63,9 +63,11 @@ __all__ = [
     "grid_scan_minimizer",
 ]
 
-# First-branch constant of the Ziv-Zakai bounds; known only numerically.
-# Exposed as a keyword on the zzb functions for sensitivity checks.
+# First-branch constant of the Ziv-Zakai bounds; known only numerically, so
+# each zzb result reports it in its params as "lam".
 ZIV_ZAKAI_LAMBDA = 0.7246
+# b^2 samples of grid_scan_minimizer's scan
+_SCAN_POINTS = 10_000
 
 
 class BoundKind(str, Enum):
@@ -304,15 +306,15 @@ def qcrb_independent_noon(d: int, n_tot: float) -> BoundReport:
                        regime=Regime.NOT_APPLICABLE, params={"d": d, "n_tot": n_tot})
 
 
-def _zzb_branches(d: int, photon_sq: float, lam: float) -> tuple[float, float]:
+def _zzb_branches(d: int, photon_sq: float) -> tuple[float, float]:
     s = d + math.sqrt(d)
     core = d * s * s / photon_sq
-    first = core / (80.0 * lam * lam)
+    first = core / (80.0 * ZIV_ZAKAI_LAMBDA * ZIV_ZAKAI_LAMBDA)
     second = (math.pi ** 2 / 16.0 - 0.5) * core / (s - 1.0)
     return first, second
 
 
-def zzb_noon(d: int, photon_number: float, lam: float = ZIV_ZAKAI_LAMBDA) -> BoundReport:
+def zzb_noon(d: int, photon_number: float) -> BoundReport:
     """Bayesian bound for the NOON probe under a wide uniform prior.
 
     The exact maximum of two branches,
@@ -320,23 +322,24 @@ def zzb_noon(d: int, photon_number: float, lam: float = ZIV_ZAKAI_LAMBDA) -> Bou
         d (d + sqrt d)^2 / (80 lam^2 N^2)   and
         (pi^2/16 - 1/2) d (d + sqrt d)^2 / ((d + sqrt d - 1) N^2),
 
-    with no smoothing; the first dominates for large d (d >= 4).
+    with lam = ZIV_ZAKAI_LAMBDA and no smoothing; the first dominates for
+    large d (d >= 4).
     """
     check(d=d, N=photon_number)
-    first, second = _zzb_branches(d, float(photon_number) ** 2, lam)
+    first, second = _zzb_branches(d, float(photon_number) ** 2)
     return BoundReport(value=max(first, second), kind=BoundKind.ZIV_ZAKAI_NOON,
                        regime=Regime.NOT_APPLICABLE,
-                       params={"d": d, "photon_number": photon_number, "lam": lam,
+                       params={"d": d, "photon_number": photon_number, "lam": ZIV_ZAKAI_LAMBDA,
                                "branch_first": first, "branch_second": second})
 
 
-def zzb_ecs(d: int, alpha_sq: float, lam: float = ZIV_ZAKAI_LAMBDA) -> BoundReport:
+def zzb_ecs(d: int, alpha_sq: float) -> BoundReport:
     """Bayesian bound for the coherent probe: the NOON form with N^2 -> (alpha_sq + 1)^2."""
     check(d=d, alpha_sq=alpha_sq)
-    first, second = _zzb_branches(d, (alpha_sq + 1.0) ** 2, lam)
+    first, second = _zzb_branches(d, (alpha_sq + 1.0) ** 2)
     return BoundReport(value=max(first, second), kind=BoundKind.ZIV_ZAKAI_ECS,
                        regime=Regime.NOT_APPLICABLE,
-                       params={"d": d, "alpha_sq": alpha_sq, "lam": lam,
+                       params={"d": d, "alpha_sq": alpha_sq, "lam": ZIV_ZAKAI_LAMBDA,
                                "branch_first": first, "branch_second": second})
 
 
@@ -353,24 +356,21 @@ def region_classify(d, alpha, m: int) -> RegionCell:
                       sqrt_gamma=scalar(sqrt(geom.gamma_cap)), interior=geom.interior)
 
 
-def grid_scan_minimizer(d: int, m: int, alpha_sq: float,
-                        grid_points: int = 10_000) -> BoundReport:
+def grid_scan_minimizer(d: int, m: int, alpha_sq: float) -> BoundReport:
     """Brute-force verification of the closed-form optimum.
 
-    Scans b^2 uniformly over (0, min(Gamma, g/d)], including the endpoint
-    only when the normalizability cap is the binding constraint (the bound
-    diverges at b^2 = g/d, so that endpoint stays open), and returns the
-    smallest trace bound found.  Matches :func:`minimize_bound_over_b`
+    Scans 10^4 values of b^2 uniformly over (0, min(Gamma, g/d)], including
+    the endpoint only when the normalizability cap is the binding constraint
+    (the bound diverges at b^2 = g/d, so that endpoint stays open), and
+    returns the smallest trace bound found.  Matches :func:`minimize_bound_over_b`
     within the grid resolution.
     """
     import numpy as np
 
-    if grid_points < 1000:
-        raise ValueError(f"grid_points must be >= 1000, got {grid_points}")
     geom = domain_geometry(d, m, alpha_sq)
     pole = geom.g / d
     hi = min(geom.gamma_cap, pole)
-    beta = np.linspace(0.0, hi, grid_points + 1)[1:]
+    beta = np.linspace(0.0, hi, _SCAN_POINTS + 1)[1:]
     if pole <= geom.gamma_cap:
         beta = beta[:-1]
     values = trace_inverse_value(d, geom.f_2m, geom.g, beta)
@@ -379,4 +379,4 @@ def grid_scan_minimizer(d: int, m: int, alpha_sq: float,
     return BoundReport(value=float(values[i]), kind=BoundKind.GENERAL_ECS_AT_B,
                        regime=Regime.CLAMPED if at_cap else Regime.INTERIOR,
                        params={"d": d, "m": m, "alpha_sq": alpha_sq,
-                               "b_sq_used": float(beta[i]), "grid_points": grid_points})
+                               "b_sq_used": float(beta[i]), "grid_points": _SCAN_POINTS})

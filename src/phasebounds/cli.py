@@ -3,8 +3,8 @@
 Subcommands
 -----------
 bounds   one bound value as JSON (or CSV)
-region   attainability partition over (d, alpha) as CSV
-curves   the four optimized bounds against the total photon number as CSV
+region   attainability partition over (d, alpha) as CSV (or JSON)
+curves   the four optimized bounds against the total photon number as CSV (or JSON)
 verify   oracle-equivalence suites; exit 1 on any failed check
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or domain error.  CSV
@@ -332,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Precision bounds for simultaneous multimode phase estimation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("bounds", help="evaluate one bound, printed as JSON")
+    b = sub.add_parser("bounds", help="evaluate one bound, printed as JSON or CSV")
     b.add_argument("--family", required=True, choices=_FAMILY_NAMES)
     b.add_argument("--d", type=int, required=True, help="number of phases")
     b.add_argument("--alpha", type=float, help="coherent amplitude |alpha|")

@@ -24,7 +24,7 @@ __all__ = [
     "stirling2",
     "coherent_number_moment",
     "moment_via_poisson_sum",
-    "second_moment_ratio",
+    "coherent_moments",
 ]
 
 # exp(-mu) underflows past this point and the series would silently lose all mass
@@ -124,8 +124,14 @@ def moment_via_poisson_sum(m: int, mu: float, tail_tol: float) -> float:
         n += 1
 
 
-def _moments(m: int, mu):
-    """``(f(m), f(2m), g = f(2m)/f(m)^2)`` elementwise over mu: the one place g is formed."""
+def coherent_moments(m: int, mu):
+    """``(f(m), f(2m), g)`` elementwise over mu, with g the ratio ``f(2m)/f(m)^2``.
+
+    The one place g is formed.  g is at least 1 for mu > 0 by the
+    Cauchy-Schwarz inequality and tends to 1 as mu grows.  It is undefined at
+    mu = 0 for m >= 1 (the probe holds no photons), and wherever f(m)^2
+    underflows to 0 (mu below about 1e-154).
+    """
     f_m = coherent_number_moment(m, mu)
     f_2m = coherent_number_moment(2 * m, mu)
     f_m_sq = f_m * f_m
@@ -135,12 +141,3 @@ def _moments(m: int, mu):
             f"moment ratio undefined at mu={first_failing(mu, ok)}: f(m)^2 = 0")
     return f_m, f_2m, f_2m / f_m_sq
 
-
-def second_moment_ratio(m: int, mu):
-    """Ratio ``f(2m)/f(m)^2`` of coherent-state number moments, elementwise over mu.
-
-    At least 1 for mu > 0 by the Cauchy-Schwarz inequality; tends to 1 as
-    mu grows.  Undefined at mu = 0 for m >= 1 (the probe holds no photons),
-    and wherever f(m)^2 underflows to 0 (mu below about 1e-154).
-    """
-    return _moments(m, mu)[2]

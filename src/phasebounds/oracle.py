@@ -49,22 +49,14 @@ __all__ = [
     "SparseProductState",
     "poisson_tail",
     "minimal_cutoff",
-    "vacuum_mode",
-    "fock_mode",
     "truncated_coherent",
-    "build_ecs_state",
-    "build_noon_state",
     "build_state",
-    "apply_number_power",
-    "apply_phase_evolution",
     "inner_product",
     "norm_sq",
-    "combine",
     "total_photon_expectation",
     "numerical_qfim",
     "qfim_via_state_derivatives",
     "commutator_expectation",
-    "dense_tensor_state",
     "dense_qfim",
 ]
 
@@ -181,20 +173,6 @@ def minimal_cutoff(mu: float, tail_tol: float) -> int:
     return c
 
 
-def vacuum_mode(cutoff: int) -> ModeVector:
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[0] = 1.0
-    return ModeVector(amplitudes=amps)
-
-
-def fock_mode(n: int, cutoff: int) -> ModeVector:
-    if n > cutoff:
-        raise CutoffError(f"Fock level {n} needs cutoff >= {n}, got {cutoff}")
-    amps = np.zeros(cutoff + 1, dtype=complex)
-    amps[n] = 1.0
-    return ModeVector(amplitudes=amps)
-
-
 def truncated_coherent(alpha: complex, cutoff: int,
                        tail_tol: float | None = None) -> ModeVector:
     """Coherent amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) up to the cutoff.
@@ -220,12 +198,25 @@ def truncated_coherent(alpha: complex, cutoff: int,
     return ModeVector(amplitudes=amps, tail_mass=tail)
 
 
-def _branch_state(p: EcsParams | NoonParams, excited: ModeVector,
-                  cutoff: int) -> SparseProductState:
-    """Term j (1..d) carries coefficient b with `excited` on sensing mode j and
-    vacuum elsewhere; the last term carries c with it on the reference.  All
-    terms share the same two vector objects."""
-    vac = vacuum_mode(cutoff)
+def build_state(p: EcsParams | NoonParams, cutoff: int,
+                tail_tol: float | None = None) -> SparseProductState:
+    """Assemble the d+1 branch terms of an entangled coherent or NOON probe.
+
+    Term j (1..d) carries coefficient b with the excited vector on sensing
+    mode j and vacuum elsewhere; the last term carries c with it on the
+    reference.  The excited vector is the truncated coherent state (held to
+    ``tail_tol`` if given) or the Fock state |N>, whose branches are
+    orthogonal.  All terms share the same two vector objects.
+    """
+    levels = np.arange(cutoff + 1)
+    if isinstance(p, NoonParams):
+        if cutoff < p.photon_number:
+            raise CutoffError(
+                f"cutoff {cutoff} cannot hold {p.photon_number} photons in one mode")
+        excited = ModeVector(amplitudes=(levels == p.photon_number).astype(complex))
+    else:
+        excited = truncated_coherent(math.sqrt(p.alpha_sq), cutoff, tail_tol)
+    vac = ModeVector(amplitudes=(levels == 0).astype(complex))
     terms = []
     for j in (*range(1, p.d + 1), 0):
         factors = [vac] * (p.d + 1)
@@ -234,56 +225,22 @@ def _branch_state(p: EcsParams | NoonParams, excited: ModeVector,
     return SparseProductState(num_modes=p.d + 1, terms=tuple(terms))
 
 
-def build_ecs_state(p: EcsParams, cutoff: int,
-                    tail_tol: float | None = None) -> SparseProductState:
-    """Assemble the d+1 branch terms of the entangled coherent probe.
-
-    Term j (1..d) carries coefficient b with the coherent vector on sensing
-    mode j and vacuum elsewhere; the last term carries c with it on the
-    reference.
-    """
-    return _branch_state(p, truncated_coherent(math.sqrt(p.alpha_sq), cutoff, tail_tol), cutoff)
-
-
-def build_noon_state(p: NoonParams, cutoff: int) -> SparseProductState:
-    """Assemble the NOON probe; branches are orthogonal Fock products."""
-    if cutoff < p.photon_number:
-        raise CutoffError(
-            f"cutoff {cutoff} cannot hold {p.photon_number} photons in one mode")
-    return _branch_state(p, fock_mode(p.photon_number, cutoff), cutoff)
-
-
-def build_state(p: EcsParams | NoonParams, cutoff: int,
-                tail_tol: float | None = None) -> SparseProductState:
-    if isinstance(p, NoonParams):
-        return build_noon_state(p, cutoff)
-    return build_ecs_state(p, cutoff, tail_tol)
-
-
-def apply_number_power(state: SparseProductState, mode: int, m: int) -> SparseProductState:
+def _apply_number_power(state: SparseProductState, mode: int, m: int) -> SparseProductState:
     """Apply the diagonal operator n^m on one mode.
 
     Exact under the truncation: the number operator cannot leak amplitude
     across the cutoff.
     """
-    if not 0 <= mode < state.num_modes:
-        raise ValueError(f"mode {mode} out of range for {state.num_modes} modes")
-    if m == 0:
-        return state
     return _scale_modes(state, {mode: _levels(state) ** m})
 
 
-def apply_phase_evolution(state: SparseProductState, thetas: Sequence[float],
-                          m: int) -> SparseProductState:
+def _apply_phase_evolution(state: SparseProductState, thetas: np.ndarray,
+                           m: int) -> SparseProductState:
     """Imprint e^{i n^m theta_j} on sensing mode j for j = 1..d.
 
     The reference mode is untouched.  The evolution is diagonal in the Fock
     basis, hence exact under the truncation.
     """
-    d = state.num_modes - 1
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.shape != (d,):
-        raise ValueError(f"expected {d} phases, got shape {thetas.shape}")
     powers = _levels(state) ** m
     return _scale_modes(state, {j: np.exp(1j * powers * t) for j, t in enumerate(thetas, 1)})
 
@@ -409,19 +366,6 @@ def norm_sq(state: SparseProductState) -> float:
     return inner_product(state, state).real
 
 
-def combine(weighted: Sequence[tuple[complex, SparseProductState]]) -> SparseProductState:
-    """Formal linear combination of states: concatenates scaled terms."""
-    if not weighted:
-        raise ValueError("combine needs at least one state")
-    num_modes = weighted[0][1].num_modes
-    terms = []
-    for w, s in weighted:
-        if s.num_modes != num_modes:
-            raise ValueError("mode count mismatch in linear combination")
-        terms.extend((w * c, f) for c, f in s.terms)
-    return SparseProductState(num_modes=num_modes, terms=tuple(terms))
-
-
 def total_photon_expectation(state: SparseProductState) -> float:
     """<sum_modes n_mode> over all modes, reference included."""
     norm, per_mode, _ = _overlap_tables(state, state, _levels(state))
@@ -481,7 +425,7 @@ def qfim_via_state_derivatives(p: EcsParams | NoonParams,
     theta_vec = np.zeros(p.d) if theta is None else np.asarray(theta, dtype=float)
     if theta_vec.shape != (p.d,):
         raise ValueError(f"theta must hold {p.d} phases, got shape {theta_vec.shape}")
-    base = apply_phase_evolution(state, theta_vec, p.m)
+    base = _apply_phase_evolution(state, theta_vec, p.m)
     # |d_j psi> = (psi(theta + h e_j) - psi(theta - h e_j)) / 2h.  The two
     # evolved states differ per term only in the mode-j factor, so the
     # quotient collapses to the per-amplitude multiplier
@@ -494,7 +438,7 @@ def qfim_via_state_derivatives(p: EcsParams | NoonParams,
 
 
 def commutator_expectation(p: EcsParams | NoonParams, j: int, k: int,
-                           m: int | None = None, cutoff: int | None = None,
+                           cutoff: int | None = None,
                            tail_tol: float = DEFAULT_TAIL_TOL) -> complex:
     """<[H_j, H_k]> on the probe, the attainability witness for the bound.
 
@@ -502,12 +446,11 @@ def commutator_expectation(p: EcsParams | NoonParams, j: int, k: int,
     orders produce bitwise-identical states and the result is exactly zero;
     computing it exercises that the oracle agrees.
     """
-    state = _prepared(p, cutoff, tail_tol)
-    m_use = p.m if m is None else m
     if not (1 <= j <= p.d and 1 <= k <= p.d):
         raise ValueError(f"mode indices must lie in 1..{p.d}, got j={j}, k={k}")
-    jk = apply_number_power(apply_number_power(state, k, m_use), j, m_use)
-    kj = apply_number_power(apply_number_power(state, j, m_use), k, m_use)
+    state = _prepared(p, cutoff, tail_tol)
+    jk = _apply_number_power(_apply_number_power(state, k, p.m), j, p.m)
+    kj = _apply_number_power(_apply_number_power(state, j, p.m), k, p.m)
     return inner_product(state, jk) - inner_product(state, kj)
 
 

@@ -13,7 +13,7 @@ and the eigenvalues are gamma (multiplicity d-1) and gamma (1 + omega d),
 so inversion, traces and definiteness tests are all O(1).  Dense matrices
 appear only for cross-checks against the brute-force oracle.  The coherent
 probe's Tr(F^{-1}) is written once, in ``trace_inverse_value``; every bound
-over b evaluates it there, on moments formed once (``moments._moments``).
+over b evaluates it there, on moments formed once (``moments.coherent_moments``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from ._arrays import all_true, first_failing
 from .errors import DegenerateInputError, SingularMatrixError
-from .moments import _moments, coherent_number_moment
+from .moments import coherent_moments, coherent_number_moment
 from .states import EcsParams, NoonParams
 
 __all__ = [
@@ -135,7 +135,7 @@ def trace_inverse_bound(p: EcsParams) -> float:
     if p.alpha_sq <= 0.0 or p.b == 0.0:
         raise DegenerateInputError(
             "trace bound diverges: probe carries no photons in the sensing branches")
-    _, f_2m, g = _moments(p.m, p.alpha_sq)
+    _, f_2m, g = coherent_moments(p.m, p.alpha_sq)
     return trace_inverse_value(p.d, f_2m, g, p.b * p.b)
 
 

@@ -12,10 +12,10 @@ By convention b is real and nonnegative: the bounds depend only on |b|^2,
 and the global phase can always be chosen to make c real, so nothing is
 lost and the normalization quadratic stays real.
 
-Probes are validated on construction: EcsParams and NoonParams run
-validate_ecs / validate_noon, so code holding a probe never checks it again.
-``_overlaps`` is the one place the sums u, v and u - v^2 are formed, and
-``domain_geometry`` the one pass forming Gamma, f(m), f(2m), g and b_star.
+Probes are validated on construction, in EcsParams and NoonParams, so code
+holding a probe never checks it again.  ``overlaps`` is the one place the
+sums u, v and u - v^2 are formed, and ``domain_geometry`` the one pass
+forming Gamma, f(m), f(2m), g and b_star.
 
 The coherent-probe functions broadcast over d, alpha_sq and b (see
 ``_arrays``): a sweep passes arrays, a scalar call gets Python types back.
@@ -29,21 +29,19 @@ from dataclasses import dataclass
 from ._arrays import all_true, clip_negative, first_failing, libm, quiet_overflow, scalar, sqrt
 from ._domain import check
 from .errors import CoefficientDomainError, DegenerateInputError, NormalizationError
-from .moments import _moments
+from .moments import coherent_moments
 
 __all__ = [
     "EcsParams",
     "NoonParams",
     "DomainGeometry",
-    "uv_coefficients",
+    "overlaps",
     "solve_c",
     "b_domain_limit",
     "b_star",
     "domain_geometry",
     "mean_total_photons",
     "noon_optimal_b",
-    "validate_ecs",
-    "validate_noon",
     "ecs_params",
     "noon_params",
 ]
@@ -69,7 +67,26 @@ class EcsParams:
     m: int = 1
 
     def __post_init__(self) -> None:
-        validate_ecs(self)
+        """Raise naming the violated invariant: b^2 under the cap, then normalization."""
+        check(m=self.m, b=self.b, c=self.c)
+        b, c = self.b, self.c
+        u, v, denom = overlaps(self.d, self.alpha_sq)
+        # domain first: an out-of-cap b cannot be normalized by any choice of c.
+        # At alpha_sq = 0 the cap 1/(u - v^2) is undefined and b is unconstrained;
+        # u - v^2 = 0 is replaced by 1 there and the element passes.
+        vacuum = self.alpha_sq == 0.0
+        gamma_cap = 1.0 / (denom + vacuum)
+        ok = vacuum | (b * b <= gamma_cap + DOMAIN_ATOL)
+        if not all_true(ok):
+            raise CoefficientDomainError(
+                f"b^2 = {first_failing(b * b, ok):.12g} exceeds the domain cap "
+                f"Gamma = {first_failing(gamma_cap, ok):.12g}")
+        residual = c * c + 2.0 * b * v * c + b * b * u - 1.0
+        ok = abs(residual) <= NORMALIZATION_ATOL
+        if not all_true(ok):
+            raise NormalizationError(
+                f"normalization violated: c^2 + 2bvc + b^2 u - 1 = "
+                f"{first_failing(residual, ok):.3e} exceeds {NORMALIZATION_ATOL}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +100,13 @@ class NoonParams:
     m: int = 1
 
     def __post_init__(self) -> None:
-        validate_noon(self)
+        """Raise naming the violated invariant: the ranges, then d b^2 + c^2 = 1."""
+        check(d=self.d, m=self.m, photon_number=self.photon_number, b=self.b)
+        residual = self.d * self.b * self.b + self.c * self.c - 1.0
+        if abs(residual) > NORMALIZATION_ATOL:
+            raise NormalizationError(
+                f"NOON normalization violated: d b^2 + c^2 - 1 = {residual:.3e} "
+                f"exceeds {NORMALIZATION_ATOL}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +123,7 @@ class DomainGeometry:
     f_2m: float
 
 
-def _overlaps(d, alpha_sq):
+def overlaps(d, alpha_sq):
     """Overlap sums of the normalization quadratic: (u, v, u - v^2).
 
     u = d + d(d-1) e^{-alpha_sq} collects the sensing-branch mutual overlaps
@@ -114,17 +137,11 @@ def _overlaps(d, alpha_sq):
     return d + d * (d - 1) * x, d * x, d * -libm(math.expm1, -alpha_sq) * (1.0 + d * x)
 
 
-def uv_coefficients(d, alpha_sq):
-    """The overlap sums (u, v) entering the normalization quadratic (see _overlaps)."""
-    return _overlaps(d, alpha_sq)[:2]
-
-
-def solve_c(b, d, alpha_sq, *, smaller_root: bool = False):
+def solve_c(b, d, alpha_sq):
     """Reference coefficient normalizing the probe at the given b.
 
-    Solves c^2 + 2 b v c + b^2 u - 1 = 0 for c and returns the root
-    continuously connected to c = 1 at b = 0; ``smaller_root=True`` selects
-    the other branch.
+    Solves c^2 + 2 b v c + b^2 u - 1 = 0 for c and returns the larger root,
+    the one continuously connected to c = 1 at b = 0.
 
     Raises
     ------
@@ -133,7 +150,7 @@ def solve_c(b, d, alpha_sq, *, smaller_root: bool = False):
         no real c exists.
     """
     check(b=b)
-    _, v, denom = _overlaps(d, alpha_sq)
+    _, v, denom = overlaps(d, alpha_sq)
     disc = 1.0 - b * b * denom
     ok = disc >= -DOMAIN_ATOL
     if not all_true(ok):
@@ -142,7 +159,7 @@ def solve_c(b, d, alpha_sq, *, smaller_root: bool = False):
             f"{first_failing(disc, ok):.3e} < 0 "
             f"(cap Gamma = {1.0 / first_failing(denom, ok):.12g})")
     root = sqrt(clip_negative(disc))
-    return scalar(-b * v - root if smaller_root else -b * v + root)
+    return scalar(-b * v + root)
 
 
 def b_domain_limit(d, alpha_sq):
@@ -151,7 +168,7 @@ def b_domain_limit(d, alpha_sq):
     At alpha_sq = 0 every branch collapses to vacuum and u - v^2 vanishes;
     that input is rejected rather than assigned a limit value.
     """
-    _, _, denom = _overlaps(d, alpha_sq)
+    _, _, denom = overlaps(d, alpha_sq)
     ok = denom > 0.0
     if not all_true(ok):
         raise DegenerateInputError(
@@ -176,7 +193,7 @@ def domain_geometry(d, m: int, alpha_sq) -> DomainGeometry:
     """Cap, moments, optimizer and regime flag in one record, broadcast over d and alpha_sq."""
     gamma_cap = b_domain_limit(d, alpha_sq)
     check(m=m, alpha_sq=alpha_sq)
-    f_m, f_2m, g = _moments(m, alpha_sq)
+    f_m, f_2m, g = coherent_moments(m, alpha_sq)
     bs = sqrt(g / (sqrt(d) + d))
     return DomainGeometry(gamma_cap=gamma_cap, b_star=scalar(bs), g=g,
                           interior=scalar(bs * bs <= gamma_cap), f_m=f_m, f_2m=f_2m)
@@ -195,41 +212,6 @@ def noon_optimal_b(d: int) -> float:
     """Sensing coefficient minimizing the NOON-probe bound: 1/sqrt(d + sqrt d)."""
     check(d=d)
     return 1.0 / math.sqrt(d + math.sqrt(d))
-
-
-def validate_ecs(p: EcsParams) -> EcsParams:
-    """Return p unchanged if every invariant holds, else raise naming the violation."""
-    check(m=p.m, b=p.b, c=p.c)
-    b, c = p.b, p.c
-    u, v, denom = _overlaps(p.d, p.alpha_sq)
-    # domain first: an out-of-cap b cannot be normalized by any choice of c.
-    # At alpha_sq = 0 the cap 1/(u - v^2) is undefined and b is unconstrained;
-    # u - v^2 = 0 is replaced by 1 there and the element passes.
-    vacuum = p.alpha_sq == 0.0
-    gamma_cap = 1.0 / (denom + vacuum)
-    ok = vacuum | (b * b <= gamma_cap + DOMAIN_ATOL)
-    if not all_true(ok):
-        raise CoefficientDomainError(
-            f"b^2 = {first_failing(b * b, ok):.12g} exceeds the domain cap "
-            f"Gamma = {first_failing(gamma_cap, ok):.12g}")
-    residual = c * c + 2.0 * b * v * c + b * b * u - 1.0
-    ok = abs(residual) <= NORMALIZATION_ATOL
-    if not all_true(ok):
-        raise NormalizationError(
-            f"normalization violated: c^2 + 2bvc + b^2 u - 1 = "
-            f"{first_failing(residual, ok):.3e} exceeds {NORMALIZATION_ATOL}")
-    return p
-
-
-def validate_noon(p: NoonParams) -> NoonParams:
-    """Return p unchanged if every invariant holds, else raise naming the violation."""
-    check(d=p.d, m=p.m, photon_number=p.photon_number, b=p.b)
-    residual = p.d * p.b * p.b + p.c * p.c - 1.0
-    if abs(residual) > NORMALIZATION_ATOL:
-        raise NormalizationError(
-            f"NOON normalization violated: d b^2 + c^2 - 1 = {residual:.3e} "
-            f"exceeds {NORMALIZATION_ATOL}")
-    return p
 
 
 def ecs_params(d, alpha_sq, b, m: int = 1) -> EcsParams:

@@ -133,10 +133,10 @@ def wide_params() -> list[states.EcsParams]:
     return out
 
 
-def optimizer_draws(rng: np.random.Generator, count: int = 50) -> list[tuple[int, int, float]]:
-    """(d, m, alpha_sq) draws for the optimizer checks."""
+def optimizer_draws(rng: np.random.Generator) -> list[tuple[int, int, float]]:
+    """50 (d, m, alpha_sq) draws for the optimizer checks."""
     return [(int(rng.integers(1, 11)), int(rng.integers(1, 3)),
-             float(rng.uniform(0.5, 25.0))) for _ in range(count)]
+             float(rng.uniform(0.5, 25.0))) for _ in range(50)]
 
 
 def _ntot_grid(step: float) -> np.ndarray:
@@ -209,7 +209,7 @@ def oracle_norm() -> CheckResult:
             cap = states.b_domain_limit(d, alpha_sq)
             for b in np.sqrt(cap) * np.linspace(0.0, 1.0, 1000, endpoint=False):
                 p = states.ecs_params(d, alpha_sq, float(b))
-                yield abs(oracle.norm_sq(oracle.build_ecs_state(p, cutoff)) - 1.0)
+                yield abs(oracle.norm_sq(oracle.build_state(p, cutoff)) - 1.0)
 
     return _check("normalization.oracle_norm", _worst(deviations()))
 
@@ -219,7 +219,7 @@ def mean_photons() -> CheckResult:
     def rel(d: int, alpha_sq: float, b: float) -> float:
         p = states.ecs_params(d, alpha_sq, b)
         cutoff = oracle.minimal_cutoff(alpha_sq, 1e-14) + 4
-        from_oracle = oracle.total_photon_expectation(oracle.build_ecs_state(p, cutoff))
+        from_oracle = oracle.total_photon_expectation(oracle.build_state(p, cutoff))
         closed = states.mean_total_photons(p)
         return abs(from_oracle - closed) / closed
 
@@ -307,7 +307,7 @@ def scan_vs_closed(draws: Draws) -> CheckResult:
     """The piecewise optimum against a 10^4-point grid scan over b."""
     def rel(d: int, m: int, alpha_sq: float) -> float:
         closed = bounds.minimize_bound_over_b(d, m, alpha_sq).value
-        scan = bounds.grid_scan_minimizer(d, m, alpha_sq, grid_points=10_000).value
+        scan = bounds.grid_scan_minimizer(d, m, alpha_sq).value
         return abs(scan - closed) / closed
 
     return _check("optimizer.scan_vs_closed", _worst(itertools.starmap(rel, draws)))
@@ -348,21 +348,21 @@ def suite_optimizer(rng: np.random.Generator) -> list[CheckResult]:
 
 # ---------------------------------------------------------------- bounds
 
-def o_of_d_advantage_fit(ds: Iterable[int] = (4, 8, 16, 32, 64),
-                         alpha_sq: float = 100.0) -> tuple[float, float, np.ndarray]:
+def o_of_d_advantage_fit() -> tuple[float, float, np.ndarray]:
     """Least-squares fit of the independent-vs-simultaneous advantage to c*d.
 
-    Each of the d independent probes runs at the given per-probe intensity;
-    the simultaneous probe is granted the same total photon budget.  Returns
+    For d in 4, 8, 16, 32, 64, each of the d independent probes runs at
+    alpha_sq = 100; the simultaneous probe is granted the same total photon
+    budget.  Returns
     (c, relative residual, ratios) where the relative residual is the
     residual sum of squares of the one-parameter fit over the squared norm
     of the data.
     """
-    ds = np.asarray(list(ds), dtype=float)
+    ds = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
     ratios = []
     for d in ds.astype(int):
-        independent = bounds.qcrb_independent_ecs(int(d), alpha_sq).value
-        n_tot = bounds.independent_ecs_total_photons(int(d), alpha_sq)
+        independent = bounds.qcrb_independent_ecs(int(d), 100.0).value
+        n_tot = bounds.independent_ecs_total_photons(int(d), 100.0)
         simultaneous = bounds.qcrb_ecs_linear(int(d), n_tot).value
         ratios.append(independent / simultaneous)
     ratios = np.asarray(ratios)

@@ -118,12 +118,11 @@ class TestKernels:
               fields=("gamma_cap", "b_star", "g", "interior"))
 
     @settings(max_examples=300, deadline=None)
-    @given(D, ALPHA_SQ, st.floats(0.0, 1.2), st.booleans())
-    def test_solve_c(self, d, alpha_sq, fraction, smaller_root):
+    @given(D, ALPHA_SQ, st.floats(0.0, 1.2))
+    def test_solve_c(self, d, alpha_sq, fraction):
         # b from 0 to 1.2 sqrt(Gamma), so some draws are not normalizable
         b = fraction * math.sqrt(states.b_domain_limit(d, alpha_sq))
-        _same(lambda b, d, a: states.solve_c(b, d, a, smaller_root=smaller_root),
-              [b, d, alpha_sq])
+        _same(states.solve_c, [b, d, alpha_sq])
 
     @settings(max_examples=300, deadline=None)
     @given(D, M, ALPHA_SQ, st.floats(1e-6, 1.2))
@@ -157,7 +156,7 @@ def _reference_overlaps(d, alpha_sq):
 
 
 class TestOverlapBits:
-    """uv_coefficients, b_domain_limit and solve_c keep the bits of the
+    """overlaps, b_domain_limit and solve_c keep the bits of the
     separate u, v and u - v^2 formulas, for numbers and one-element arrays."""
 
     @staticmethod
@@ -171,16 +170,14 @@ class TestOverlapBits:
     @given(D, ALPHA_SQ)
     def test_uv_and_cap(self, d, alpha_sq):
         u, v, u_minus_v_sq = _reference_overlaps(d, alpha_sq)
-        self._assert_bits(states.uv_coefficients, [d, alpha_sq], [u, v])
+        self._assert_bits(states.overlaps, [d, alpha_sq], [u, v, u_minus_v_sq])
         self._assert_bits(states.b_domain_limit, [d, alpha_sq], [1.0 / u_minus_v_sq])
 
     @settings(max_examples=300, deadline=None)
-    @given(D, ALPHA_SQ, st.floats(0.0, 1.0), st.booleans())
-    def test_solve_c(self, d, alpha_sq, fraction, smaller_root):
+    @given(D, ALPHA_SQ, st.floats(0.0, 1.0))
+    def test_solve_c(self, d, alpha_sq, fraction):
         _, v, u_minus_v_sq = _reference_overlaps(d, alpha_sq)
         b = fraction * math.sqrt(1.0 / u_minus_v_sq)
         disc = 1.0 - b * b * u_minus_v_sq
         root = math.sqrt(0.0 if disc < 0.0 else disc)
-        c = -b * v - root if smaller_root else -b * v + root
-        self._assert_bits(lambda b, d, a: states.solve_c(b, d, a, smaller_root=smaller_root),
-                          [b, d, alpha_sq], [c])
+        self._assert_bits(states.solve_c, [b, d, alpha_sq], [-b * v + root])

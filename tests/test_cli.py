@@ -353,26 +353,21 @@ class TestCurvesCommand:
             assert float(row[1]) == bounds.ecs_linear_value(3, n_tot)
             assert float(row[3]) == bounds.ecs_nonlinear_value(3, n_tot)
 
-    # Sweeps run on one thread; PHASEBOUNDS_WORKERS, which older releases read
-    # to size a thread pool, must leave the output bytes unchanged.
-    def test_byte_identical_across_worker_counts(self, capsys, monkeypatch, tmp_path):
+    def test_byte_identical_across_chunk_sizes(self, capsys, monkeypatch, tmp_path):
         outputs = []
-        for workers, chunk in (("1", 1), ("4", cli.CURVES_CHUNK)):
-            monkeypatch.setenv("PHASEBOUNDS_WORKERS", workers)
+        for chunk in (1, cli.CURVES_CHUNK):
             monkeypatch.setattr(cli, "CURVES_CHUNK", chunk)
-            path = tmp_path / f"curves_{workers}.csv"
+            path = tmp_path / f"curves_{chunk}.csv"
             code, _, _ = run_cli(capsys, "curves", "--d", "5", "--points", "50",
                                  "--out", str(path))
             assert code == 0
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_region_byte_identical_across_worker_counts(self, capsys, monkeypatch,
-                                                        tmp_path):
+    def test_region_byte_identical_across_runs(self, capsys, tmp_path):
         outputs = []
-        for workers in ("1", "3"):
-            monkeypatch.setenv("PHASEBOUNDS_WORKERS", workers)
-            path = tmp_path / f"region_{workers}.csv"
+        for run in (1, 2):
+            path = tmp_path / f"region_{run}.csv"
             code, _, _ = run_cli(capsys, "region", "--d-min", "1", "--d-max", "12",
                                  "--alpha-min", "0.2", "--alpha-max", "3.0",
                                  "--alpha-steps", "40", "--out", str(path))

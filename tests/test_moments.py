@@ -137,8 +137,8 @@ def test_poisson_sum_tracks_closed_form(m, mu, tol_exp):
 
 
 def test_second_moment_ratio():
-    assert moments.second_moment_ratio(1, 1.0) == pytest.approx(2.0, rel=1e-15)
+    assert moments.coherent_moments(1, 1.0) == (1.0, 2.0, pytest.approx(2.0, rel=1e-15))
     # f(4)/f(2)^2 at mu = 1: 15 / 4
-    assert moments.second_moment_ratio(2, 1.0) == pytest.approx(3.75, rel=1e-15)
+    assert moments.coherent_moments(2, 1.0)[2] == pytest.approx(3.75, rel=1e-15)
     with pytest.raises(DegenerateInputError):
-        moments.second_moment_ratio(1, 0.0)
+        moments.coherent_moments(1, 0.0)

@@ -100,18 +100,18 @@ class TestPoissonTail:
 class TestBuildStates:
     def test_single_branch_norm(self):
         p = states.EcsParams(d=1, alpha_sq=2.0, b=0.0, c=1.0, m=1)
-        state = oracle.build_ecs_state(p, 30)
+        state = oracle.build_state(p, 30)
         assert oracle.norm_sq(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_solved_c_normalizes(self):
         p = states.ecs_params(2, 1.0, 0.4)
-        state = oracle.build_ecs_state(p, oracle.minimal_cutoff(1.0, 1e-13) + 2)
+        state = oracle.build_state(p, oracle.minimal_cutoff(1.0, 1e-13) + 2)
         assert oracle.norm_sq(state) == pytest.approx(1.0, abs=1e-10)
 
     def test_branch_overlap_structure(self):
         # <branch_j | branch_k> = e^{-alpha_sq} for j != k
         p = states.ecs_params(3, 1.5, 0.2)
-        state = oracle.build_ecs_state(p, 25)
+        state = oracle.build_state(p, 25)
         _, f1 = state.terms[0]
         _, f2 = state.terms[1]
         overlap = 1.0 + 0j
@@ -121,7 +121,7 @@ class TestBuildStates:
 
     def test_noon_orthonormal_branches(self):
         p = states.noon_params(2, 3)
-        state = oracle.build_noon_state(p, 3)
+        state = oracle.build_state(p, 3)
         assert oracle.norm_sq(state) == pytest.approx(1.0, abs=1e-14)
         for (c1, f1), (c2, f2) in [(state.terms[0], state.terms[1]),
                                    (state.terms[0], state.terms[2])]:
@@ -132,33 +132,28 @@ class TestBuildStates:
 
     def test_noon_cutoff_error(self):
         with pytest.raises(CutoffError):
-            oracle.build_noon_state(states.noon_params(2, 5), 4)
+            oracle.build_state(states.noon_params(2, 5), 4)
 
 
 class TestOperators:
-    def test_number_power_zero_is_identity(self):
-        p = states.ecs_params(2, 1.0, 0.3)
-        state = oracle.build_ecs_state(p, 20)
-        assert oracle.apply_number_power(state, 1, 0) is state
-
     def test_number_power_kills_vacuum(self):
-        state = oracle.build_ecs_state(states.EcsParams(1, 1.0, 0.0, 1.0, 1), 15)
-        hit = oracle.apply_number_power(state, 1, 2)  # mode 1 holds vacuum here
+        state = oracle.build_state(states.EcsParams(1, 1.0, 0.0, 1.0, 1), 15)
+        hit = oracle._apply_number_power(state, 1, 2)  # mode 1 holds vacuum here
         assert oracle.norm_sq(hit) == 0.0
 
     def test_generator_first_moment(self):
         # <H_j> = b^2 f(m, alpha)
         p = states.ecs_params(2, 1.0, 0.4, m=2)
-        state = oracle.build_ecs_state(p, oracle.minimal_cutoff(1.0, 1e-14) + 4)
-        value = oracle.inner_product(state, oracle.apply_number_power(state, 1, 2)).real
+        state = oracle.build_state(p, oracle.minimal_cutoff(1.0, 1e-14) + 4)
+        value = oracle.inner_product(state, oracle._apply_number_power(state, 1, 2)).real
         assert value == pytest.approx(0.16 * coherent_number_moment(2, 1.0), rel=1e-12)
 
     def test_generator_second_moment_diagonal(self):
         # <H_j H_k> = b^2 f(2m, alpha) delta_jk
         p = states.ecs_params(3, 2.0, 0.3, m=1)
-        state = oracle.build_ecs_state(p, oracle.minimal_cutoff(2.0, 1e-14) + 2)
-        h1 = oracle.apply_number_power(state, 1, 1)
-        h2 = oracle.apply_number_power(state, 2, 1)
+        state = oracle.build_state(p, oracle.minimal_cutoff(2.0, 1e-14) + 2)
+        h1 = oracle._apply_number_power(state, 1, 1)
+        h2 = oracle._apply_number_power(state, 2, 1)
         same = oracle.inner_product(h1, h1).real
         cross = oracle.inner_product(h1, h2)
         assert same == pytest.approx(0.09 * coherent_number_moment(2, 2.0), rel=1e-12)
@@ -166,8 +161,8 @@ class TestOperators:
 
     def test_phase_evolution_preserves_norm(self):
         p = states.ecs_params(2, 1.0, 0.3)
-        state = oracle.build_ecs_state(p, 20)
-        evolved = oracle.apply_phase_evolution(state, [0.3, -1.1], 2)
+        state = oracle.build_state(p, 20)
+        evolved = oracle._apply_phase_evolution(state, [0.3, -1.1], 2)
         assert oracle.norm_sq(evolved) == pytest.approx(oracle.norm_sq(state), rel=1e-14)
 
 
@@ -257,18 +252,19 @@ class TestFactorTables:
     """The per-mode factor tables against the direct term-pair loop."""
 
     def _states(self):
-        ecs = oracle.build_ecs_state(states.ecs_params(3, 1.5, 0.3, m=2), 18)
-        noon = oracle.build_noon_state(states.noon_params(3, 4), 6)
-        evolved = oracle.apply_phase_evolution(ecs, [0.3, -1.1, 2.0], 2)
-        mixed = oracle.combine([(0.5, ecs), (0.25j, evolved)])
+        ecs = oracle.build_state(states.ecs_params(3, 1.5, 0.3, m=2), 18)
+        noon = oracle.build_state(states.noon_params(3, 4), 6)
+        evolved = oracle._apply_phase_evolution(ecs, [0.3, -1.1, 2.0], 2)
+        mixed = oracle.SparseProductState(ecs.num_modes, tuple(
+            (w * c, f) for w, s in ((0.5, ecs), (0.25j, evolved)) for c, f in s.terms))
         return ecs, noon, evolved, mixed
 
     def test_inner_products_match_loop(self):
         ecs, noon, evolved, mixed = self._states()
-        hit = oracle.apply_number_power(oracle.apply_number_power(ecs, 1, 2), 3, 1)
+        hit = oracle._apply_number_power(oracle._apply_number_power(ecs, 1, 2), 3, 1)
         for s1, s2 in [(ecs, ecs), (ecs, evolved), (evolved, mixed), (mixed, hit),
                        (hit, hit), (noon, noon),
-                       (noon, oracle.apply_number_power(noon, 2, 1))]:
+                       (noon, oracle._apply_number_power(noon, 2, 1))]:
             ref = _loop_inner_product(s1, s2)
             assert abs(oracle.inner_product(s1, s2) - ref) <= 1e-14 * max(1.0, abs(ref))
 
@@ -309,8 +305,8 @@ class TestFactorTables:
         p = states.noon_params(4, 3)
         f = oracle.numerical_qfim(p)
         assert np.all(np.isfinite(f))
-        h1 = oracle.apply_number_power(oracle.build_noon_state(p, 3), 1, 1)
-        h2 = oracle.apply_number_power(oracle.build_noon_state(p, 3), 2, 1)
+        h1 = oracle._apply_number_power(oracle.build_state(p, 3), 1, 1)
+        h2 = oracle._apply_number_power(oracle.build_state(p, 3), 2, 1)
         assert oracle.inner_product(h1, h2) == 0.0
 
     def test_qfim_matches_loop_reference(self):
@@ -319,26 +315,26 @@ class TestFactorTables:
             cutoff = (p.photon_number if isinstance(p, states.NoonParams)
                       else oracle.minimal_cutoff(p.alpha_sq, 1e-14) + 2 * p.m)
             state = oracle.build_state(p, cutoff)
-            h = [oracle.apply_number_power(state, j, p.m) for j in range(1, p.d + 1)]
+            h = [oracle._apply_number_power(state, j, p.m) for j in range(1, p.d + 1)]
             means = np.array([_loop_inner_product(state, hj).real for hj in h])
             second = np.array([[_loop_inner_product(hj, hk).real for hk in h] for hj in h])
             ref = 4.0 * (second - np.outer(means, means))
             assert rel_frobenius(oracle.numerical_qfim(p, cutoff=cutoff), ref) < 1e-14
 
     def test_operators_map_each_distinct_vector_once(self):
-        state = oracle.build_ecs_state(states.ecs_params(5, 1.0, 0.2, m=1), 16)
-        hit = oracle.apply_number_power(state, 2, 2)
+        state = oracle.build_state(states.ecs_params(5, 1.0, 0.2, m=1), 16)
+        hit = oracle._apply_number_power(state, 2, 2)
         assert len({id(f[2]) for _, f in hit.terms}) == 2
-        evolved = oracle.apply_phase_evolution(state, np.linspace(0.1, 0.5, 5), 1)
+        evolved = oracle._apply_phase_evolution(state, np.linspace(0.1, 0.5, 5), 1)
         for mode in range(6):
             assert len({id(f[mode]) for _, f in evolved.terms}) == 2
 
     def test_mismatched_states_rejected(self):
-        a = oracle.build_ecs_state(states.ecs_params(2, 1.0, 0.3), 10)
+        a = oracle.build_state(states.ecs_params(2, 1.0, 0.3), 10)
         with pytest.raises(ValueError, match="cutoff mismatch"):
-            oracle.inner_product(a, oracle.build_ecs_state(states.ecs_params(2, 1.0, 0.3), 11))
+            oracle.inner_product(a, oracle.build_state(states.ecs_params(2, 1.0, 0.3), 11))
         with pytest.raises(ValueError, match="mode count mismatch"):
-            oracle.inner_product(a, oracle.build_ecs_state(states.ecs_params(3, 1.0, 0.3), 10))
+            oracle.inner_product(a, oracle.build_state(states.ecs_params(3, 1.0, 0.3), 10))
 
 
 class TestWideProbes:
@@ -383,18 +379,15 @@ class TestValidation:
     @pytest.mark.parametrize("p", [states.ecs_params(2, 1.0, 0.3, m=2),
                                    states.noon_params(2, 3)], ids=["ecs", "noon"])
     def test_one_validation_per_call(self, monkeypatch, call, p):
-        # the one validation happened at construction, above; a call adds none,
-        # whether through states or through a name imported into oracle
+        # the one validation happened at construction, above; a call adds none
         calls = []
-        for name in ("validate_ecs", "validate_noon"):
-            original = getattr(states, name)
+        for cls in (states.EcsParams, states.NoonParams):
+            original = cls.__post_init__
 
             def counted(q, original=original):
                 calls.append(q)
                 return original(q)
-            for module in (states, oracle):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(cls, "__post_init__", counted)
         call(p)
         assert calls == []
 
@@ -424,7 +417,7 @@ class TestDenseTensor:
     def test_norm_matches_sparse(self):
         p = states.ecs_params(1, 1.0, 0.4)
         tensor = oracle.dense_tensor_state(p, 8)
-        sparse = oracle.build_ecs_state(p, 8)
+        sparse = oracle.build_state(p, 8)
         assert abs(np.vdot(tensor, tensor).real - oracle.norm_sq(sparse)) < 1e-12
 
     def test_qfim_matches_sparse(self):
@@ -503,6 +496,6 @@ class TestDenseTensor:
 
 def test_linear_combination():
     p = states.ecs_params(2, 1.0, 0.3)
-    state = oracle.build_ecs_state(p, 15)
-    doubled = oracle.combine([(1.0, state), (1.0, state)])
+    state = oracle.build_state(p, 15)
+    doubled = oracle.SparseProductState(state.num_modes, state.terms + state.terms)
     assert oracle.norm_sq(doubled) == pytest.approx(4.0 * oracle.norm_sq(state), rel=1e-13)

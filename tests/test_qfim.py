@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from phasebounds import oracle, qfim, states
 from phasebounds.errors import DegenerateInputError, SingularMatrixError
-from phasebounds.moments import coherent_number_moment, second_moment_ratio
+from phasebounds.moments import coherent_moments, coherent_number_moment
 
 from conftest import rel_frobenius
 
@@ -146,7 +146,7 @@ class TestTraceInverseBound:
         for d in (1, 2, 5, 20):
             for m in (1, 2):
                 for alpha_sq in (0.05, 1.0, 9.0, 100.0):
-                    g = second_moment_ratio(m, alpha_sq)
+                    _, _, g = coherent_moments(m, alpha_sq)
                     assert g / d > states.b_domain_limit(d, alpha_sq)
 
     def test_degenerate_weight(self):

@@ -16,15 +16,15 @@ from phasebounds.errors import (
 class TestUvCoefficients:
     def test_single_mode(self):
         for alpha_sq in (0.0, 0.7, 5.0):
-            u, v = states.uv_coefficients(1, alpha_sq)
+            u, v, _ = states.overlaps(1, alpha_sq)
             assert u == 1.0
             assert v == pytest.approx(math.exp(-alpha_sq), rel=1e-15)
 
     def test_zero_intensity(self):
-        assert states.uv_coefficients(2, 0.0) == (4.0, 2.0)
+        assert states.overlaps(2, 0.0) == (4.0, 2.0, 0.0)
 
     def test_formula(self):
-        u, v = states.uv_coefficients(5, 16.0)
+        u, v, _ = states.overlaps(5, 16.0)
         x = math.exp(-16.0)
         assert u == pytest.approx(5.0 + 20.0 * x, rel=1e-15)
         assert v == pytest.approx(5.0 * x, rel=1e-15)
@@ -39,17 +39,15 @@ class TestSolveC:
         # at b = sqrt(Gamma) the discriminant vanishes and c = -b v
         d, alpha_sq = 2, 2.0
         b = math.sqrt(states.b_domain_limit(d, alpha_sq))
-        _, v = states.uv_coefficients(d, alpha_sq)
+        _, v, _ = states.overlaps(d, alpha_sq)
         assert states.solve_c(b, d, alpha_sq) == pytest.approx(-b * v, rel=1e-6)
 
     def test_against_polynomial_roots(self):
         # np.roots as the independent quadratic solver
         d, alpha_sq, b = 2, 4.0, 0.3
-        u, v = states.uv_coefficients(d, alpha_sq)
+        u, v, _ = states.overlaps(d, alpha_sq)
         roots = sorted(np.roots([1.0, 2.0 * b * v, b * b * u - 1.0]))
         assert states.solve_c(b, d, alpha_sq) == pytest.approx(roots[1], rel=1e-12)
-        assert states.solve_c(b, d, alpha_sq, smaller_root=True) == pytest.approx(
-            roots[0], rel=1e-12)
 
     def test_out_of_domain(self):
         d, alpha_sq = 2, 1.0
@@ -69,7 +67,7 @@ class TestSolveC:
 def test_solve_c_satisfies_normalization(d, alpha_sq, frac):
     b = frac * math.sqrt(states.b_domain_limit(d, alpha_sq))
     c = states.solve_c(b, d, alpha_sq)
-    u, v = states.uv_coefficients(d, alpha_sq)
+    u, v, _ = states.overlaps(d, alpha_sq)
     assert abs(c * c + 2.0 * b * v * c + b * b * u - 1.0) < 1e-12
 
 
@@ -86,7 +84,7 @@ class TestBDomainLimit:
         # the quadratic for c has real roots below the cap, complex above
         d, alpha_sq = 3, 0.8
         cap = states.b_domain_limit(d, alpha_sq)
-        u, v = states.uv_coefficients(d, alpha_sq)
+        u, v, _ = states.overlaps(d, alpha_sq)
         for shrink, expect_real in ((0.999, True), (1.001, False)):
             b = math.sqrt(cap) * shrink
             roots = np.roots([1.0, 2.0 * b * v, b * b * u - 1.0])
@@ -142,7 +140,7 @@ class TestMeanTotalPhotons:
     def test_matches_oracle_number_expectation(self):
         p = states.ecs_params(2, 1.0, 0.4)
         cutoff = oracle.minimal_cutoff(1.0, 1e-14) + 4
-        state = oracle.build_ecs_state(p, cutoff)
+        state = oracle.build_state(p, cutoff)
         assert states.mean_total_photons(p) == pytest.approx(
             oracle.total_photon_expectation(state), rel=1e-9)
 
@@ -156,10 +154,9 @@ def test_noon_optimal_b_values():
 
 class TestValidation:
     def test_valid_params_pass_through(self):
-        p = states.EcsParams(d=2, alpha_sq=4.0, b=0.0, c=1.0, m=1)
-        assert states.validate_ecs(p) is p
+        assert states.EcsParams(d=2, alpha_sq=4.0, b=0.0, c=1.0, m=1).c == 1.0
         p = states.ecs_params(3, 2.0, 0.3, m=2)
-        assert states.validate_ecs(p) is p
+        assert states.EcsParams(p.d, p.alpha_sq, p.b, p.c, p.m) == p
 
     def test_b_beyond_cap(self):
         cap = states.b_domain_limit(2, 4.0)
@@ -168,56 +165,56 @@ class TestValidation:
 
     def test_normalization_violation(self):
         with pytest.raises(NormalizationError):
-            states.validate_ecs(states.EcsParams(d=2, alpha_sq=4.0, b=0.1, c=1.0, m=1))
+            states.EcsParams(d=2, alpha_sq=4.0, b=0.1, c=1.0, m=1)
 
     def test_noon(self):
         p = states.noon_params(5, 10)
         assert p.c ** 2 == pytest.approx(1.0 - 5 * p.b ** 2, abs=1e-15)
         with pytest.raises(NormalizationError):
-            states.validate_noon(states.NoonParams(d=2, photon_number=3, b=0.5, c=0.9))
+            states.NoonParams(d=2, photon_number=3, b=0.5, c=0.9)
         with pytest.raises(ValueError):
-            states.validate_noon(states.NoonParams(d=2, photon_number=0, b=0.1, c=0.99))
+            states.NoonParams(d=2, photon_number=0, b=0.1, c=0.99)
 
 
 class TestValidOnConstruction:
-    """Building a probe runs its validator exactly once; an invalid one is never built."""
+    """Building a probe validates it exactly once; an invalid one is never built."""
 
     @staticmethod
-    def _count(monkeypatch, name):
+    def _count(monkeypatch, cls):
         calls = []
-        original = getattr(states, name)
+        original = cls.__post_init__
 
         def counted(q):
             calls.append(q)
             return original(q)
-        monkeypatch.setattr(states, name, counted)
+        monkeypatch.setattr(cls, "__post_init__", counted)
         return calls
 
     def test_valid_probes(self, monkeypatch):
-        ecs_calls = self._count(monkeypatch, "validate_ecs")
-        noon_calls = self._count(monkeypatch, "validate_noon")
+        ecs_calls = self._count(monkeypatch, states.EcsParams)
+        noon_calls = self._count(monkeypatch, states.NoonParams)
         ecs = states.ecs_params(2, 1.0, 0.3)
         noon = states.noon_params(2, 3)
         assert ecs_calls == [ecs] and noon_calls == [noon]
         states.mean_total_photons(ecs)
         assert ecs_calls == [ecs]
 
-    @pytest.mark.parametrize("cls, args, validator, error, message", [
+    @pytest.mark.parametrize("cls, args, error, message", [
         (states.EcsParams, (2, 1.0, 0.3, states.ecs_params(2, 1.0, 0.3).c + 1e-9),
-         "validate_ecs", NormalizationError,
+         NormalizationError,
          "normalization violated: c^2 + 2bvc + b^2 u - 1 = 1.792e-09 exceeds 1e-12"),
         (states.EcsParams, (2, 4.0, math.sqrt(states.b_domain_limit(2, 4.0)) * 1.01, 0.0),
-         "validate_ecs", CoefficientDomainError,
+         CoefficientDomainError,
          "b^2 = 0.501206357353 exceeds the domain cap Gamma = 0.491330612051"),
-        (states.EcsParams, (2, 1.0, 0.3, math.nan), "validate_ecs",
+        (states.EcsParams, (2, 1.0, 0.3, math.nan),
          NormalizationError, "c must be finite, got nan"),
-        (states.EcsParams, (2, 1.0, 0.3, math.inf), "validate_ecs",
+        (states.EcsParams, (2, 1.0, 0.3, math.inf),
          NormalizationError, "c must be finite, got inf"),
-        (states.NoonParams, (2, 0, 0.1, 0.99), "validate_noon",
+        (states.NoonParams, (2, 0, 0.1, 0.99),
          ValueError, "photon_number must be a positive int, got 0"),
     ], ids=["c-off-1e-9", "b-beyond-cap", "c-nan", "c-inf", "noon-zero-photons"])
-    def test_invalid_probe_raises_once(self, monkeypatch, cls, args, validator, error, message):
-        calls = self._count(monkeypatch, validator)
+    def test_invalid_probe_raises_once(self, monkeypatch, cls, args, error, message):
+        calls = self._count(monkeypatch, cls)
         with pytest.raises(error) as info:
             cls(*args)
         assert type(info.value) is error
@@ -232,4 +229,4 @@ def test_oracle_norm_on_b_grid():
     cap = math.sqrt(states.b_domain_limit(d, alpha_sq))
     for b in np.linspace(0.0, cap, 1000, endpoint=False):
         p = states.ecs_params(d, alpha_sq, float(b))
-        assert abs(oracle.norm_sq(oracle.build_ecs_state(p, cutoff)) - 1.0) < 1e-10
+        assert abs(oracle.norm_sq(oracle.build_state(p, cutoff)) - 1.0) < 1e-10
