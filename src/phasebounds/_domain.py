@@ -11,16 +11,18 @@ flag reads one row and names itself: ``--m must be <= 109``.
 numbers S(2m, k): every S(218, k) converts to a double and some S(220, k)
 does not, so m stops at 109.  A moment ``order`` has no upper limit.
 ``alpha`` is the coherent amplitude; its square ``alpha_sq`` is nonzero in a
-bound, since the vacuum carries no phase information, and ``mu`` is that
-square where the vacuum is allowed, in a moment or a probe.  ``b`` and ``c``
+bound and in the cap Gamma, since the vacuum carries no phase information,
+and ``mu`` is that square where the vacuum is allowed, in a moment or a probe.  ``b`` and ``c``
 are the branch weights of a probe, ``N`` the photon number of a NOON bound,
 ``photon_number`` that of a NOON probe and ``n_tot`` the total photon number
 of independent estimation.  ``count``, ``points``, ``seed`` and ``tol`` are
 read by the CLI alone.
 
-Limits joining several inputs stay in the kernels: b^2 <= Gamma, f(m)^2 > 0
-and an overflow at a given alpha and m, which a sweep also checks at its
-axis ends.  An error a kernel raises under a command exits 2 naming the
+Limits joining several inputs stay in the kernels: f(m)^2 > 0, an overflow
+at a given alpha and m, which a sweep also checks at its axis ends, and the
+cap b^2 <= Gamma and the normalization of c.  The cap and the normalization
+residual are each tested in one function of ``states``, for both probe
+families: a NOON probe is the coherent one with (u, v) = (d, 0).  An error a kernel raises under a command exits 2 naming the
 flags read: ``... (at --d 3 --alpha 2.0)``.
 """
 

@@ -189,7 +189,9 @@ def _unread(flag: str, family: str, flags: Sequence[str]) -> PhaseBoundsError:
 
 
 def _bounds_report(args: argparse.Namespace) -> bounds.BoundReport:
-    """Check --d, --m and the family's flags, reject flags it does not read, then report."""
+    """Check --d, --m and the family's flags, reject flags it does not read, then report;
+    a value or param that is not a finite double exits 2, keeping the message of an
+    overflow the package named but not Python's bare arithmetic errors."""
     family = args.family
     _inside("--d", "d", args.d)
     if args.m is not None:
@@ -207,7 +209,14 @@ def _bounds_report(args: argparse.Namespace) -> bounds.BoundReport:
         if flag not in flags and _value(args, flag) is not None:
             raise _unread(flag, family, flags)
     with _naming(given):
-        return report(*given.values())
+        try:
+            result = report(*given.values())
+            if all(map(math.isfinite, (result.value, *result.params.values()))):
+                return result
+            named = ""
+        except (ZeroDivisionError, OverflowError) as exc:
+            named = f": {exc}" if isinstance(exc, PhaseBoundsError) else ""
+        raise PhaseBoundsError(f"the bound is not a finite double{named}")
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:

@@ -18,6 +18,10 @@ class DegenerateInputError(PhaseBoundsError, ValueError):
     (vacuum probe, zero sensing weight, ...)."""
 
 
+class DoubleOverflowError(PhaseBoundsError, OverflowError):
+    """A quantity the package forms exceeds the double range; the message names it."""
+
+
 class SingularMatrixError(PhaseBoundsError, ValueError):
     """Structured information matrix is singular where an inverse is needed."""
 

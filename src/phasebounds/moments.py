@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from ._arrays import all_true, first_failing, quiet_overflow, scalar
 from ._domain import check
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, DoubleOverflowError
 
 __all__ = [
     "stirling2",
@@ -74,9 +74,9 @@ def coherent_number_moment(m: int, mu):
 
     Raises
     ------
-    OverflowError
-        If the polynomial exceeds the double-precision range; the result is
-        never silently saturated.
+    DoubleOverflowError
+        An OverflowError, if the polynomial exceeds the double-precision
+        range; the result is never silently saturated.
     """
     check(order=m, mu=mu)
     total = 0.0 * mu  # zero in mu's shape
@@ -89,7 +89,7 @@ def coherent_number_moment(m: int, mu):
             total = total + float(coefficient) * power
     ok = total < math.inf
     if not all_true(ok):
-        raise OverflowError(
+        raise DoubleOverflowError(
             f"coherent_number_moment overflows for m={m}, mu={first_failing(mu, ok)}")
     return scalar(total)
 

@@ -21,7 +21,7 @@ w it needs, gathers it into term-pair x mode factor arrays, and takes the
 products over all modes, all modes but one and all modes but two from
 prefix/suffix cumulative products (never by division: NOON overlaps are
 exactly 0).  Inner products, photon numbers, both information matrices and
-the commutator witness all go through it, at O(d^4) for a d x d matrix
+the commutator check all go through it, at O(d^4) for a d x d matrix
 instead of O(d^5) vdots.
 
 A dense amplitude tensor is the second-layer oracle at small sizes.  Every
@@ -440,11 +440,12 @@ def qfim_via_state_derivatives(p: EcsParams | NoonParams,
 def commutator_expectation(p: EcsParams | NoonParams, j: int, k: int,
                            cutoff: int | None = None,
                            tail_tol: float = DEFAULT_TAIL_TOL) -> complex:
-    """<[H_j, H_k]> on the probe, the attainability witness for the bound.
+    """<[H_j, H_k]> on the probe: exactly 0 on any oracle, by construction.
 
-    The generators are diagonal in the Fock basis, so the two application
-    orders produce bitwise-identical states and the result is exactly zero;
-    computing it exercises that the oracle agrees.
+    The generators (a^dag a)^m are diagonal in the Fock basis, so they
+    commute, which is why the bound is attainable; the two application
+    orders give bitwise-identical states.  A zero confirms that structure,
+    not the oracle's numbers.
     """
     if not (1 <= j <= p.d and 1 <= k <= p.d):
         raise ValueError(f"mode indices must lie in 1..{p.d}, got j={j}, k={k}")

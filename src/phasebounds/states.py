@@ -13,9 +13,12 @@ and the global phase can always be chosen to make c real, so nothing is
 lost and the normalization quadratic stays real.
 
 Probes are validated on construction, in EcsParams and NoonParams, so code
-holding a probe never checks it again.  ``overlaps`` is the one place the
-sums u, v and u - v^2 are formed, and ``domain_geometry`` the one pass
-forming Gamma, f(m), f(2m), g and b_star.
+holding a probe never checks it again.  Both normalize by
+c^2 + 2bvc + b^2 u = 1, a NOON probe with (u, v) = (d, 0), so one function
+tests the cap, one the residual (each against a derived forward-error
+bound) and one forms c, for both.  ``overlaps`` is the one place u, v and
+u - v^2 are formed, and ``domain_geometry`` the one pass forming Gamma,
+f(m), f(2m), g and b_star.
 
 The coherent-probe functions broadcast over d, alpha_sq and b (see
 ``_arrays``): a sweep passes arrays, a scalar call gets Python types back.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 from ._arrays import all_true, clip_negative, first_failing, libm, quiet_overflow, scalar, sqrt
 from ._domain import check
-from .errors import CoefficientDomainError, DegenerateInputError, NormalizationError
+from .errors import CoefficientDomainError, NormalizationError
 from .moments import coherent_moments
 
 __all__ = [
@@ -46,8 +49,28 @@ __all__ = [
     "noon_params",
 ]
 
-NORMALIZATION_ATOL = 1e-12
-DOMAIN_ATOL = 1e-12
+# The two probe checks judge a computed value against its forward-error bound,
+# in units of the unit roundoff eps = 2^-53 (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., ch. 3): each + - * / and sqrt rounds once,
+# |delta| <= eps, and libm's exp and expm1 are within one ulp, |delta| <= 2 eps.
+# First-order counts, in eps, of the error each quantity carries:
+# - overlaps: u within 4 of its exact value, v within 3, u - v^2 within 8.
+# - cap: t = b*b*(u - v^2) carries 8 + 2, so b^2 <= Gamma exactly gives
+#   t <= 1 + 10 eps, and disc = 1 - t >= -k' eps (1 + t) holds for k' >= 5.
+# - residual R = c^2 + 2bvc + b^2 u - 1 at c = solve_c(b), per term of
+#   (1, c^2, |2bvc|, b^2 u): c's roundings (b*v, t, 1 - t, sqrt, the sum)
+#   leave (3, 2, 2, 2) in the quadratic c solves; that quadratic's b^2 term
+#   is v^2 + (u - v^2) as computed, within 8 + 4 of the computed u, adding
+#   (0, 0, 0, 12); the left-to-right evaluation of R adds (1, 4, 5, 4).  The
+#   sums are (4, 6, 7, 18), so |R| <= 18 eps (c^2 + |2bvc| + b^2 u + 1).
+# k and k' round 18 and 5 up, past the second-order terms.  NOON's u - v^2 = d
+# is exact, so its counts are smaller.
+_EPS = 2.0 ** -53
+_K_RESIDUAL = 20
+_K_CAP = 6
+# disc >= -k' eps (1 + t) tested as t <= (1 + k' eps)/(1 - k' eps), the same
+# test (1 - t is exact for t in [1/2, 2]) that also rejects a t that overflowed.
+_CAP_T = (1.0 + _K_CAP * _EPS) / (1.0 - _K_CAP * _EPS)
 
 
 @dataclass(frozen=True)
@@ -67,31 +90,18 @@ class EcsParams:
     m: int = 1
 
     def __post_init__(self) -> None:
-        """Raise naming the violated invariant: b^2 under the cap, then normalization."""
+        """Raise naming the violated invariant: the ranges, b^2 under the cap, then
+        normalization (an out-of-cap b cannot be normalized by any c)."""
         check(m=self.m, b=self.b, c=self.c)
-        b, c = self.b, self.c
         u, v, denom = overlaps(self.d, self.alpha_sq)
-        # domain first: an out-of-cap b cannot be normalized by any choice of c.
-        # At alpha_sq = 0 the cap 1/(u - v^2) is undefined and b is unconstrained;
-        # u - v^2 = 0 is replaced by 1 there and the element passes.
-        vacuum = self.alpha_sq == 0.0
-        gamma_cap = 1.0 / (denom + vacuum)
-        ok = vacuum | (b * b <= gamma_cap + DOMAIN_ATOL)
-        if not all_true(ok):
-            raise CoefficientDomainError(
-                f"b^2 = {first_failing(b * b, ok):.12g} exceeds the domain cap "
-                f"Gamma = {first_failing(gamma_cap, ok):.12g}")
-        residual = c * c + 2.0 * b * v * c + b * b * u - 1.0
-        ok = abs(residual) <= NORMALIZATION_ATOL
-        if not all_true(ok):
-            raise NormalizationError(
-                f"normalization violated: c^2 + 2bvc + b^2 u - 1 = "
-                f"{first_failing(residual, ok):.3e} exceeds {NORMALIZATION_ATOL}")
+        _discriminant(self.b, denom)
+        _check_residual(self.b, self.c, u, v)
 
 
 @dataclass(frozen=True)
 class NoonParams:
-    """NOON probe: b sum_j |N>_j + c |N>_0 with orthogonal Fock branches."""
+    """NOON probe: b sum_j |N>_j + c |N>_0 with orthogonal Fock branches,
+    the coherent probe's normalization at (u, v) = (d, 0)."""
 
     d: int
     photon_number: int
@@ -100,13 +110,11 @@ class NoonParams:
     m: int = 1
 
     def __post_init__(self) -> None:
-        """Raise naming the violated invariant: the ranges, then d b^2 + c^2 = 1."""
-        check(d=self.d, m=self.m, photon_number=self.photon_number, b=self.b)
-        residual = self.d * self.b * self.b + self.c * self.c - 1.0
-        if abs(residual) > NORMALIZATION_ATOL:
-            raise NormalizationError(
-                f"NOON normalization violated: d b^2 + c^2 - 1 = {residual:.3e} "
-                f"exceeds {NORMALIZATION_ATOL}")
+        """Raise naming the violated invariant: the ranges, b^2 under the cap 1/d,
+        then d b^2 + c^2 = 1."""
+        check(d=self.d, m=self.m, photon_number=self.photon_number, b=self.b, c=self.c)
+        _discriminant(self.b, self.d)
+        _check_residual(self.b, self.c, self.d, 0.0)
 
 
 @dataclass(frozen=True)
@@ -130,11 +138,46 @@ def overlaps(d, alpha_sq):
     and v = d e^{-alpha_sq} the sensing-reference overlaps; u >= v > 0 for
     finite alpha_sq.  u - v^2 takes the cancellation-free form
     d (1 - x)(1 + d x), x = e^{-alpha_sq}, with 1 - x = -expm1(-alpha_sq):
-    the direct difference loses precision at small alpha_sq.
+    the direct difference loses precision at small alpha_sq.  For every
+    alpha_sq > 0 its three factors are >= 1, > 0 and >= 1 (expm1 of a
+    subnormal is itself), so the computed u - v^2 is > 0 and never underflows.
     """
     check(d=d, mu=alpha_sq)
     x = libm(math.exp, -alpha_sq)
     return d + d * (d - 1) * x, d * x, d * -libm(math.expm1, -alpha_sq) * (1.0 + d * x)
+
+
+def _discriminant(b, denom):
+    """1 - b^2 (u - v^2), a quarter of the normalization quadratic's discriminant;
+    CoefficientDomainError where b^2 exceeds the cap Gamma = 1/(u - v^2) by more
+    than rounding, so that no real c exists (at the vacuum Gamma is infinite)."""
+    t = b * b * denom
+    ok = t <= _CAP_T
+    if not all_true(ok):
+        denom = first_failing(denom, ok)
+        raise CoefficientDomainError(
+            f"b^2 = {first_failing(b * b, ok):.12g} exceeds the domain cap "
+            f"Gamma = {1.0 / denom if denom else math.inf:.12g}")
+    return 1.0 - t
+
+
+def _larger_root(b, v, denom):
+    """c = -b v + sqrt(disc), the root of c^2 + 2bvc + b^2 u = 1 continuously
+    connected to c = 1 at b = 0; a disc that rounding left below 0 gives c = -b v."""
+    return -b * v + sqrt(clip_negative(_discriminant(b, denom)))
+
+
+def _check_residual(b, c, u, v) -> None:
+    """Raise NormalizationError unless |c^2 + 2bvc + b^2 u - 1| is within its
+    forward-error bound k eps (c^2 + |2bvc| + b^2 u + 1), k = _K_RESIDUAL."""
+    cc, bvc, bbu = c * c, 2.0 * b * v * c, b * b * u
+    residual = cc + bvc + bbu - 1.0
+    bound = _K_RESIDUAL * _EPS * (cc + abs(bvc) + bbu + 1.0)
+    ok = abs(residual) - bound <= 0.0  # NaN, failing, where a term overflowed
+    if not all_true(ok):
+        raise NormalizationError(
+            f"normalization violated: c^2 + 2bvc + b^2 u - 1 = "
+            f"{first_failing(residual, ok):.3e} exceeds {first_failing(bound, ok):.3e}")
 
 
 def solve_c(b, d, alpha_sq):
@@ -151,30 +194,18 @@ def solve_c(b, d, alpha_sq):
     """
     check(b=b)
     _, v, denom = overlaps(d, alpha_sq)
-    disc = 1.0 - b * b * denom
-    ok = disc >= -DOMAIN_ATOL
-    if not all_true(ok):
-        raise CoefficientDomainError(
-            f"b^2 = {first_failing(b * b, ok):.12g} is not normalizable: discriminant "
-            f"{first_failing(disc, ok):.3e} < 0 "
-            f"(cap Gamma = {1.0 / first_failing(denom, ok):.12g})")
-    root = sqrt(clip_negative(disc))
-    return scalar(-b * v + root)
+    return scalar(_larger_root(b, v, denom))
 
 
 def b_domain_limit(d, alpha_sq):
     """Largest admissible sensing weight, Gamma = 1/(u - v^2).
 
     At alpha_sq = 0 every branch collapses to vacuum and u - v^2 vanishes;
-    that input is rejected rather than assigned a limit value.
+    the alpha_sq row rejects that input, and every alpha_sq it accepts gives
+    u - v^2 > 0 (see overlaps).
     """
     _, _, denom = overlaps(d, alpha_sq)
-    ok = denom > 0.0
-    if not all_true(ok):
-        raise DegenerateInputError(
-            f"b-domain cap undefined: u - v^2 = {first_failing(denom, ok):.3e} <= 0 at "
-            f"alpha_sq={first_failing(alpha_sq, ok)} "
-            "(vacuum probe carries no phase information)")
+    check(alpha_sq=alpha_sq)
     with quiet_overflow(denom):  # inf, as for a float, when denom < 1/DBL_MAX
         return 1.0 / denom
 
@@ -185,14 +216,13 @@ def b_star(d, m: int, alpha_sq):
     g = f(2m)/f(m)^2 tends to 1 for large alpha_sq, where b_star approaches
     the orthogonal-branch value 1/sqrt(d + sqrt d).
     """
-    check(d=d, m=m, alpha_sq=alpha_sq)
     return domain_geometry(d, m, alpha_sq).b_star
 
 
 def domain_geometry(d, m: int, alpha_sq) -> DomainGeometry:
     """Cap, moments, optimizer and regime flag in one record, broadcast over d and alpha_sq."""
     gamma_cap = b_domain_limit(d, alpha_sq)
-    check(m=m, alpha_sq=alpha_sq)
+    check(m=m)
     f_m, f_2m, g = coherent_moments(m, alpha_sq)
     bs = sqrt(g / (sqrt(d) + d))
     return DomainGeometry(gamma_cap=gamma_cap, b_star=scalar(bs), g=g,
@@ -223,11 +253,5 @@ def noon_params(d: int, photon_number: int, b: float | None = None, m: int = 1) 
     """Build a NOON probe; b defaults to the optimal 1/sqrt(d + sqrt d)."""
     if b is None:
         b = noon_optimal_b(d)
-    remainder = 1.0 - d * b * b
-    if remainder < 0.0:
-        if remainder < -DOMAIN_ATOL:
-            raise CoefficientDomainError(
-                f"d b^2 = {d * b * b:.12g} exceeds 1; no normalizable c exists")
-        remainder = 0.0
-    c = math.sqrt(remainder)
-    return NoonParams(d=d, photon_number=photon_number, b=b, c=c, m=m)
+    check(b=b)
+    return NoonParams(d=d, photon_number=photon_number, b=b, c=_larger_root(b, 0.0, d), m=m)

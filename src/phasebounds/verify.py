@@ -257,7 +257,11 @@ def trace_formula(probes: Iterable[states.EcsParams]) -> CheckResult:
 
 
 def commutators(probes: Iterable[states.EcsParams]) -> CheckResult:
-    """|<[H_j, H_k]>|: every mode pair of a grid probe, the first and last of a wide one."""
+    """|<[H_j, H_k]>|: every mode pair of a grid probe, the first and last of a wide one.
+
+    The generators are diagonal, so this is exactly 0 on any oracle: it confirms
+    that they commute (why the bound is attainable), not the oracle's numbers.
+    """
     def pairs(p: states.EcsParams):
         modes = range(1, p.d + 1) if p.d <= GRID_DS[-1] else (1, p.d)
         return itertools.product(modes, modes)

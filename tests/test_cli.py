@@ -160,6 +160,29 @@ class TestBoundsCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.endswith(f" (at {shown})\n"), err
 
+    @pytest.mark.parametrize("argv,named", [
+        # each printed "value": Infinity, which is not JSON, and exited 0
+        (("--family", "ecs-at-b", "--d", "3", "--alpha", "2", "--b", "1e-160"), ""),
+        (("--family", "independent-ecs", "--d", "3", "--alpha", "1e-160"), ""),
+        (("--family", "independent-ecs", "--d", "3", "--n-tot", "1e-320"), ""),
+        # each printed Python's bare float division by zero
+        (("--family", "ecs-at-b", "--d", "3", "--alpha", "2", "--b", "1e-200"), ""),
+        (("--family", "independent-noon", "--d", "3", "--n-tot", "1e-200"), ""),
+        # each printed Python's bare (34, 'Numerical result out of range')
+        (("--family", "noon-linear", "--d", "1", "--N", "1e300"), ""),
+        (("--family", "independent-noon", "--d", "3", "--n-tot", "1e300"), ""),
+        # an overflow the package names keeps its message
+        (("--family", "ecs-optimal", "--d", "3", "--alpha", "2", "--m", "100"),
+         ": coherent_number_moment overflows for m=200, mu=4.0"),
+    ], ids=["at-b-inf", "alpha-inf", "n-tot-inf", "at-b-div0", "n-tot-div0", "N-range",
+            "n-tot-range", "moment-overflow"])
+    def test_bound_that_is_not_a_finite_double_exits_2(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        given = " ".join(f"{flag} {float(value)!r}" if flag not in ("--d", "--m") else
+                         f"{flag} {value}" for flag, value in zip(argv[2::2], argv[3::2]))
+        assert code == 2 and out == ""
+        assert err == f"error: the bound is not a finite double{named} (at {given})\n"
+
     @pytest.mark.parametrize("argv,message", [
         (("--family", "ecs-linear", "--alpha", "2", "--b", "0.3"),
          "--b applies to family ecs-at-b only, not ecs-linear"),
@@ -240,7 +263,13 @@ def test_every_accepted_bounds_argv_exits_0_or_2(data):
         flag_named = any(flag in err.getvalue() for flag in ("--d", "--m", *FLOAT_FLAGS))
         assert out.getvalue() == "" and flag_named, argv
     else:
-        assert err.getvalue() == "" and json.loads(out.getvalue())["value"] >= 0.0, argv
+        payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert err.getvalue() == "" and payload["value"] >= 0.0, argv
+
+
+def _reject_constant(name):
+    """json.loads hook for Infinity, -Infinity and NaN, which are not JSON."""
+    raise AssertionError(f"bounds printed {name}")
 
 
 class TestRegionCommand:
@@ -617,7 +646,7 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-# every bounds family, json and csv, and error exits from the kernel's checks
+# every bounds family, json and csv, the cap itself, and error exits from the kernel's checks
 SCALAR_ARGVS = [
     *[[*argv, "--format", fmt] for fmt in ("json", "csv") for argv in (
         ["bounds", "--family", "ecs-linear", "--d", "5", "--alpha", "2"],
@@ -631,6 +660,7 @@ SCALAR_ARGVS = [
         ["bounds", "--family", "zzb-ecs", "--d", "5", "--alpha", "2"],
         ["bounds", "--family", "zzb-noon", "--d", "5", "--N", "4"],
     )],
+    # b = sqrt(Gamma) as computed: inside the cap, so it exits 0
     ["bounds", "--family", "ecs-at-b", "--d", "5", "--alpha", "0.01",
      "--b", "18.258635775173552"],
     ["bounds", "--family", "ecs-linear", "--d", "5", "--alpha", "1"],
@@ -667,6 +697,6 @@ print(json.dumps({{"seen": seen, "exits": exits, "numpy": "numpy" in sys.modules
     seen = report.pop("seen")
     assert seen.pop("import phasebounds") == [] and seen.pop("import phasebounds.cli") == []
     exits = {argv: got[0] for argv, got in seen.items()}
-    assert list(exits.values()) == [0] * 20 + [2] * 3, exits
+    assert list(exits.values()) == [0] * 21 + [2] * 2, exits
     assert {argv: got[1] for argv, got in seen.items() if got[1]} == {}
     assert report == {"exits": [0, 0, 0], "numpy": True}

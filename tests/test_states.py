@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasebounds import oracle, states
@@ -29,6 +29,16 @@ class TestUvCoefficients:
         assert u == pytest.approx(5.0 + 20.0 * x, rel=1e-15)
         assert v == pytest.approx(5.0 * x, rel=1e-15)
         assert u >= v > 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 10 ** 6),
+           alpha_sq=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+           | st.sampled_from([5e-324, 2.2250738585072014e-308, 1e-300, 1e-12, 745.2, 1e308]))
+    def test_u_minus_v_sq_positive_wherever_alpha_sq_is_accepted(self, d, alpha_sq):
+        # b_domain_limit relies on this in place of its own u - v^2 > 0 test
+        assert states.overlaps(d, alpha_sq)[2] > 0.0
+        arrays = states.overlaps(np.array([d, 1]), np.array([alpha_sq, alpha_sq]))
+        assert np.all(arrays[2] > 0.0)
 
 
 class TestSolveC:
@@ -58,6 +68,30 @@ class TestSolveC:
     def test_rejects_negative_b(self):
         with pytest.raises(CoefficientDomainError):
             states.solve_c(-0.1, 2, 1.0)
+
+
+# alpha_sq log-uniform over [1e-12, 700]; the fraction of sqrt(Gamma) is 1 itself
+# in about half the draws, so b = sqrt(Gamma) as computed is always among them
+LOG_ALPHA_SQ = st.floats(-12.0, math.log10(700.0)).map(lambda e: 10.0 ** e)
+CAP_FRACTION = st.just(1.0) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(d=st.integers(1, 64), alpha_sq=LOG_ALPHA_SQ, frac=CAP_FRACTION, m=st.integers(1, 2))
+@example(d=1, alpha_sq=1e-5, frac=1.0, m=1)
+def test_every_b_under_the_cap_gets_a_normalized_c(d, alpha_sq, frac, m):
+    # solve_c's cap test and the probe's: b up to sqrt(Gamma) passes both, and
+    # the c it gets passes the residual test (EcsParams raises neither error)
+    b = frac * math.sqrt(states.b_domain_limit(d, alpha_sq))
+    p = states.EcsParams(d, alpha_sq, b, states.solve_c(b, d, alpha_sq), m)
+    assert p.c >= -b * states.overlaps(d, alpha_sq)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 64), frac=CAP_FRACTION)
+def test_every_noon_b_under_the_cap_gets_a_normalized_c(d, frac):
+    b = frac / math.sqrt(d)
+    assert states.noon_params(d, 3, b).c >= 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,7 +125,9 @@ class TestBDomainLimit:
             assert np.all(np.isreal(roots)) == expect_real
 
     def test_vacuum_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        # the alpha_sq row's text, as for every other kernel
+        vacuum = r"^alpha_sq must be finite and > 0, got 0\.0$"
+        with pytest.raises(DegenerateInputError, match=vacuum):
             states.b_domain_limit(1, 0.0)
         with pytest.raises(DegenerateInputError):
             states.b_domain_limit(5, 0.0)
@@ -175,6 +211,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             states.NoonParams(d=2, photon_number=0, b=0.1, c=0.99)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 16, 64])
+    def test_noon_at_the_cap(self, d):
+        # b = 1/sqrt(d) is exact for d = 1, 4, 16, 64, and c is then exactly 0;
+        # elsewhere the rounded b leaves a discriminant of an ulp or two
+        p = states.noon_params(d, 3, b=1.0 / math.sqrt(d))
+        assert p.c == 0.0 if d in (1, 4, 16, 64) else p.c ** 2 <= 1e-15
+
+    def test_noon_beyond_the_cap(self):
+        with pytest.raises(CoefficientDomainError) as info:
+            states.noon_params(2, 3, b=math.sqrt((1.0 + 1e-9) / 2.0))
+        assert str(info.value) == "b^2 = 0.5000000005 exceeds the domain cap Gamma = 0.5"
+
 
 class TestValidOnConstruction:
     """Building a probe validates it exactly once; an invalid one is never built."""
@@ -202,7 +250,11 @@ class TestValidOnConstruction:
     @pytest.mark.parametrize("cls, args, error, message", [
         (states.EcsParams, (2, 1.0, 0.3, states.ecs_params(2, 1.0, 0.3).c + 1e-9),
          NormalizationError,
-         "normalization violated: c^2 + 2bvc + b^2 u - 1 = 1.792e-09 exceeds 1e-12"),
+         "normalization violated: c^2 + 2bvc + b^2 u - 1 = 1.792e-09 exceeds 4.441e-15"),
+        # an absolute 1e-12 accepted this; the bound scales with terms of order 1
+        (states.EcsParams, (2, 1.0, 0.3, states.ecs_params(2, 1.0, 0.3).c + 1e-13),
+         NormalizationError,
+         "normalization violated: c^2 + 2bvc + b^2 u - 1 = 1.790e-13 exceeds 4.441e-15"),
         (states.EcsParams, (2, 4.0, math.sqrt(states.b_domain_limit(2, 4.0)) * 1.01, 0.0),
          CoefficientDomainError,
          "b^2 = 0.501206357353 exceeds the domain cap Gamma = 0.491330612051"),
@@ -212,7 +264,12 @@ class TestValidOnConstruction:
          NormalizationError, "c must be finite, got inf"),
         (states.NoonParams, (2, 0, 0.1, 0.99),
          ValueError, "photon_number must be a positive int, got 0"),
-    ], ids=["c-off-1e-9", "b-beyond-cap", "c-nan", "c-inf", "noon-zero-photons"])
+        (states.NoonParams, (2, 3, math.sqrt((1.0 + 1e-9) / 2.0), 0.0),
+         CoefficientDomainError, "b^2 = 0.5000000005 exceeds the domain cap Gamma = 0.5"),
+        (states.NoonParams, (2, 3, 0.5, math.nan),
+         NormalizationError, "c must be finite, got nan"),
+    ], ids=["c-off-1e-9", "c-off-1e-13", "b-beyond-cap", "c-nan", "c-inf", "noon-zero-photons",
+            "noon-b-beyond-cap", "noon-c-nan"])
     def test_invalid_probe_raises_once(self, monkeypatch, cls, args, error, message):
         calls = self._count(monkeypatch, cls)
         with pytest.raises(error) as info:
