@@ -6,7 +6,8 @@ open or closed, and the exception for a value outside it.  ``check`` tests
 numbers or NumPy arrays, picking its namespace as ``_arrays`` does.  A CLI
 flag reads one row and names itself: ``--m must be <= 109``.
 
-``d`` counts the phases; ``m`` is the order of the generator ``(a^dag a)^m``,
+``d`` counts the phases, up to the largest double, since every kernel forms
+it as one; ``m`` is the order of the generator ``(a^dag a)^m``,
 1 for the linear protocol and 2 for the nonlinear one.  f(2m) sums Stirling
 numbers S(2m, k): every S(218, k) converts to a double and some S(220, k)
 does not, so m stops at 109.  A moment ``order`` has no upper limit.
@@ -27,13 +28,14 @@ flags read: ``... (at --d 3 --alpha 2.0)``.
 """
 
 from math import inf
+from sys import float_info
 
 from ._arrays import all_true, first_failing
 from .errors import CoefficientDomainError, DegenerateInputError, NormalizationError
 
 DOMAIN = {
     # name: (label, not an integer, lo, lo closed, hi, hi closed, outside)
-    "d": ("d", ValueError, 1, True, inf, False, ValueError),
+    "d": ("d", ValueError, 1, True, float_info.max, True, ValueError),
     "m": ("generator order m", ValueError, 1, True, 109, True, ValueError),
     "order": ("moment order", TypeError, 0, True, inf, False, ValueError),
     "alpha": ("alpha", None, 0.0, False, inf, False, DegenerateInputError),

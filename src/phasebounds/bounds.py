@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Mapping
 from enum import Enum
-from typing import Mapping
 
 from ._arrays import libm, quiet_overflow, scalar, sqrt
 from ._domain import check
+from ._record import Record, set_field
 from .errors import RegionError
 from .qfim import trace_inverse_bound, trace_inverse_value
 from .states import domain_geometry, ecs_params
@@ -89,29 +89,35 @@ class Regime(str, Enum):
     NOT_APPLICABLE = "n/a"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """A named bound value with the regime it was obtained in and its inputs."""
 
-    value: float
-    kind: BoundKind
-    regime: Regime
-    params: Mapping[str, float]
+    __slots__ = ("value", "kind", "regime", "params")
+
+    def __init__(self, value: float, kind: BoundKind, regime: Regime,
+                 params: Mapping[str, float]) -> None:
+        set_field(self, "value", value)
+        set_field(self, "kind", kind)
+        set_field(self, "regime", regime)
+        set_field(self, "params", params)
 
 
-@dataclass(frozen=True)
-class RegionCell:
+class RegionCell(Record):
     """One cell of the attainability partition: is b_star inside the domain?
 
     Every field but m is an array when region_classify was given arrays.
     """
 
-    d: int
-    alpha: float
-    m: int
-    b_star: float
-    sqrt_gamma: float
-    interior: bool
+    __slots__ = ("d", "alpha", "m", "b_star", "sqrt_gamma", "interior")
+
+    def __init__(self, d: int, alpha: float, m: int, b_star: float, sqrt_gamma: float,
+                 interior: bool) -> None:
+        set_field(self, "d", d)
+        set_field(self, "alpha", alpha)
+        set_field(self, "m", m)
+        set_field(self, "b_star", b_star)
+        set_field(self, "sqrt_gamma", sqrt_gamma)
+        set_field(self, "interior", interior)
 
 
 def _headline_scale(d):

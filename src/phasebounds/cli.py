@@ -23,9 +23,9 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, Sequence
 
 from . import _domain, bounds, states
 from ._arrays import minimum, sqrt

@@ -35,12 +35,12 @@ never holds the full tensor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from itertools import accumulate
-from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._record import Record, set_field
 from .errors import CutoffError, SizeLimitError
 from .states import EcsParams, NoonParams
 
@@ -73,28 +73,33 @@ _TAIL_EPS = 2.0 ** -53
 _MAX_CUTOFF = 100_000
 
 
-@dataclass(frozen=True)
-class ModeVector:
+class ModeVector(Record):
     """Single-mode state on Fock levels 0..cutoff.
 
     Amplitudes need not be normalized; ``tail_mass`` records the probability
     discarded by the truncation that produced them (0 for exact vectors).
     """
 
-    amplitudes: np.ndarray
-    tail_mass: float = 0.0
+    __slots__ = ("amplitudes", "tail_mass")
+
+    def __init__(self, amplitudes: np.ndarray, tail_mass: float = 0.0) -> None:
+        set_field(self, "amplitudes", amplitudes)
+        set_field(self, "tail_mass", tail_mass)
 
     @property
     def cutoff(self) -> int:
         return len(self.amplitudes) - 1
 
 
-@dataclass(frozen=True)
-class SparseProductState:
+class SparseProductState(Record):
     """Superposition sum_t coeff_t * prod_modes factors_t[mode]."""
 
-    num_modes: int
-    terms: tuple[tuple[complex, tuple[ModeVector, ...]], ...]
+    __slots__ = ("num_modes", "terms")
+
+    def __init__(self, num_modes: int,
+                 terms: tuple[tuple[complex, tuple[ModeVector, ...]], ...]) -> None:
+        set_field(self, "num_modes", num_modes)
+        set_field(self, "terms", terms)
 
     def cutoff(self) -> int:
         return self.terms[0][1][0].cutoff

@@ -18,10 +18,8 @@ over b evaluates it there, on moments formed once (``moments.coherent_moments``)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 from ._arrays import all_true, first_failing
+from ._record import Record, set_field
 from .errors import DegenerateInputError, SingularMatrixError
 from .moments import coherent_moments, coherent_number_moment
 from .states import EcsParams, NoonParams
@@ -37,17 +35,21 @@ __all__ = [
     "effective_qfi_2param",
 ]
 
+# read by type checkers only: NumPy is imported where an array is made
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class StructuredQfim:
+class StructuredQfim(Record):
     """d x d matrix gamma (I + omega J) stored by its two scalars."""
 
-    d: int
-    gamma: float
-    omega: float
+    __slots__ = ("d", "gamma", "omega")
+
+    def __init__(self, d: int, gamma: float, omega: float) -> None:
+        set_field(self, "d", d)
+        set_field(self, "gamma", gamma)
+        set_field(self, "omega", omega)
 
     @property
     def diagonal(self) -> float:

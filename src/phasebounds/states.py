@@ -27,11 +27,11 @@ The coherent-probe functions broadcast over d, alpha_sq and b (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._arrays import all_true, clip_negative, first_failing, libm, quiet_overflow, scalar, sqrt
 from ._domain import check
-from .errors import CoefficientDomainError, NormalizationError
+from ._record import Record, set_field
+from .errors import CoefficientDomainError, DoubleOverflowError, NormalizationError
 from .moments import coherent_moments
 
 __all__ = [
@@ -73,8 +73,7 @@ _K_CAP = 6
 _CAP_T = (1.0 + _K_CAP * _EPS) / (1.0 - _K_CAP * _EPS)
 
 
-@dataclass(frozen=True)
-class EcsParams:
+class EcsParams(Record):
     """Entangled coherent probe: b sum_j |alpha>_j + c |alpha>_0.
 
     d sensing modes, coherent intensity alpha_sq = |alpha|^2, sensing-branch
@@ -83,52 +82,56 @@ class EcsParams:
     may be arrays that broadcast together, one probe per element.
     """
 
-    d: int
-    alpha_sq: float
-    b: float
-    c: float
-    m: int = 1
+    __slots__ = ("d", "alpha_sq", "b", "c", "m")
 
-    def __post_init__(self) -> None:
+    def __init__(self, d: int, alpha_sq: float, b: float, c: float, m: int = 1) -> None:
         """Raise naming the violated invariant: the ranges, b^2 under the cap, then
         normalization (an out-of-cap b cannot be normalized by any c)."""
-        check(m=self.m, b=self.b, c=self.c)
-        u, v, denom = overlaps(self.d, self.alpha_sq)
-        _discriminant(self.b, denom)
-        _check_residual(self.b, self.c, u, v)
+        set_field(self, "d", d)
+        set_field(self, "alpha_sq", alpha_sq)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "m", m)
+        check(m=m, b=b, c=c)
+        u, v, denom = overlaps(d, alpha_sq)
+        _discriminant(b, denom)
+        _check_residual(b, c, u, v)
 
 
-@dataclass(frozen=True)
-class NoonParams:
+class NoonParams(Record):
     """NOON probe: b sum_j |N>_j + c |N>_0 with orthogonal Fock branches,
     the coherent probe's normalization at (u, v) = (d, 0)."""
 
-    d: int
-    photon_number: int
-    b: float
-    c: float
-    m: int = 1
+    __slots__ = ("d", "photon_number", "b", "c", "m")
 
-    def __post_init__(self) -> None:
+    def __init__(self, d: int, photon_number: int, b: float, c: float, m: int = 1) -> None:
         """Raise naming the violated invariant: the ranges, b^2 under the cap 1/d,
         then d b^2 + c^2 = 1."""
-        check(d=self.d, m=self.m, photon_number=self.photon_number, b=self.b, c=self.c)
-        _discriminant(self.b, self.d)
-        _check_residual(self.b, self.c, self.d, 0.0)
+        set_field(self, "d", d)
+        set_field(self, "photon_number", photon_number)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "m", m)
+        check(d=d, m=m, photon_number=photon_number, b=b, c=c)
+        _discriminant(b, d)
+        _check_residual(b, c, d, 0.0)
 
 
-@dataclass(frozen=True)
-class DomainGeometry:
+class DomainGeometry(Record):
     """Geometry of the sensing weight b^2: its cap, the unconstrained optimizer
     of the variance bound, the moments f(m), f(2m) and their ratio g, and whether
     the optimizer falls inside the cap (arrays when the inputs were)."""
 
-    gamma_cap: float
-    b_star: float
-    g: float
-    interior: bool
-    f_m: float
-    f_2m: float
+    __slots__ = ("gamma_cap", "b_star", "g", "interior", "f_m", "f_2m")
+
+    def __init__(self, gamma_cap: float, b_star: float, g: float, interior: bool,
+                 f_m: float, f_2m: float) -> None:
+        set_field(self, "gamma_cap", gamma_cap)
+        set_field(self, "b_star", b_star)
+        set_field(self, "g", g)
+        set_field(self, "interior", interior)
+        set_field(self, "f_m", f_m)
+        set_field(self, "f_2m", f_2m)
 
 
 def overlaps(d, alpha_sq):
@@ -150,14 +153,20 @@ def overlaps(d, alpha_sq):
 def _discriminant(b, denom):
     """1 - b^2 (u - v^2), a quarter of the normalization quadratic's discriminant;
     CoefficientDomainError where b^2 exceeds the cap Gamma = 1/(u - v^2) by more
-    than rounding, so that no real c exists (at the vacuum Gamma is infinite)."""
+    than rounding, so that no real c exists (at the vacuum Gamma is infinite).
+    Where b^2 and Gamma both overflow the test cannot tell (at the vacuum t is
+    inf * 0 = NaN), and DoubleOverflowError names the overflow."""
     t = b * b * denom
     ok = t <= _CAP_T
     if not all_true(ok):
-        denom = first_failing(denom, ok)
+        b, b_sq, denom = (first_failing(x, ok) for x in (b, b * b, denom))
+        gamma = 1.0 / denom if denom else math.inf
+        if b_sq == gamma == math.inf:
+            raise DoubleOverflowError(
+                f"b^2 overflows a double at b = {b:.12g}, so it cannot be tested "
+                f"against the domain cap Gamma = inf")
         raise CoefficientDomainError(
-            f"b^2 = {first_failing(b * b, ok):.12g} exceeds the domain cap "
-            f"Gamma = {1.0 / denom if denom else math.inf:.12g}")
+            f"b^2 = {b_sq:.12g} exceeds the domain cap Gamma = {gamma:.12g}")
     return 1.0 - t
 
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
 from . import bounds, moments, oracle, qfim, states
+from ._record import Record, set_field
 from ._suites import SUITE_NAMES
 
 __all__ = ["CheckResult", "DEFAULT_TOLERANCES", "SUITE_NAMES", "run_suite",
@@ -33,13 +33,16 @@ __all__ = ["CheckResult", "DEFAULT_TOLERANCES", "SUITE_NAMES", "run_suite",
 Draws = Iterable[tuple[int, int, float]]  # (d, m, alpha_sq)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    discrepancy: float
-    tolerance: float
-    strict: bool = False
+class CheckResult(Record):
+    __slots__ = ("suite", "name", "discrepancy", "tolerance", "strict")
+
+    def __init__(self, suite: str, name: str, discrepancy: float, tolerance: float,
+                 strict: bool = False) -> None:
+        set_field(self, "suite", suite)
+        set_field(self, "name", name)
+        set_field(self, "discrepancy", discrepancy)
+        set_field(self, "tolerance", tolerance)
+        set_field(self, "strict", strict)
 
     @property
     def key(self) -> str:
@@ -521,5 +524,5 @@ def run_suite(name: str, seed: int = 0,
     results = [r for suite in (SUITE_NAMES if name == "all" else (name,))
                for r in _SUITES[suite](np.random.default_rng(seed))]
     overrides = tolerances or {}
-    return [replace(r, tolerance=float(overrides[r.key])) if r.key in overrides else r
-            for r in results]
+    return [CheckResult(r.suite, r.name, r.discrepancy, float(overrides[r.key]), r.strict)
+            if r.key in overrides else r for r in results]

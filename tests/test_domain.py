@@ -54,6 +54,24 @@ def test_kernels_take_m_up_to_the_max(call):
         assert str(info.value) == f"generator order m must be a positive int <= 109, got {m}"
 
 
+@pytest.mark.parametrize("call", [
+    lambda d: _domain.check(d=d),
+    lambda d: bounds.ecs_linear_value(d, 4.0),
+    lambda d: bounds.qcrb_noon_linear(d, 4.0),
+    lambda d: states.domain_geometry(d, 1, 4.0),
+    lambda d: states.noon_optimal_b(d),
+], ids=["check", "ecs_linear_value", "noon_linear", "domain_geometry", "noon_optimal_b"])
+def test_kernels_take_d_up_to_the_largest_double(call):
+    # every kernel forms d as a double, so the row ends at the largest one
+    d_max = int(sys.float_info.max)
+    _domain.check(d=d_max)
+    for d in (d_max + 1, 10 ** 400):
+        with pytest.raises(ValueError) as info:
+            call(d)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"d must be a positive int <= 1.79769e+308, got {d}"
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "--family", "ecs-optimal", "--d", "3", "--alpha", "2"),
     ("bounds", "--family", "ecs-at-b", "--d", "3", "--alpha", "2", "--b", "0.1"),
@@ -77,8 +95,8 @@ def test_integer_rows_take_integer_arrays(n):
 
 
 @pytest.mark.parametrize("name,x,error,message", [
-    ("d", np.array([2, 0, 5]), ValueError, "d must be a positive int, got 0"),
-    ("d", np.array([2.0]), ValueError, "d must be a positive int, got 2.0"),
+    ("d", np.array([2, 0, 5]), ValueError, "d must be a positive int <= 1.79769e+308, got 0"),
+    ("d", np.array([2.0]), ValueError, "d must be a positive int <= 1.79769e+308, got 2.0"),
     ("order", 2.0, TypeError, "moment order must be an int >= 0, got 2.0"),
     ("order", -1, ValueError, "moment order must be an int >= 0, got -1"),
     ("mu", np.array([1.0, math.nan]), DegenerateInputError,

@@ -379,15 +379,16 @@ class TestValidation:
     @pytest.mark.parametrize("p", [states.ecs_params(2, 1.0, 0.3, m=2),
                                    states.noon_params(2, 3)], ids=["ecs", "noon"])
     def test_one_validation_per_call(self, monkeypatch, call, p):
-        # the one validation happened at construction, above; a call adds none
+        # the one validation happened at construction, above; a call constructs
+        # (and so validates) no probe
         calls = []
         for cls in (states.EcsParams, states.NoonParams):
-            original = cls.__post_init__
+            original = cls.__init__
 
-            def counted(q, original=original):
+            def counted(q, *args, original=original, **kwargs):
                 calls.append(q)
-                return original(q)
-            monkeypatch.setattr(cls, "__post_init__", counted)
+                return original(q, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
         call(p)
         assert calls == []
 

@@ -9,6 +9,7 @@ from phasebounds import oracle, states
 from phasebounds.errors import (
     CoefficientDomainError,
     DegenerateInputError,
+    DoubleOverflowError,
     NormalizationError,
 )
 
@@ -68,6 +69,20 @@ class TestSolveC:
     def test_rejects_negative_b(self):
         with pytest.raises(CoefficientDomainError):
             states.solve_c(-0.1, 2, 1.0)
+
+    @pytest.mark.parametrize("alpha_sq", [0.0, 5e-324])
+    def test_b_squared_overflow_is_named(self, alpha_sq):
+        # b^2 and the cap Gamma both overflow (at the vacuum b^2 (u - v^2) is
+        # inf * 0 = NaN): the error names the overflow, not "inf exceeds inf"
+        with pytest.raises(DoubleOverflowError) as info:
+            states.solve_c(1e200, 1, alpha_sq)
+        assert str(info.value) == ("b^2 overflows a double at b = 1e+200, so it cannot be "
+                                   "tested against the domain cap Gamma = inf")
+
+    def test_b_squared_overflow_under_a_finite_cap(self):
+        with pytest.raises(CoefficientDomainError) as info:
+            states.solve_c(1e200, 1, 1.0)
+        assert str(info.value) == "b^2 = inf exceeds the domain cap Gamma = 1.15651764275"
 
 
 # alpha_sq log-uniform over [1e-12, 700]; the fraction of sqrt(Gamma) is 1 itself
@@ -229,13 +244,14 @@ class TestValidOnConstruction:
 
     @staticmethod
     def _count(monkeypatch, cls):
+        # a probe validates in its constructor, so each construction is one validation
         calls = []
-        original = cls.__post_init__
+        original = cls.__init__
 
-        def counted(q):
+        def counted(q, *args, **kwargs):
             calls.append(q)
-            return original(q)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+            return original(q, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
         return calls
 
     def test_valid_probes(self, monkeypatch):
@@ -268,8 +284,11 @@ class TestValidOnConstruction:
          CoefficientDomainError, "b^2 = 0.5000000005 exceeds the domain cap Gamma = 0.5"),
         (states.NoonParams, (2, 3, 0.5, math.nan),
          NormalizationError, "c must be finite, got nan"),
+        (states.EcsParams, (1, 0.0, 1e200, 1.0), DoubleOverflowError,
+         "b^2 overflows a double at b = 1e+200, so it cannot be tested against the "
+         "domain cap Gamma = inf"),
     ], ids=["c-off-1e-9", "c-off-1e-13", "b-beyond-cap", "c-nan", "c-inf", "noon-zero-photons",
-            "noon-b-beyond-cap", "noon-c-nan"])
+            "noon-b-beyond-cap", "noon-c-nan", "b-squared-overflow-at-vacuum"])
     def test_invalid_probe_raises_once(self, monkeypatch, cls, args, error, message):
         calls = self._count(monkeypatch, cls)
         with pytest.raises(error) as info:
