@@ -2,9 +2,10 @@
 
 Because every sensing mode enters symmetrically, the d x d information
 matrix is gamma (I + omega J) with J the all-ones matrix, and its inverse
-is closed form.  This script builds the matrix three independent ways
-(analytic moments, oracle expectation values, oracle state derivatives),
-inverts it with the structured formula, and checks the two-parameter
+is closed form.  This script builds the matrix two independent ways,
+from analytic moments and from the truncated-Fock oracle, the latter in
+two forms (generator moments, exact state-derivative overlaps), inverts it
+with the structured formula, and checks the two-parameter
 effective-information identity.
 """
 

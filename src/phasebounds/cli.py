@@ -278,6 +278,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     _inside("--d-min", "d", args.d_min)
     if args.d_max < args.d_min:
         raise PhaseBoundsError("--d-max must be >= --d-min")
+    _inside("--d-max", "d", args.d_max)
 
     def chunks():
         # d rounded to integers; repeats keep the cell count at the requested product

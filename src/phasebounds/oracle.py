@@ -14,7 +14,7 @@ diagonal generators (a^dag a)^m.  Probes are valid by construction (see
 
 Per-mode factor tables.  A probe holds only a few distinct amplitude vectors
 (vacuum and coherent, then their images under n^m, a phase or the
-finite-difference multiplier), shared by identity across terms and modes;
+derivative weight i n^m), shared by identity across terms and modes;
 the operators below map each distinct vector once.  `_overlap_tables` forms
 the Gram table conj(V) @ (w V)^T of those vectors for each diagonal weight
 w it needs, gathers it into term-pair x mode factor arrays, and takes the
@@ -62,11 +62,6 @@ __all__ = [
 
 DENSE_SIZE_LIMIT = 2_000_000
 DEFAULT_TAIL_TOL = 1e-14
-# Central-difference step for the derivative-overlap path.  The quotient is
-# applied per amplitude (no state-level subtraction), so rounding stays at
-# machine level and only the O(step^2) truncation remains: relative error
-# about (step^2 / 3) f(4m)/f(2m), below 1e-6 even for m = 2 at alpha_sq = 4.
-DEFAULT_FD_STEP = 2e-5
 # Poisson tail sums stop once everything left is below this fraction of a
 # reference (the largest term, or the tail tolerance); one unit of roundoff.
 _TAIL_EPS = 2.0 ** -53
@@ -384,8 +379,8 @@ def _default_cutoff(p: EcsParams | NoonParams, tail_tol: float) -> int:
     return minimal_cutoff(p.alpha_sq, tail_tol) + 2 * p.m
 
 
-def _prepared(p: EcsParams | NoonParams, cutoff: int | None,
-              tail_tol: float) -> SparseProductState:
+def _prepared(p: EcsParams | NoonParams, tail_tol: float,
+              cutoff: int | None = None) -> SparseProductState:
     """Build the probe at the requested or auto-selected cutoff.
 
     The tail tolerance is enforced only when the cutoff is auto-selected; an
@@ -404,7 +399,7 @@ def numerical_qfim(p: EcsParams | NoonParams, cutoff: int | None = None,
     assembled from the factor tables of the weights n^m and n^2m.  Exactly
     symmetric by construction.
     """
-    state = _prepared(p, cutoff, tail_tol)
+    state = _prepared(p, tail_tol, cutoff)
     _, means, second = _overlap_tables(state, state, _levels(state) ** p.m, start=1, pairs=True)
     means = means.real
     return 4.0 * (second.real - np.outer(means, means))
@@ -412,38 +407,29 @@ def numerical_qfim(p: EcsParams | NoonParams, cutoff: int | None = None,
 
 def qfim_via_state_derivatives(p: EcsParams | NoonParams,
                                theta: Sequence[float] | None = None,
-                               fd_step: float = DEFAULT_FD_STEP,
-                               cutoff: int | None = None,
                                tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    """Information matrix via the derivative-overlap form with central differences.
+    """Information matrix via the derivative-overlap form.
 
     F_jk = 4 Re(<d_j psi|d_k psi> - <d_j psi|psi><psi|d_k psi>), where
     |psi(theta)> evolves each sensing mode by the diagonal phase
-    e^{i n^m theta_j}.  The matrix does not depend on theta here because the
-    generators commute with the evolution.  Agreement with
-    :func:`numerical_qfim` is finite-difference limited: second order in
-    fd_step, about 1e-6 relative at the default.
+    e^{i n^m theta_j}, whose derivative is exact: d_j e^{i n^m theta_j} =
+    i n^m e^{i n^m theta_j}.  The matrix does not depend on theta here
+    because the generators commute with the evolution; at theta = 0 it is
+    the moment path of :func:`numerical_qfim` written as state overlaps.
     """
-    if not 1e-6 <= fd_step <= 1e-3:
-        raise ValueError(f"fd_step must lie in [1e-6, 1e-3], got {fd_step}")
-    state = _prepared(p, cutoff, tail_tol)
+    state = _prepared(p, tail_tol)
     theta_vec = np.zeros(p.d) if theta is None else np.asarray(theta, dtype=float)
     if theta_vec.shape != (p.d,):
         raise ValueError(f"theta must hold {p.d} phases, got shape {theta_vec.shape}")
     base = _apply_phase_evolution(state, theta_vec, p.m)
-    # |d_j psi> = (psi(theta + h e_j) - psi(theta - h e_j)) / 2h.  The two
-    # evolved states differ per term only in the mode-j factor, so the
-    # quotient collapses to the per-amplitude multiplier
-    # e^{i n^m theta_j} i sin(n^m h)/h, with no cancelling subtraction;
-    # the evolved phase sits in base, the rest is the table weight.
-    multiplier = 1j * np.sin(_levels(base) ** p.m * fd_step) / fd_step
-    _, ket_side, second = _overlap_tables(base, base, multiplier, start=1, pairs=True)
+    # the evolved phase sits in base, the derivative's factor i n^m is the table weight
+    _, ket_side, second = _overlap_tables(base, base, 1j * _levels(base) ** p.m,
+                                          start=1, pairs=True)
     # ket_side[j] = <psi|d_j psi>, second[j, k] = <d_j psi|d_k psi>
     return 4.0 * (second - np.outer(np.conj(ket_side), ket_side)).real
 
 
 def commutator_expectation(p: EcsParams | NoonParams, j: int, k: int,
-                           cutoff: int | None = None,
                            tail_tol: float = DEFAULT_TAIL_TOL) -> complex:
     """<[H_j, H_k]> on the probe: exactly 0 on any oracle, by construction.
 
@@ -454,7 +440,7 @@ def commutator_expectation(p: EcsParams | NoonParams, j: int, k: int,
     """
     if not (1 <= j <= p.d and 1 <= k <= p.d):
         raise ValueError(f"mode indices must lie in 1..{p.d}, got j={j}, k={k}")
-    state = _prepared(p, cutoff, tail_tol)
+    state = _prepared(p, tail_tol)
     jk = _apply_number_power(_apply_number_power(state, k, p.m), j, p.m)
     kj = _apply_number_power(_apply_number_power(state, j, p.m), k, p.m)
     return inner_product(state, jk) - inner_product(state, kj)
@@ -468,8 +454,7 @@ def _kron_rows(stacks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _dense_slabs(p: EcsParams | NoonParams, cutoff: int,
-                 tail_tol: float | None) -> Iterator[np.ndarray]:
+def _dense_slabs(p: EcsParams | NoonParams, cutoff: int) -> Iterator[np.ndarray]:
     """The dense amplitude tensor one reference level at a time: tensor[n0] for n0 = 0..cutoff.
 
     sum_t coeff_t prod_modes factor_t[mode] is one contraction over the term
@@ -483,7 +468,7 @@ def _dense_slabs(p: EcsParams | NoonParams, cutoff: int,
     if size > DENSE_SIZE_LIMIT:
         raise SizeLimitError(
             f"(cutoff+1)^(d+1) = {size} exceeds the {DENSE_SIZE_LIMIT} amplitude limit")
-    state = build_state(p, cutoff, tail_tol)
+    state = build_state(p, cutoff)
     # stacks[mode][t] = amplitudes of term t's factor on that mode
     stacks = [np.array([factors[mode].amplitudes for _, factors in state.terms])
               for mode in range(num_modes)]
@@ -497,22 +482,20 @@ def _dense_slabs(p: EcsParams | NoonParams, cutoff: int,
             for n0 in range(cutoff + 1))
 
 
-def dense_tensor_state(p: EcsParams | NoonParams, cutoff: int,
-                       tail_tol: float | None = None) -> np.ndarray:
+def dense_tensor_state(p: EcsParams | NoonParams, cutoff: int) -> np.ndarray:
     """Full multimode amplitude tensor; second-layer oracle for the sparse form.
 
     Every amplitude is formed densely, with no factor table, one reference
     level at a time, and written into the one output array.
     """
-    slabs = _dense_slabs(p, cutoff, tail_tol)  # checks the size before out is made
+    slabs = _dense_slabs(p, cutoff)  # checks the size before out is made
     out = np.empty((cutoff + 1,) * (p.d + 1), dtype=complex)
     for n0, slab in enumerate(slabs):
         out[n0] = slab
     return out
 
 
-def dense_qfim(p: EcsParams | NoonParams, cutoff: int,
-               tail_tol: float | None = None) -> np.ndarray:
+def dense_qfim(p: EcsParams | NoonParams, cutoff: int) -> np.ndarray:
     """Information matrix from the dense amplitudes, for cross-checking the sparse path.
 
     The generators are real and diagonal, so <H_j H_k> = sum |psi|^2 w_j w_k
@@ -520,7 +503,7 @@ def dense_qfim(p: EcsParams | NoonParams, cutoff: int,
     accumulated one reference level at a time, so the full tensor is never held.
     """
     d, levels = p.d, cutoff + 1
-    slabs = _dense_slabs(p, cutoff, tail_tol)  # checks the size before prob is made
+    slabs = _dense_slabs(p, cutoff)  # checks the size before prob is made
     prob = np.zeros((levels,) * d)
     for slab in slabs:
         prob += slab.real ** 2 + slab.imag ** 2

@@ -63,9 +63,6 @@ class StructuredQfim(Record):
     def is_positive_definite(self) -> bool:
         return self.gamma > 0.0 and 1.0 + self.omega * self.d > 0.0
 
-    def trace(self) -> float:
-        return self.d * self.diagonal
-
 
 def ecs_qfim(p: EcsParams) -> StructuredQfim:
     """Information matrix of the entangled coherent probe.

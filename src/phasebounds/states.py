@@ -178,15 +178,23 @@ def _larger_root(b, v, denom):
 
 def _check_residual(b, c, u, v) -> None:
     """Raise NormalizationError unless |c^2 + 2bvc + b^2 u - 1| is within its
-    forward-error bound k eps (c^2 + |2bvc| + b^2 u + 1), k = _K_RESIDUAL."""
+    forward-error bound k eps (c^2 + |2bvc| + b^2 u + 1), k = _K_RESIDUAL.
+    Where a term overflows (at the vacuum, where the cap is infinite) the test
+    cannot tell, and DoubleOverflowError names the overflow."""
     cc, bvc, bbu = c * c, 2.0 * b * v * c, b * b * u
     residual = cc + bvc + bbu - 1.0
     bound = _K_RESIDUAL * _EPS * (cc + abs(bvc) + bbu + 1.0)
     ok = abs(residual) - bound <= 0.0  # NaN, failing, where a term overflowed
     if not all_true(ok):
+        b, c, cc, bvc, bbu, residual, bound = (
+            first_failing(x, ok) for x in (b, c, cc, bvc, bbu, residual, bound))
+        if math.inf in (cc, abs(bvc), bbu):
+            raise DoubleOverflowError(
+                f"c^2 + 2bvc + b^2 u overflows a double at b = {b:.12g}, c = {c:.12g}, "
+                f"so the normalization cannot be tested")
         raise NormalizationError(
             f"normalization violated: c^2 + 2bvc + b^2 u - 1 = "
-            f"{first_failing(residual, ok):.3e} exceeds {first_failing(bound, ok):.3e}")
+            f"{residual:.3e} exceeds {bound:.3e}")
 
 
 def solve_c(b, d, alpha_sq):

@@ -95,7 +95,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 GRID_DS = (1, 2, 3, 4)
 GRID_MS = (1, 2)
 GRID_ALPHA_SQS = (0.25, 1.0, 4.0)
-GRID_TAIL_TOL = 1e-14
 # Wide probes for the oracle-vs-analytic checks, where the simultaneous
 # advantage grows: one alpha_sq, b as on the grid's upper weight.
 WIDE_DS = (8, 16, 32, 64)
@@ -238,15 +237,14 @@ def suite_normalization(rng: np.random.Generator) -> list[CheckResult]:
 
 def oracle_vs_analytic(probes: Iterable[states.EcsParams]) -> CheckResult:
     """Moment-path oracle QFIM against the analytic matrix, relative Frobenius."""
-    worst = _worst(_rel_frobenius(oracle.numerical_qfim(p, tail_tol=GRID_TAIL_TOL),
-                                  _analytic(p)) for p in probes)
+    worst = _worst(_rel_frobenius(oracle.numerical_qfim(p), _analytic(p)) for p in probes)
     return _check("qfim.oracle_vs_analytic", worst)
 
 
 def fd_vs_analytic(probes: Iterable[states.EcsParams]) -> CheckResult:
     """Derivative-path oracle QFIM against the analytic matrix, relative Frobenius."""
-    worst = _worst(_rel_frobenius(oracle.qfim_via_state_derivatives(p, tail_tol=GRID_TAIL_TOL),
-                                  _analytic(p)) for p in probes)
+    worst = _worst(_rel_frobenius(oracle.qfim_via_state_derivatives(p), _analytic(p))
+                   for p in probes)
     return _check("qfim.fd_vs_analytic", worst)
 
 
@@ -292,10 +290,9 @@ def structured_inverse(rng: np.random.Generator) -> CheckResult:
 def theta_independence(rng: np.random.Generator) -> CheckResult:
     """The derivative-path QFIM at random phases equals that at theta = 0."""
     def rel(p: states.EcsParams) -> float:
-        at_zero = oracle.qfim_via_state_derivatives(p, tail_tol=GRID_TAIL_TOL)
+        at_zero = oracle.qfim_via_state_derivatives(p)
         theta = rng.uniform(-math.pi, math.pi, size=p.d)
-        return _rel_frobenius(
-            oracle.qfim_via_state_derivatives(p, theta=theta, tail_tol=GRID_TAIL_TOL), at_zero)
+        return _rel_frobenius(oracle.qfim_via_state_derivatives(p, theta=theta), at_zero)
 
     worst = _worst(map(rel, (states.ecs_params(2, 1.0, 0.3, 1),
                              states.ecs_params(3, 4.0, 0.2, 2))))

@@ -228,7 +228,8 @@ class TestBoundsCommand:
     ("bounds", "--family", "ecs-linear", "--d", "{}", "--alpha", "2"),
     ("curves", "--d", "{}"),
     ("region", "--d-min", "{}", "--d-max", "{}"),
-], ids=["bounds", "curves", "region"])
+    ("region", "--d-min", "1", "--d-max", "{}", "--alpha-steps", "2"),
+], ids=["bounds", "curves", "region", "region-d-max"])
 def test_d_above_the_largest_double_names_the_flag(capsys, argv):
     # every kernel forms d as a double; a larger one is outside the d row,
     # not a bound that is not a finite double

@@ -287,8 +287,13 @@ class TestValidOnConstruction:
         (states.EcsParams, (1, 0.0, 1e200, 1.0), DoubleOverflowError,
          "b^2 overflows a double at b = 1e+200, so it cannot be tested against the "
          "domain cap Gamma = inf"),
+        # solve_c(1e154, 2, 0.0) = -2e154: b^2 and the cap are fine, the residual's terms overflow
+        (states.EcsParams, (2, 0.0, 1e154, -2e154), DoubleOverflowError,
+         "c^2 + 2bvc + b^2 u overflows a double at b = 1e+154, c = -2e+154, so the "
+         "normalization cannot be tested"),
     ], ids=["c-off-1e-9", "c-off-1e-13", "b-beyond-cap", "c-nan", "c-inf", "noon-zero-photons",
-            "noon-b-beyond-cap", "noon-c-nan", "b-squared-overflow-at-vacuum"])
+            "noon-b-beyond-cap", "noon-c-nan", "b-squared-overflow-at-vacuum",
+            "residual-overflow-at-vacuum"])
     def test_invalid_probe_raises_once(self, monkeypatch, cls, args, error, message):
         calls = self._count(monkeypatch, cls)
         with pytest.raises(error) as info:
