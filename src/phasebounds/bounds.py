@@ -282,7 +282,7 @@ def _independent_alpha_sq(d: int, n_tot: float) -> float:
         if x_new == x:
             return best
         if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
+            x_new = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
             if not lo < x_new < hi:
                 return best
         x = x_new

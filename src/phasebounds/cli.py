@@ -9,9 +9,10 @@ verify   oracle-equivalence suites; exit 1 on any failed check
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or domain error.  CSV
 numerics carry 17 significant digits so values round-trip exactly.  Sweeps
-run the array kernels one chunk at a time (a d-row of `region`, a block of
-points of `curves`) and write each chunk as it is made, so memory stays
-flat as the grid grows.  Every chunk is evaluated once before the output is
+run the array kernels one chunk of at most `CHUNK` rows at a time (a slice
+of a `region` d-row, a slice of the `curves` axis) and write each chunk as
+it is made, so memory stays flat as the grid grows, in both dimensions of a
+`region` grid.  Every chunk is evaluated once before the output is
 opened, so a sweep that fails on any cell writes nothing.  NumPy is
 imported by `region` and `curves`, and with the oracle by `verify`; `bounds`
 runs the kernels on Python numbers and never loads it.
@@ -37,9 +38,10 @@ __all__ = ["main"]
 REGION_HEADER = ("d", "alpha", "m", "b_star", "sqrt_gamma", "interior")
 CURVES_HEADER = ("n_tot", "ecs_linear", "noon_linear", "ecs_nonlinear",
                  "noon_nonlinear", "ecs_mean_photons_exact")
-# points per curves chunk: enough that NumPy's per-call cost is small next to
-# the work, few enough that a chunk's JSON row objects stay at a few MB
-CURVES_CHUNK = 2048
+# rows per sweep chunk, region and curves alike: enough that NumPy's per-call
+# cost is small next to the work, few enough that a chunk's JSON row objects
+# stay at a few MB
+CHUNK = 2048
 
 
 @contextmanager
@@ -224,21 +226,26 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _blocks(axis) -> Iterator:
+    """Consecutive slices of a sweep axis, CHUNK points each (the last may be shorter)."""
+    return (axis[start:start + CHUNK] for start in range(0, len(axis), CHUNK))
+
+
 def _region_chunks(d_values: Sequence[int], alphas, m: int) -> Iterator[tuple]:
-    """Columns of the region table, one d-row per chunk."""
+    """Columns of the region table, each d-row in blocks of at most CHUNK cells."""
     for d in d_values:
-        cell = bounds.region_classify(d, alphas, m)
-        yield (repeat(d), alphas, repeat(m), cell.b_star, cell.sqrt_gamma, cell.interior)
+        for block in _blocks(alphas):
+            cell = bounds.region_classify(d, block, m)
+            yield (repeat(d), block, repeat(m), cell.b_star, cell.sqrt_gamma, cell.interior)
 
 
 def _curves_chunks(d: int, axis) -> Iterator[tuple]:
-    """Columns of the curves table, CURVES_CHUNK points per chunk.
+    """Columns of the curves table, in blocks of at most CHUNK points.
 
     The coherent probe's photon number is the axis value itself; the exact
     mean uses the optimal weight clamped to the cap.
     """
-    for start in range(0, len(axis), CURVES_CHUNK):
-        n_tot = axis[start:start + CURVES_CHUNK]
+    for n_tot in _blocks(axis):
         geom = states.domain_geometry(d, 1, n_tot)
         b_used = minimum(geom.b_star, sqrt(geom.gamma_cap))
         exact_mean = states.mean_total_photons(states.ecs_params(d, n_tot, b_used))

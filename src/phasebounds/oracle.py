@@ -13,16 +13,16 @@ diagonal generators (a^dag a)^m.  Probes are valid by construction (see
 ``states``), so the oracle builds them without checking them again.
 
 Per-mode factor tables.  A probe holds only a few distinct amplitude vectors
-(vacuum and coherent, then their images under n^m, a phase or the
-derivative weight i n^m), shared by identity across terms and modes;
-the operators below map each distinct vector once.  `_overlap_tables` forms
-the Gram table conj(V) @ (w V)^T of those vectors for each diagonal weight
-w it needs, gathers it into term-pair x mode factor arrays, and takes the
-products over all modes, all modes but one and all modes but two from
-prefix/suffix cumulative products (never by division: NOON overlaps are
-exactly 0).  Inner products, photon numbers, both information matrices and
-the commutator check all go through it, at O(d^4) for a d x d matrix
-instead of O(d^5) vdots.
+(vacuum and coherent, then their images under n^m or a phase), shared by
+identity across terms and modes; the operators below map each distinct
+vector once.  `_overlap_tables` forms the Gram table conj(V) @ (w V)^T of
+those vectors for each diagonal weight w it needs, gathers it into
+term-pair x mode factor arrays, and takes the products over all modes, all
+modes but one and all modes but two from prefix/suffix cumulative products
+(never by division: NOON overlaps are exactly 0).  Inner products, photon
+numbers, the commutator check and the one information-matrix routine (run
+on the probe, and on the phase-evolved probe for the derivative form) all
+go through it, at O(d^4) for a d x d matrix instead of O(d^5) vdots.
 
 A dense amplitude tensor is the second-layer oracle at small sizes.  Every
 amplitude is formed densely, with no factor table, by contracting the
@@ -198,24 +198,34 @@ def truncated_coherent(alpha: complex, cutoff: int,
     return ModeVector(amplitudes=amps, tail_mass=tail)
 
 
-def build_state(p: EcsParams | NoonParams, cutoff: int,
-                tail_tol: float | None = None) -> SparseProductState:
+def build_state(p: EcsParams | NoonParams, cutoff: int | None = None,
+                tail_tol: float = DEFAULT_TAIL_TOL) -> SparseProductState:
     """Assemble the d+1 branch terms of an entangled coherent or NOON probe.
 
     Term j (1..d) carries coefficient b with the excited vector on sensing
     mode j and vacuum elsewhere; the last term carries c with it on the
-    reference.  The excited vector is the truncated coherent state (held to
-    ``tail_tol`` if given) or the Fock state |N>, whose branches are
-    orthogonal.  All terms share the same two vector objects.
+    reference.  The excited vector is the truncated coherent state or the
+    Fock state |N>, whose branches are orthogonal.  All terms share the same
+    two vector objects.
+
+    Without a cutoff the probe takes minimal_cutoff(alpha_sq, tail_tol) + 2m
+    levels (n^m weighting shifts weight to higher levels, so leave 2m extra;
+    N for a NOON probe) and its coherent vector is held to ``tail_tol``.  A
+    given cutoff is used as is: the caller owns the truncation error, whose
+    tail mass is recorded, not enforced.
     """
+    noon = isinstance(p, NoonParams)
+    held_to = tail_tol if cutoff is None else None
+    if cutoff is None:
+        cutoff = p.photon_number if noon else minimal_cutoff(p.alpha_sq, tail_tol) + 2 * p.m
     levels = np.arange(cutoff + 1)
-    if isinstance(p, NoonParams):
+    if noon:
         if cutoff < p.photon_number:
             raise CutoffError(
                 f"cutoff {cutoff} cannot hold {p.photon_number} photons in one mode")
         excited = ModeVector(amplitudes=(levels == p.photon_number).astype(complex))
     else:
-        excited = truncated_coherent(math.sqrt(p.alpha_sq), cutoff, tail_tol)
+        excited = truncated_coherent(math.sqrt(p.alpha_sq), cutoff, held_to)
     vac = ModeVector(amplitudes=(levels == 0).astype(complex))
     terms = []
     for j in (*range(1, p.d + 1), 0):
@@ -372,61 +382,43 @@ def total_photon_expectation(state: SparseProductState) -> float:
     return float(np.sum(per_mode.real)) / norm.real
 
 
-def _default_cutoff(p: EcsParams | NoonParams, tail_tol: float) -> int:
-    if isinstance(p, NoonParams):
-        return p.photon_number
-    # margin: n^m weighting shifts weight to higher levels, so leave 2m extra
-    return minimal_cutoff(p.alpha_sq, tail_tol) + 2 * p.m
+def _qfim(state: SparseProductState, m: int) -> np.ndarray:
+    """F_jk = 4 Re(<H_j psi|H_k psi> - <psi|H_j psi>* <psi|H_k psi>), H_j = (n_j)^m.
 
-
-def _prepared(p: EcsParams | NoonParams, tail_tol: float,
-              cutoff: int | None = None) -> SparseProductState:
-    """Build the probe at the requested or auto-selected cutoff.
-
-    The tail tolerance is enforced only when the cutoff is auto-selected; an
-    explicit cutoff is taken as the caller owning the truncation error.
+    From the factor tables of the one weight n^m on the sensing modes.
+    Exactly symmetric by construction.
     """
-    if cutoff is None:
-        return build_state(p, _default_cutoff(p, tail_tol), tail_tol)
-    return build_state(p, cutoff)
+    _, first, second = _overlap_tables(state, state, _levels(state) ** m, start=1, pairs=True)
+    return 4.0 * (second - np.outer(np.conj(first), first)).real
 
 
 def numerical_qfim(p: EcsParams | NoonParams, cutoff: int | None = None,
                    tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    """Information matrix from first principles.
+    """Information matrix from first principles: the generator moments on the probe.
 
-    F_jk = 4 (<H_j H_k> - <H_j><H_k>) with H_j = (n_j)^m on sensing mode j,
-    assembled from the factor tables of the weights n^m and n^2m.  Exactly
-    symmetric by construction.
+    F_jk = 4 (<H_j H_k> - <H_j><H_k>) with H_j = (n_j)^m on sensing mode j.
+    The cutoff, if given, is used as is (see :func:`build_state`).
     """
-    state = _prepared(p, tail_tol, cutoff)
-    _, means, second = _overlap_tables(state, state, _levels(state) ** p.m, start=1, pairs=True)
-    means = means.real
-    return 4.0 * (second.real - np.outer(means, means))
+    return _qfim(build_state(p, cutoff, tail_tol), p.m)
 
 
 def qfim_via_state_derivatives(p: EcsParams | NoonParams,
                                theta: Sequence[float] | None = None,
                                tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    """Information matrix via the derivative-overlap form.
+    """Information matrix via the derivative-overlap form at phases theta.
 
     F_jk = 4 Re(<d_j psi|d_k psi> - <d_j psi|psi><psi|d_k psi>), where
     |psi(theta)> evolves each sensing mode by the diagonal phase
-    e^{i n^m theta_j}, whose derivative is exact: d_j e^{i n^m theta_j} =
-    i n^m e^{i n^m theta_j}.  The matrix does not depend on theta here
-    because the generators commute with the evolution; at theta = 0 it is
-    the moment path of :func:`numerical_qfim` written as state overlaps.
+    e^{i n^m theta_j}, whose derivative is exact: d_j psi = i H_j psi.  The
+    factors i and -i cancel exactly in floating point, so this is the moment
+    routine run on the evolved probe.  The matrix does not depend on theta
+    because the generators commute with the evolution.
     """
-    state = _prepared(p, tail_tol)
+    state = build_state(p, tail_tol=tail_tol)
     theta_vec = np.zeros(p.d) if theta is None else np.asarray(theta, dtype=float)
     if theta_vec.shape != (p.d,):
         raise ValueError(f"theta must hold {p.d} phases, got shape {theta_vec.shape}")
-    base = _apply_phase_evolution(state, theta_vec, p.m)
-    # the evolved phase sits in base, the derivative's factor i n^m is the table weight
-    _, ket_side, second = _overlap_tables(base, base, 1j * _levels(base) ** p.m,
-                                          start=1, pairs=True)
-    # ket_side[j] = <psi|d_j psi>, second[j, k] = <d_j psi|d_k psi>
-    return 4.0 * (second - np.outer(np.conj(ket_side), ket_side)).real
+    return _qfim(_apply_phase_evolution(state, theta_vec, p.m), p.m)
 
 
 def commutator_expectation(p: EcsParams | NoonParams, j: int, k: int,
@@ -440,7 +432,7 @@ def commutator_expectation(p: EcsParams | NoonParams, j: int, k: int,
     """
     if not (1 <= j <= p.d and 1 <= k <= p.d):
         raise ValueError(f"mode indices must lie in 1..{p.d}, got j={j}, k={k}")
-    state = _prepared(p, tail_tol)
+    state = build_state(p, tail_tol=tail_tol)
     jk = _apply_number_power(_apply_number_power(state, k, p.m), j, p.m)
     kj = _apply_number_power(_apply_number_power(state, j, p.m), k, p.m)
     return inner_product(state, jk) - inner_product(state, kj)

@@ -1,4 +1,5 @@
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +223,14 @@ class TestIndependentRootSolver:
         # 2 n_tot / d overflows; the root is n_tot / d since e^{-x} = 0 there
         report = bounds.independent_ecs_vs_ntot(1, 1.7e308)
         assert report.params["alpha_sq"] == 1.7e308
+
+    @pytest.mark.parametrize("d", [2, 3, 64])
+    @pytest.mark.parametrize("n_tot", [9e307, 1e308, sys.float_info.max])
+    def test_root_past_an_overflowing_midpoint(self, d, n_tot):
+        # lo + hi overflows once n_tot > DBL_MAX / 2; the bisection midpoint
+        # must stay finite and the root is n_tot / d, since e^{-x} = 0 there
+        x = bounds.independent_ecs_vs_ntot(d, n_tot).params["alpha_sq"]
+        assert abs(x - n_tot / d) <= math.ulp(n_tot / d)
 
 
 class TestZivZakai:

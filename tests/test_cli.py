@@ -397,8 +397,8 @@ class TestCurvesCommand:
 
     def test_byte_identical_across_chunk_sizes(self, capsys, monkeypatch, tmp_path):
         outputs = []
-        for chunk in (1, cli.CURVES_CHUNK):
-            monkeypatch.setattr(cli, "CURVES_CHUNK", chunk)
+        for chunk in (1, cli.CHUNK):
+            monkeypatch.setattr(cli, "CHUNK", chunk)
             path = tmp_path / f"curves_{chunk}.csv"
             code, _, _ = run_cli(capsys, "curves", "--d", "5", "--points", "50",
                                  "--out", str(path))
@@ -489,8 +489,8 @@ class TestSweepKernel:
         assert rows == [_curves_ref(17, n) for n in axis]
 
     def test_chunked_equals_whole_grid(self, tmp_path, monkeypatch):
-        # region: one 2-D call, one call per d-row and one scalar call per cell,
-        # at row lengths 1, 7 and 1000; curves: chunks of 1 point up to the whole axis
+        # region: one 2-D call, one call per d-row, one per slice of a d-row and
+        # one scalar call per cell, at row lengths 1, 7 and 1000; curves: chunks of 1 point up to the whole axis
         def table(chunks, name):
             path = tmp_path / name
             cli._write_table(str(path), "csv", ["x"] * 6, map(cli._rows, chunks))
@@ -510,10 +510,14 @@ class TestSweepKernel:
                 singles = table([([c.d], [c.alpha], [c.m], [c.b_star], [c.sqrt_gamma],
                                   [c.interior]) for c in scalar_cells], "singles")
                 assert rows == singles
+                for size in (1, 7):  # slices of a d-row
+                    with monkeypatch.context() as patch:
+                        patch.setattr(cli, "CHUNK", size)
+                        assert table(cli._region_chunks(ds, alphas, m), "sliced") == whole
         axis = np.linspace(1.0, 300.0, 1500)
         outputs = set()
         for size in (1, 7, 1024, 1500):
-            monkeypatch.setattr(cli, "CURVES_CHUNK", size)
+            monkeypatch.setattr(cli, "CHUNK", size)
             outputs.add(table(cli._curves_chunks(5, axis), f"curves{size}"))
         assert len(outputs) == 1
 
@@ -521,6 +525,7 @@ class TestSweepKernel:
         ("region", "--d-min", "1", "--d-max", "100", "--d-steps", "{rows}",
          "--alpha-steps", "1000"),
         ("curves", "--d", "5", "--ntot-max", "500", "--points", "{cells}"),
+        ("region", "--d-min", "1", "--d-max", "1", "--alpha-steps", "{cells}"),
     ])
     def test_json_peak_memory_is_flat_in_grid_size(self, tmp_path, argv):
         peaks = []

@@ -134,6 +134,27 @@ class TestBuildStates:
         with pytest.raises(CutoffError):
             oracle.build_state(states.noon_params(2, 5), 4)
 
+    @pytest.mark.parametrize("alpha_sq,m", [(0.25, 1), (4.0, 2), (100.0, 1), (1000.0, 2)])
+    def test_chosen_cutoff_holds_the_tail(self, alpha_sq, m):
+        state = oracle.build_state(states.ecs_params(2, alpha_sq, 0.2, m=m))
+        tol = oracle.DEFAULT_TAIL_TOL
+        assert state.cutoff() == oracle.minimal_cutoff(alpha_sq, tol) + 2 * m
+        excited = state.terms[0][1][1]
+        assert 0.0 < excited.tail_mass < tol
+
+    def test_chosen_noon_cutoff_is_the_photon_number(self):
+        for n in (1, 4, 9):
+            assert oracle.build_state(states.noon_params(3, n, m=2)).cutoff() == n
+
+    def test_given_cutoff_records_its_tail_without_enforcing_it(self):
+        alpha_sq, tol = 4.0, 1e-6
+        cutoff = oracle.minimal_cutoff(alpha_sq, tol) - 1
+        state = oracle.build_state(states.ecs_params(2, alpha_sq, 0.3), cutoff, tol)
+        assert state.cutoff() == cutoff
+        tail = state.terms[0][1][1].tail_mass
+        assert tail >= tol
+        assert tail == oracle.poisson_tail(cutoff, alpha_sq)
+
 
 class TestOperators:
     def test_number_power_kills_vacuum(self):
@@ -206,12 +227,14 @@ class TestDerivativePath:
                              qfim.to_dense(qfim.ecs_qfim(p))) < 1e-8
 
     def test_agrees_with_moment_path(self):
+        # d_j psi = i H_j psi, and the factors i and -i cancel exactly
         for p in (states.ecs_params(1, 1.0, 0.5, m=1),
                   states.ecs_params(3, 0.25, 0.1, m=2),
+                  states.ecs_params(3, 100.0, 0.3, m=2),
                   states.noon_params(2, 4, m=2)):
             fd = oracle.qfim_via_state_derivatives(p)
             direct = oracle.numerical_qfim(p)
-            assert rel_frobenius(fd, direct) < 1e-5
+            assert np.array_equal(fd, direct)
 
 
 class TestCommutators:
