@@ -1,9 +1,12 @@
-"""The four optimized bounds against the total photon budget (d = 5).
+"""The headline bounds of both probes against the total photon budget (d = 5).
 
 Writes precision_curves.csv with the same columns as the ``curves`` CLI
 subcommand and prints the landmarks: the coherent probe's linear bound sits
 below the NOON linear bound everywhere, approaches it at large budgets, and
 even undercuts the NOON *nonlinear* bound below n_tot = (1 + sqrt 5)/2.
+Every column is one expression, d (sqrt d + 1)^2 / (4 g f(2m)), at the
+coherent moments or at NOON's (N^m, N^{2m}, 1).  It is the interior
+optimum; at small budgets the coherent optimum clamps, as the end shows.
 """
 
 import math

@@ -17,7 +17,8 @@ and ``mu`` is that square where the vacuum is allowed, in a moment or a probe.  
 are the branch weights of a probe, ``N`` the photon number of a NOON bound,
 ``photon_number`` that of a NOON probe and ``n_tot`` the total photon number
 of independent estimation.  ``count``, ``points``, ``seed`` and ``tol`` are
-read by the CLI alone.
+read by the CLI alone, as is ``cells``, d-rows times ``--alpha-steps`` of a
+``region`` grid (10^7 keeps each axis array within 80 MB).
 
 Limits joining several inputs stay in the kernels: f(m)^2 > 0, an overflow
 at a given alpha and m, which a sweep also checks at its axis ends, and the
@@ -48,6 +49,7 @@ DOMAIN = {
     "n_tot": ("n_tot", None, 0.0, False, inf, False, DegenerateInputError),
     "count": ("count", ValueError, 1, True, inf, False, ValueError),
     "points": ("points", ValueError, 2, True, inf, False, ValueError),
+    "cells": ("region cells", ValueError, 1, True, 10 ** 7, True, ValueError),
     "seed": ("seed", ValueError, 0, True, inf, False, ValueError),
     "tol": ("tolerance", None, 0.0, True, inf, False, ValueError),
 }

@@ -5,22 +5,17 @@ an unbiased simultaneous estimate of d phases, assuming one experimental
 repetition (scale by 1/nu for nu repetitions).  The optimized
 entangled-coherent bounds come in two regimes: Interior, where the
 unconstrained optimizer b_star is admissible and the bound takes its
-headline closed form, and Clamped, where normalizability caps the weight at
+headline form, and Clamped, where normalizability caps the weight at
 b^2 = Gamma and the general trace expression is evaluated there.
 
-The headline closed forms (valid in the Interior regime) are, with
-n = photon-number argument,
-
-    coherent, m=1:  d (sqrt d + 1)^2 / (4 (1 + alpha_sq)^2)
-    coherent, m=2:  d (sqrt d + 1)^2 / 4 * ((1 + mu)/(mu^3 + 6 mu^2 + 7 mu + 1))^2
-    NOON,     m=1:  d (sqrt d + 1)^2 / (4 n^2)
-    NOON,     m=2:  d (sqrt d + 1)^2 / (4 n^4)
-
-plus independent-estimation baselines and Bayesian (Ziv-Zakai) bounds for
+The headline form is one expression, ``_headline``: d (sqrt d + 1)^2 / (4 g f(2m)),
+at the coherent moments (m = 1: d (sqrt d + 1)^2 / (4 (1 + alpha_sq)^2)) or
+at NOON's (N^m, N^{2m}, 1).  Every headline value and report calls it.
+Plus independent-estimation baselines and Bayesian (Ziv-Zakai) bounds for
 phases drawn from a wide uniform prior.
 
-The four headline closed forms and :func:`region_classify` broadcast over
-their arguments (see ``_arrays``); sweeps call them with arrays.
+The four headline values and :func:`region_classify` broadcast over their
+arguments (see ``_arrays``); sweeps call them with arrays.
 """
 
 from __future__ import annotations
@@ -34,6 +29,7 @@ from ._arrays import libm, quiet_overflow, scalar, sqrt
 from ._domain import check
 from ._record import Record, set_field
 from .errors import RegionError
+from .moments import coherent_moments, noon_moments
 from .qfim import trace_inverse_bound, trace_inverse_value
 from .states import domain_geometry, ecs_params
 
@@ -68,6 +64,7 @@ __all__ = [
 ZIV_ZAKAI_LAMBDA = 0.7246
 # b^2 samples of grid_scan_minimizer's scan
 _SCAN_POINTS = 10_000
+_SERIES_START = 1e-8  # _independent_alpha_sq's series-root start
 
 
 class BoundKind(str, Enum):
@@ -120,9 +117,10 @@ class RegionCell(Record):
         set_field(self, "interior", interior)
 
 
-def _headline_scale(d):
-    """Common d-scaling of all optimized bounds: d (sqrt d + 1)^2 / 4."""
-    return d * libm(pow, sqrt(d) + 1.0, 2) / 4.0
+def _headline(d, moments):
+    """The interior optimum d (sqrt d + 1)^2 / (4 g f(2m)): Tr(F^{-1}) at b_star."""
+    _, f_2m, g = moments
+    return scalar(d * libm(pow, sqrt(d) + 1.0, 2) / 4.0 / (g * f_2m))
 
 
 def _ecs_kind(m: int) -> BoundKind:
@@ -134,45 +132,42 @@ def _ecs_kind(m: int) -> BoundKind:
 
 
 def ecs_linear_value(d, alpha_sq):
-    """Interior-regime coherent-probe optimum for m = 1 (raw formula, unchecked)."""
+    """Interior-regime coherent-probe optimum for m = 1 (regime unchecked)."""
     check(d=d, alpha_sq=alpha_sq)
-    return scalar(_headline_scale(d) / libm(pow, 1.0 + alpha_sq, 2))
+    return _headline(d, coherent_moments(1, alpha_sq))
 
 
 def ecs_nonlinear_value(d, alpha_sq):
-    """Interior-regime coherent-probe optimum for m = 2 (raw formula, unchecked)."""
+    """Interior-regime coherent-probe optimum for m = 2 (regime unchecked)."""
     check(d=d, alpha_sq=alpha_sq)
-    mu = alpha_sq
-    with quiet_overflow(mu):
-        cubic = ((mu + 6.0) * mu + 7.0) * mu + 1.0  # f(4)/mu
-    return scalar(_headline_scale(d) * libm(pow, (1.0 + mu) / cubic, 2))
+    return _headline(d, coherent_moments(2, alpha_sq))
 
 
 def noon_linear_value(d, photon_number):
     check(d=d, N=photon_number)
-    return scalar(_headline_scale(d) / libm(pow, photon_number, 2))
+    return _headline(d, noon_moments(1, photon_number))
 
 
 def noon_nonlinear_value(d, photon_number):
     check(d=d, N=photon_number)
-    return scalar(_headline_scale(d) / libm(pow, photon_number, 4))
+    return _headline(d, noon_moments(2, photon_number))
 
 
 def minimize_bound_over_b(d: int, m: int, alpha_sq: float) -> BoundReport:
     """Minimum of the total-variance bound over the admissible weight b.
 
-    Interior regime (b_star^2 <= Gamma): value
-    d (sqrt d + 1)^2 / 4 * f(m)^2 / f(2m)^2 at b = b_star.  Otherwise the
-    minimum sits at the cap, b^2 = Gamma, where qfim.trace_inverse_value is
-    evaluated on the moments domain_geometry formed.  Clamping implies
-    g > Gamma (d + sqrt d), so that value's b^2 < g/d guard never fires here.
+    Interior regime (b_star^2 <= Gamma): the headline value at b = b_star.
+    Otherwise the minimum sits at the cap, b^2 = Gamma, where
+    qfim.trace_inverse_value is evaluated on the moments domain_geometry
+    formed.  Clamping implies g > Gamma (d + sqrt d), so that value's
+    b^2 < g/d guard never fires here.
     """
     geom = domain_geometry(d, m, alpha_sq)
     params = {"d": d, "m": m, "alpha_sq": alpha_sq, "b_star": geom.b_star,
               "gamma_cap": geom.gamma_cap, "g": geom.g}
     if geom.interior:
-        value = _headline_scale(d) * (geom.f_m / geom.f_2m) ** 2
-        return BoundReport(value=value, kind=_ecs_kind(m), regime=Regime.INTERIOR,
+        return BoundReport(value=_headline(d, (geom.f_m, geom.f_2m, geom.g)),
+                           kind=_ecs_kind(m), regime=Regime.INTERIOR,
                            params={**params, "b_sq_used": geom.b_star ** 2})
     value = trace_inverse_value(d, geom.f_2m, geom.g, geom.gamma_cap)
     return BoundReport(value=value, kind=_ecs_kind(m), regime=Regime.CLAMPED,
@@ -185,25 +180,26 @@ def qcrb_ecs_linear(d: int, alpha_sq: float) -> BoundReport:
     Raises RegionError when b_star is beyond the domain cap; use
     :func:`minimize_bound_over_b` there for the clamped optimum.
     """
-    return _checked_ecs(d, 1, alpha_sq, ecs_linear_value(d, alpha_sq))
+    return _checked_ecs(d, 1, alpha_sq)
 
 
 def qcrb_ecs_nonlinear(d: int, alpha_sq: float) -> BoundReport:
     """Quadratic-generator coherent-probe optimum; Interior regime only."""
-    return _checked_ecs(d, 2, alpha_sq, ecs_nonlinear_value(d, alpha_sq))
+    return _checked_ecs(d, 2, alpha_sq)
 
 
-def _checked_ecs(d: int, m: int, alpha_sq: float, value: float) -> BoundReport:
-    geom = domain_geometry(d, m, alpha_sq)
-    if not geom.interior:
+def _checked_ecs(d: int, m: int, alpha_sq: float) -> BoundReport:
+    """The interior report of minimize_bound_over_b, without its g param."""
+    check(d=d, alpha_sq=alpha_sq)
+    report = minimize_bound_over_b(d, m, alpha_sq)
+    params = {k: v for k, v in report.params.items() if k != "g"}
+    if report.regime is Regime.CLAMPED:
         raise RegionError(
-            f"b_star = {geom.b_star:.6g} exceeds sqrt(Gamma) = "
-            f"{math.sqrt(geom.gamma_cap):.6g} at d={d}, m={m}, alpha_sq={alpha_sq}; "
+            f"b_star = {params['b_star']:.6g} exceeds sqrt(Gamma) = "
+            f"{math.sqrt(params['gamma_cap']):.6g} at d={d}, m={m}, alpha_sq={alpha_sq}; "
             "use minimize_bound_over_b for the clamped optimum")
-    return BoundReport(value=value, kind=_ecs_kind(m), regime=Regime.INTERIOR,
-                       params={"d": d, "m": m, "alpha_sq": alpha_sq,
-                               "b_star": geom.b_star, "gamma_cap": geom.gamma_cap,
-                               "b_sq_used": geom.b_star ** 2})
+    return BoundReport(value=report.value, kind=report.kind, regime=report.regime,
+                       params=params)
 
 
 def qcrb_ecs_at_b(d: int, m: int, alpha_sq: float, b: float) -> BoundReport:
@@ -261,11 +257,15 @@ def _independent_alpha_sq(d: int, n_tot: float) -> float:
     would leave the bracket is replaced by bisection.  Each new iterate lies
     strictly inside the bracket and then becomes one of its ends, so the loop
     ends: when the step no longer moves x, or when the bracket is two
-    adjacent doubles.  Returns the iterate of smallest residual.
+    adjacent doubles.  Returns the iterate of smallest residual.  Below
+    _SERIES_START Newton starts at the series root 2 n_tot / d of
+    h(x) = d x/2 + d x^2/4 + ... (from hi, bisection took ~3 steps a decade).
     """
     lo = n_tot / (2.0 * d)
     hi = min(2.0 * n_tot / d + 1.0, sys.float_info.max)
-    x = hi
+    x = 2.0 * n_tot / d
+    if not x < _SERIES_START:
+        x = hi
     best, best_res = x, math.inf
     while True:
         e = math.exp(-x)
@@ -312,18 +312,8 @@ def qcrb_independent_noon(d: int, n_tot: float) -> BoundReport:
                        regime=Regime.NOT_APPLICABLE, params={"d": d, "n_tot": n_tot})
 
 
-def _zzb_branches(d: int, photon_sq: float) -> tuple[float, float]:
-    s = d + math.sqrt(d)
-    core = d * s * s / photon_sq
-    first = core / (80.0 * ZIV_ZAKAI_LAMBDA * ZIV_ZAKAI_LAMBDA)
-    second = (math.pi ** 2 / 16.0 - 0.5) * core / (s - 1.0)
-    return first, second
-
-
-def zzb_noon(d: int, photon_number: float) -> BoundReport:
-    """Bayesian bound for the NOON probe under a wide uniform prior.
-
-    The exact maximum of two branches,
+def _zzb(kind: BoundKind, d: int, photon_sq: float, params: dict) -> BoundReport:
+    """The exact maximum of two branches, with N^2 = photon_sq,
 
         d (d + sqrt d)^2 / (80 lam^2 N^2)   and
         (pi^2/16 - 1/2) d (d + sqrt d)^2 / ((d + sqrt d - 1) N^2),
@@ -331,22 +321,26 @@ def zzb_noon(d: int, photon_number: float) -> BoundReport:
     with lam = ZIV_ZAKAI_LAMBDA and no smoothing; the first dominates for
     large d (d >= 4).
     """
-    check(d=d, N=photon_number)
-    first, second = _zzb_branches(d, float(photon_number) ** 2)
-    return BoundReport(value=max(first, second), kind=BoundKind.ZIV_ZAKAI_NOON,
-                       regime=Regime.NOT_APPLICABLE,
-                       params={"d": d, "photon_number": photon_number, "lam": ZIV_ZAKAI_LAMBDA,
+    s = d + math.sqrt(d)
+    core = d * s * s / photon_sq
+    first = core / (80.0 * ZIV_ZAKAI_LAMBDA * ZIV_ZAKAI_LAMBDA)
+    second = (math.pi ** 2 / 16.0 - 0.5) * core / (s - 1.0)
+    return BoundReport(value=max(first, second), kind=kind, regime=Regime.NOT_APPLICABLE,
+                       params={"d": d, **params, "lam": ZIV_ZAKAI_LAMBDA,
                                "branch_first": first, "branch_second": second})
+
+
+def zzb_noon(d: int, photon_number: float) -> BoundReport:
+    """Bayesian bound for the NOON probe under a wide uniform prior (see _zzb)."""
+    check(d=d, N=photon_number)
+    return _zzb(BoundKind.ZIV_ZAKAI_NOON, d, float(photon_number) ** 2,
+                {"photon_number": photon_number})
 
 
 def zzb_ecs(d: int, alpha_sq: float) -> BoundReport:
     """Bayesian bound for the coherent probe: the NOON form with N^2 -> (alpha_sq + 1)^2."""
     check(d=d, alpha_sq=alpha_sq)
-    first, second = _zzb_branches(d, (alpha_sq + 1.0) ** 2)
-    return BoundReport(value=max(first, second), kind=BoundKind.ZIV_ZAKAI_ECS,
-                       regime=Regime.NOT_APPLICABLE,
-                       params={"d": d, "alpha_sq": alpha_sq, "lam": ZIV_ZAKAI_LAMBDA,
-                               "branch_first": first, "branch_second": second})
+    return _zzb(BoundKind.ZIV_ZAKAI_ECS, d, (alpha_sq + 1.0) ** 2, {"alpha_sq": alpha_sq})
 
 
 def region_classify(d, alpha, m: int) -> RegionCell:

@@ -4,7 +4,7 @@ Subcommands
 -----------
 bounds   one bound value as JSON (or CSV)
 region   attainability partition over (d, alpha) as CSV (or JSON)
-curves   the four optimized bounds against the total photon number as CSV (or JSON)
+curves   the interior headline bounds against the total photon number as CSV (or JSON)
 verify   oracle-equivalence suites; exit 1 on any failed check
 
 Exit codes: 0 ok, 1 verification failure, 2 usage or domain error.  CSV
@@ -288,8 +288,11 @@ def cmd_region(args: argparse.Namespace) -> int:
     _inside("--d-max", "d", args.d_max)
 
     def chunks():
-        # d rounded to integers; repeats keep the cell count at the requested product
-        d_values = (list(range(args.d_min, args.d_max + 1)) if args.d_steps is None else
+        # the grid's size is checked before anything is allocated, and d is a
+        # lazy range, or rounded to integers (repeats keep the requested product)
+        rows = args.d_max - args.d_min + 1 if args.d_steps is None else args.d_steps
+        _domain.check(cells=rows * args.alpha_steps)
+        d_values = (range(args.d_min, args.d_max + 1) if args.d_steps is None else
                     [int(round(x)) for x in np.linspace(args.d_min, args.d_max, args.d_steps)])
         alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
         return _region_chunks(d_values, alphas, args.m)

@@ -1,4 +1,5 @@
-"""Moments of the photon-number distribution of a coherent state.
+"""Photon-number moments ``(f(m), f(2m), g = f(2m)/f(m)^2)`` of either probe's
+excited branch: :func:`coherent_moments`, or :func:`noon_moments` for ``|N>``.
 
 For a coherent state with mean photon number ``mu = |alpha|^2`` the photon
 number is Poisson distributed, so ``<(a^dag a)^m>`` is the m-th raw moment
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from ._arrays import all_true, first_failing, quiet_overflow, scalar
+from ._arrays import all_true, first_failing, libm, quiet_overflow, scalar
 from ._domain import check
 from .errors import DegenerateInputError, DoubleOverflowError
 
@@ -25,6 +26,7 @@ __all__ = [
     "coherent_number_moment",
     "moment_via_poisson_sum",
     "coherent_moments",
+    "noon_moments",
 ]
 
 # exp(-mu) underflows past this point and the series would silently lose all mass
@@ -141,3 +143,8 @@ def coherent_moments(m: int, mu):
             f"moment ratio undefined at mu={first_failing(mu, ok)}: f(m)^2 = 0")
     return f_m, f_2m, f_2m / f_m_sq
 
+
+def noon_moments(m: int, n):
+    """``(n^m, n^{2m}, 1.0)`` elementwise over n: ``|n>`` has a sharp photon
+    number, so g = 1 exactly.  An overflow raises OverflowError, as ``**`` does."""
+    return libm(pow, n, m), libm(pow, n, 2 * m), 1.0

@@ -11,9 +11,10 @@ inverse is closed form,
 
 and the eigenvalues are gamma (multiplicity d-1) and gamma (1 + omega d),
 so inversion, traces and definiteness tests are all O(1).  Dense matrices
-appear only for cross-checks against the brute-force oracle.  The coherent
-probe's Tr(F^{-1}) is written once, in ``trace_inverse_value``; every bound
-over b evaluates it there, on moments formed once (``moments.coherent_moments``).
+appear only for cross-checks against the brute-force oracle.  The families
+differ only in the excited branch's moments (f(m), f(2m), g), NOON's being
+(N^m, N^{2m}, 1), so ``probe_qfim`` is one body for both, and Tr(F^{-1}) is
+written once, in ``trace_inverse_value``, for the probe bound and every bound over b.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from __future__ import annotations
 from ._arrays import all_true, first_failing
 from ._record import Record, set_field
 from .errors import DegenerateInputError, SingularMatrixError
-from .moments import coherent_moments, coherent_number_moment
+from .moments import coherent_moments, noon_moments
 from .states import EcsParams, NoonParams
 
 __all__ = [
     "StructuredQfim",
+    "probe_qfim",
     "ecs_qfim",
     "noon_qfim",
     "qfim_inverse",
@@ -64,31 +66,25 @@ class StructuredQfim(Record):
         return self.gamma > 0.0 and 1.0 + self.omega * self.d > 0.0
 
 
-def ecs_qfim(p: EcsParams) -> StructuredQfim:
-    """Information matrix of the entangled coherent probe.
-
-    gamma = 4 b^2 f(2m) and omega = -b^2 f(m)^2 / f(2m), equivalent to the
-    dense entries F_jk = 4 [delta_jk b^2 f(2m) - b^4 f(m)^2].
-    """
-    if p.alpha_sq <= 0.0:
-        raise DegenerateInputError("vacuum probe: information matrix is zero")
+def _sensing(p: EcsParams | NoonParams) -> tuple:
+    """(b^2, f(2m), g): all the information matrix reads of a probe, the one
+    place each family supplies its moments."""
     if p.b == 0.0:
         raise DegenerateInputError(
             "b = 0 leaves the sensing branches empty: information matrix is zero")
-    f_m = coherent_number_moment(p.m, p.alpha_sq)
-    f_2m = coherent_number_moment(2 * p.m, p.alpha_sq)
-    b_sq = p.b * p.b
-    return StructuredQfim(d=p.d, gamma=4.0 * b_sq * f_2m, omega=-b_sq * f_m * f_m / f_2m)
+    _, f_2m, g = (noon_moments(p.m, float(p.photon_number)) if isinstance(p, NoonParams)
+                  else coherent_moments(p.m, p.alpha_sq))
+    return p.b * p.b, f_2m, g
 
 
-def noon_qfim(p: NoonParams) -> StructuredQfim:
-    """Information matrix of the NOON probe: gamma = 4 b^2 N^{2m}, omega = -b^2."""
-    if p.b == 0.0:
-        raise DegenerateInputError(
-            "b = 0 leaves the sensing branches empty: information matrix is zero")
-    b_sq = p.b * p.b
-    n_pow = float(p.photon_number) ** (2 * p.m)
-    return StructuredQfim(d=p.d, gamma=4.0 * b_sq * n_pow, omega=-b_sq)
+def probe_qfim(p: EcsParams | NoonParams) -> StructuredQfim:
+    """Either probe's F_jk = 4 [delta_jk b^2 f(2m) - b^4 f(m)^2]:
+    gamma = 4 b^2 f(2m), omega = -b^2/g (for NOON 4 b^2 N^{2m} and -b^2)."""
+    b_sq, f_2m, g = _sensing(p)
+    return StructuredQfim(d=p.d, gamma=4.0 * b_sq * f_2m, omega=-b_sq / g)
+
+
+ecs_qfim = noon_qfim = probe_qfim  # the family names callers use
 
 
 def qfim_inverse(f: StructuredQfim) -> StructuredQfim:
@@ -129,13 +125,10 @@ def trace_inverse_value(d, f_2m, g, b_sq):
     return d / (4.0 * f_2m) * (1.0 / b_sq + 1.0 / (g - b_sq * d))
 
 
-def trace_inverse_bound(p: EcsParams) -> float:
+def trace_inverse_bound(p: EcsParams | NoonParams) -> float:
     """Total-variance lower bound Tr(F^{-1}) of a probe (see trace_inverse_value)."""
-    if p.alpha_sq <= 0.0 or p.b == 0.0:
-        raise DegenerateInputError(
-            "trace bound diverges: probe carries no photons in the sensing branches")
-    _, f_2m, g = coherent_moments(p.m, p.alpha_sq)
-    return trace_inverse_value(p.d, f_2m, g, p.b * p.b)
+    b_sq, f_2m, g = _sensing(p)
+    return trace_inverse_value(p.d, f_2m, g, b_sq)
 
 
 def effective_qfi_2param(f: np.ndarray) -> float:

@@ -18,7 +18,8 @@ c^2 + 2bvc + b^2 u = 1, a NOON probe with (u, v) = (d, 0), so one function
 tests the cap, one the residual (each against a derived forward-error
 bound) and one forms c, for both.  ``overlaps`` is the one place u, v and
 u - v^2 are formed, and ``domain_geometry`` the one pass forming Gamma,
-f(m), f(2m), g and b_star.
+f(m), f(2m), g and b_star.  A NOON probe is the coherent kernel at the
+moments (N^m, N^{2m}, 1), so its optimal weight ``noon_optimal_b`` is b_star at g = 1.
 
 The coherent-probe functions broadcast over d, alpha_sq and b (see
 ``_arrays``): a sweep passes arrays, a scalar call gets Python types back.
@@ -241,7 +242,7 @@ def domain_geometry(d, m: int, alpha_sq) -> DomainGeometry:
     gamma_cap = b_domain_limit(d, alpha_sq)
     check(m=m)
     f_m, f_2m, g = coherent_moments(m, alpha_sq)
-    bs = sqrt(g / (sqrt(d) + d))
+    bs = _optimal_weight(d, g)
     return DomainGeometry(gamma_cap=gamma_cap, b_star=scalar(bs), g=g,
                           interior=scalar(bs * bs <= gamma_cap), f_m=f_m, f_2m=f_2m)
 
@@ -255,10 +256,15 @@ def mean_total_photons(p: EcsParams):
     return p.alpha_sq * (p.d * p.b * p.b + p.c * p.c)
 
 
+def _optimal_weight(d, g):
+    """b_star = sqrt(g / (sqrt d + d)), the weight minimizing Tr(F^{-1}) over b."""
+    return sqrt(g / (sqrt(d) + d))
+
+
 def noon_optimal_b(d: int) -> float:
-    """Sensing coefficient minimizing the NOON-probe bound: 1/sqrt(d + sqrt d)."""
+    """Sensing coefficient minimizing the NOON-probe bound: b_star at g = 1."""
     check(d=d)
-    return 1.0 / math.sqrt(d + math.sqrt(d))
+    return _optimal_weight(d, 1.0)
 
 
 def ecs_params(d, alpha_sq, b, m: int = 1) -> EcsParams:

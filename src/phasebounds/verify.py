@@ -134,6 +134,11 @@ def wide_params() -> list[states.EcsParams]:
             for d in WIDE_DS for m in GRID_MS]
 
 
+def noon_grid_params() -> list[states.NoonParams]:
+    """d in {1..4}, m in {1, 2}, N in {1, 3}, b = noon_optimal_b(d)."""
+    return [states.noon_params(d, n, m=m) for d in GRID_DS for m in GRID_MS for n in (1, 3)]
+
+
 def optimizer_draws(rng: np.random.Generator) -> list[tuple[int, int, float]]:
     """50 (d, m, alpha_sq) draws for the optimizer checks."""
     return [(int(rng.integers(1, 11)), int(rng.integers(1, 3)),
@@ -160,8 +165,8 @@ def _rel_frobenius(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def _analytic(p: states.EcsParams) -> np.ndarray:
-    return qfim.to_dense(qfim.ecs_qfim(p))
+def _analytic(p: states.EcsParams | states.NoonParams) -> np.ndarray:
+    return qfim.to_dense(qfim.probe_qfim(p))
 
 
 # ---------------------------------------------------------------- moments
@@ -299,7 +304,7 @@ def theta_independence(rng: np.random.Generator) -> CheckResult:
 
 
 def suite_qfim(rng: np.random.Generator) -> list[CheckResult]:
-    probes = criterion_grid_params() + wide_params()
+    probes = criterion_grid_params() + wide_params() + noon_grid_params()
     return [oracle_vs_analytic(probes), fd_vs_analytic(probes), trace_formula(probes),
             commutators(probes), structured_inverse(rng), theta_independence(rng)]
 
@@ -316,14 +321,20 @@ def scan_vs_closed(draws: Draws) -> CheckResult:
     return _check("optimizer.scan_vs_closed", _worst(itertools.starmap(rel, draws)))
 
 
+def _closed_form(d: int, m: int, mu: float) -> float:
+    """The interior optimum written out in alpha_sq = mu, for m = 1 and m = 2:
+    d (sqrt d + 1)^2 / 4 times 1/(1 + mu)^2, or ((1 + mu)/(mu^3 + 6 mu^2 + 7 mu + 1))^2."""
+    ratio = 1.0 / (1.0 + mu) if m == 1 else (1.0 + mu) / (((mu + 6.0) * mu + 7.0) * mu + 1.0)
+    return d * (math.sqrt(d) + 1.0) ** 2 / 4.0 * ratio ** 2
+
+
 def interior_closed_forms(draws: Draws) -> CheckResult:
-    """Where the optimum is interior, it equals the headline closed form."""
+    """Where the optimum is interior, it equals the closed form in alpha_sq."""
     def rel(d: int, m: int, alpha_sq: float) -> float:
         closed = bounds.minimize_bound_over_b(d, m, alpha_sq)
         if closed.regime is not bounds.Regime.INTERIOR:
             return 0.0
-        formula = (bounds.ecs_linear_value(d, alpha_sq) if m == 1
-                   else bounds.ecs_nonlinear_value(d, alpha_sq))
+        formula = _closed_form(d, m, alpha_sq)
         return abs(closed.value - formula) / formula
 
     worst = _worst(itertools.starmap(rel, draws))
@@ -481,8 +492,8 @@ def b_star_approach() -> CheckResult:
 
 def b_star_limit() -> CheckResult:
     """b_star reaches the NOON weight 1/sqrt(d + sqrt d) at alpha_sq = 1e6."""
-    worst = _worst(abs(states.b_star(d, 1, B_STAR_LIMIT_ALPHA_SQ) - states.noon_optimal_b(d))
-                   for d in range(1, 11))
+    worst = _worst(abs(states.b_star(d, 1, B_STAR_LIMIT_ALPHA_SQ)
+                       - 1.0 / math.sqrt(d + math.sqrt(d))) for d in range(1, 11))
     return _check("bounds.b_star_limit", worst)
 
 

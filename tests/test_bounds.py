@@ -224,6 +224,27 @@ class TestIndependentRootSolver:
         report = bounds.independent_ecs_vs_ntot(1, 1.7e308)
         assert report.params["alpha_sq"] == 1.7e308
 
+    @pytest.mark.parametrize("d", [1, 7, 64])
+    def test_bounded_steps_over_the_whole_n_tot_row(self, d, monkeypatch):
+        # each loop step calls exp once; bisecting linearly toward a tiny
+        # root took 900 calls at n_tot = 1e-300
+        exact, calls = math.exp, []
+        monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exact(x))
+        worst = 0
+        for n_tot in (10.0 ** np.linspace(-320.0, 308.0, 2513)).tolist():
+            calls.clear()
+            x = bounds._independent_alpha_sq(d, n_tot)
+            worst = max(worst, len(calls))
+            assert n_tot / (2.0 * d) <= x <= 2.0 * n_tot / d + 1.0
+        assert worst <= 10
+
+    def test_tiny_root_at_rounding_level(self):
+        # below n_tot ~ 1e-20 the root is 2 n_tot / d to within rounding
+        for d in (1, 7, 64):
+            for n_tot in (1e-25, 1e-100, 1e-300):
+                x = bounds.independent_ecs_vs_ntot(d, n_tot).params["alpha_sq"]
+                assert abs(x - 2.0 * n_tot / d) <= 2 * math.ulp(2.0 * n_tot / d)
+
     @pytest.mark.parametrize("d", [2, 3, 64])
     @pytest.mark.parametrize("n_tot", [9e307, 1e308, sys.float_info.max])
     def test_root_past_an_overflowing_midpoint(self, d, n_tot):

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebounds import bounds, cli, verify
+from phasebounds import _domain, bounds, cli, states, verify
 from phasebounds.cli import main
 
 
@@ -321,6 +322,20 @@ class TestRegionCommand:
         code, out, err = run_cli(capsys, "region", "--d-steps", "0")
         assert code == 2 and "--d-steps" in err and out == ""
 
+    @pytest.mark.parametrize("grid,cells", [
+        (("--d-max", "25001", "--alpha-steps", "400"), 10_000_400),
+        (("--d-max", "5", "--d-steps", "10001", "--alpha-steps", "1000"), 10_001_000),
+    ])
+    def test_rejects_a_grid_over_the_cell_limit_up_front(self, capsys, grid, cells):
+        # 10^7 cells admits the README's 4 x 10^5-cell sweep 25 times over
+        _domain.check(cells=4 * 10 ** 5)
+        _domain.check(cells=10 ** 7)
+        code, out, err = run_cli(capsys, "region", *grid)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"error: region cells must be a positive int <= 1e+07, got {cells} (at ")
+        assert " ".join(grid[:2]) in err and " ".join(grid[-2:]) in err
+
     def test_rejects_empty_d_range(self, capsys):
         code, out, err = run_cli(capsys, "region", "--d-min", "5", "--d-max", "1")
         assert code == 2 and "--d-max" in err and out == ""
@@ -393,7 +408,25 @@ class TestCurvesCommand:
         for row in rows:
             n_tot = float(row[0])
             assert float(row[1]) == bounds.ecs_linear_value(3, n_tot)
+            assert float(row[2]) == bounds.noon_linear_value(3, n_tot)
             assert float(row[3]) == bounds.ecs_nonlinear_value(3, n_tot)
+            assert float(row[4]) == bounds.noon_nonlinear_value(3, n_tot)
+
+    @pytest.mark.parametrize("m,d,alpha", [(1, 5, 2.0), (1, 1, 0.3), (1, 17, 3.0), (1, 64, 6.5),
+                                           (2, 5, 3.0), (2, 17, 4.0), (2, 64, 6.5)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_value_per_interior_quantity(self, capsys, m, d, alpha, fmt):
+        # ecs-linear (ecs-nonlinear) and ecs-optimal --m 1 (--m 2) print one value
+        assert states.domain_geometry(d, m, alpha * alpha).interior
+        family = "ecs-linear" if m == 1 else "ecs-nonlinear"
+        printed = set()
+        for argv in ((family,), ("ecs-optimal", "--m", str(m))):
+            code, out, _ = run_cli(capsys, "bounds", "--family", *argv, "--d", str(d),
+                                   "--alpha", repr(alpha), "--format", fmt)
+            assert code == 0
+            printed.add(list(csv.DictReader(io.StringIO(out)))[0]["value"] if fmt == "csv"
+                        else re.search(r'"value": ([^,}]+)', out)[1])
+        assert len(printed) == 1
 
     def test_byte_identical_across_chunk_sizes(self, capsys, monkeypatch, tmp_path):
         outputs = []
@@ -460,9 +493,13 @@ def _curves_ref(d, n):
     v = d * math.exp(-n)
     denom = d * (-math.expm1(-n)) * (1.0 + d * math.exp(-n))
     c = -b * v + math.sqrt(max(1.0 - b * b * denom, 0.0))
-    cubic = ((n + 6.0) * n + 7.0) * n + 1.0
-    values = (n, scale / (1.0 + n) ** 2, scale / n ** 2, scale * ((1.0 + n) / cubic) ** 2,
-              scale / n ** 4, n * (d * b * b + c * c))
+
+    def coherent(m):  # scale / (g f(2m)) on the Touchard moments at alpha_sq = n
+        f_m, f_2m = _touchard(m, n), _touchard(2 * m, n)
+        return scale / (f_2m / (f_m * f_m) * f_2m)
+
+    values = (n, coherent(1), scale / n ** 2, coherent(2), scale / n ** 4,
+              n * (d * b * b + c * c))
     return [format(x, ".17g") for x in values]
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phasebounds import bounds, moments, states, verify
+from phasebounds import bounds, moments, qfim, states, verify
 
 N_TOT = 1.0 + 0.01 * np.arange(9901)
 
@@ -61,3 +61,35 @@ def test_override_equal_to_the_discrepancy_passes_unless_strict():
     assert [r.discrepancy for r in judged] == [r.discrepancy for r in measured]
     assert [r.tolerance for r in judged] == [r.discrepancy for r in measured]
     assert {r.key for r in judged if not r.passed} == STRICT
+
+
+# One expression gives every headline value and one body every structured
+# information matrix, so a small fault in either must fail verify.
+HEADLINE_CHECKS = {"bounds.noon_pair_exact", "bounds.headline_values",
+                   "optimizer.interior_closed_forms"}
+
+
+def _failed(*suites):
+    return {r.key for suite in suites for r in verify.run_suite(suite) if not r.passed}
+
+
+def test_the_one_headline_expression_can_fail_verify(monkeypatch):
+    assert not _failed("bounds", "optimizer") & HEADLINE_CHECKS
+    exact = bounds._headline
+    monkeypatch.setattr(bounds, "_headline", lambda d, moments: exact(d, moments) * (1.0 + 1e-9))
+    assert HEADLINE_CHECKS <= _failed("bounds", "optimizer")
+
+
+def test_the_one_structured_qfim_can_fail_verify(monkeypatch):
+    ecs, noon = verify.criterion_grid_params(), verify.noon_grid_params()
+    assert verify.oracle_vs_analytic(ecs).passed and verify.oracle_vs_analytic(noon).passed
+    exact = qfim.probe_qfim
+
+    def scaled(p):
+        f = exact(p)
+        return qfim.StructuredQfim(d=f.d, gamma=f.gamma * (1.0 + 1e-7), omega=f.omega)
+
+    monkeypatch.setattr(qfim, "probe_qfim", scaled)
+    assert "qfim.oracle_vs_analytic" in _failed("qfim")
+    assert not verify.oracle_vs_analytic(ecs).passed
+    assert not verify.oracle_vs_analytic(noon).passed
