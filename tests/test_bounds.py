@@ -1,5 +1,6 @@
 import math
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebounds import bounds, moments, qfim, states
+from phasebounds import bounds, moments, qfim, states, verify
 from phasebounds.errors import DegenerateInputError, RegionError
 from phasebounds.verify import crossing_bracket, o_of_d_advantage_fit
 
@@ -93,6 +94,16 @@ class TestGridScan:
         report = bounds.grid_scan_minimizer(2, 1, 9.0)
         expected = states.b_star(2, 1, 9.0) ** 2
         assert report.params["b_sq_used"] == pytest.approx(expected, rel=1e-3)
+
+    def test_pole_at_the_cap(self):
+        # at d = 1, alpha_sq = 1e17, g / d rounds to Gamma = 1.0: the scan
+        # drops the pole endpoint, where the trace bound diverges
+        geom = states.domain_geometry(1, 1, 1e17)
+        assert geom.g / 1 <= geom.gamma_cap
+        scan = bounds.grid_scan_minimizer(1, 1, 1e17)
+        assert scan.params["b_sq_used"] < geom.gamma_cap
+        check = verify.scan_vs_closed([(1, 1, 1e17)])
+        assert check.passed, check
 
 
 class TestEcsClosedForms:
@@ -224,19 +235,49 @@ class TestIndependentRootSolver:
         report = bounds.independent_ecs_vs_ntot(1, 1.7e308)
         assert report.params["alpha_sq"] == 1.7e308
 
-    @pytest.mark.parametrize("d", [1, 7, 64])
-    def test_bounded_steps_over_the_whole_n_tot_row(self, d, monkeypatch):
-        # each loop step calls exp once; bisecting linearly toward a tiny
-        # root took 900 calls at n_tot = 1e-300
+    @staticmethod
+    def exp_calls(monkeypatch, cases):
+        """Largest number of math.exp calls one root takes over (d, n_tot) cases."""
         exact, calls = math.exp, []
         monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exact(x))
         worst = 0
-        for n_tot in (10.0 ** np.linspace(-320.0, 308.0, 2513)).tolist():
+        for d, n_tot in cases:
             calls.clear()
             x = bounds._independent_alpha_sq(d, n_tot)
             worst = max(worst, len(calls))
             assert n_tot / (2.0 * d) <= x <= 2.0 * n_tot / d + 1.0
-        assert worst <= 10
+        return worst
+
+    @pytest.mark.parametrize("d", [1, 7, 64])
+    def test_bounded_steps_over_the_whole_n_tot_row(self, d, monkeypatch):
+        # each loop step calls exp once; bisecting linearly toward a tiny
+        # root took 900 calls at n_tot = 1e-300
+        row = (10.0 ** np.linspace(-320.0, 308.0, 2513)).tolist()
+        assert self.exp_calls(monkeypatch, [(d, n_tot) for n_tot in row]) <= 8
+
+    def test_bounded_steps_at_the_largest_double(self, monkeypatch):
+        # the root n_tot / d sits where d x overflows; a bracketed solver
+        # that formed d x took up to 59 calls here (d = 6, 7, 14, 24, ...)
+        top = sys.float_info.max
+        rng = np.random.default_rng(20261019)
+        cases = [(d, top) for d in range(1, 201)]
+        cases += [(1000, n_tot) for n_tot in rng.uniform(0.999 * top, top, 3000).tolist()]
+        assert self.exp_calls(monkeypatch, cases) <= 8
+
+    def test_within_two_ulp_of_a_decimal_root(self):
+        # 60-digit Newton on x = y (1 + e^{-x}), y = n_tot / d formed exactly;
+        # the relative error squares from <= 1/2, so eight steps pass 60 digits
+        worst = 0.0
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for d, n_tot in self.draws(300):
+                y = x = Decimal(n_tot) / d
+                for _ in range(8):
+                    e = (-x).exp()
+                    x -= (x - y * (1 + e)) / (1 + y * e)
+                got = bounds._independent_alpha_sq(d, n_tot)
+                worst = max(worst, float(abs(Decimal(got) - x)) / math.ulp(float(x)))
+        assert worst <= 2.0
 
     def test_tiny_root_at_rounding_level(self):
         # below n_tot ~ 1e-20 the root is 2 n_tot / d to within rounding

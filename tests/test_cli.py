@@ -593,6 +593,17 @@ class TestSweepKernel:
         assert code == 2 and out == "" and "error" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv,name", [
+        (("bounds", "--family", "ecs-linear", "--d", "5", "--alpha", "2"), "x.json"),
+        (("region", "--d-max", "2", "--alpha-steps", "3"), "r.csv"),
+    ])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, argv, name):
+        path = tmp_path / "missing" / name
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write output: "), err
+        assert not path.parent.exists()
+
     @pytest.mark.parametrize("argv,flag", [
         (("curves", "--d", "5", "--ntot-max", "1e200", "--points", "5"), "--ntot-max"),
         (("curves", "--d", "5", "--ntot-max", "1e100", "--points", "5"), "--ntot-max"),
@@ -648,6 +659,12 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "--suite", "moments",
                                "--tol", "nope=1")
         assert code == 2 and "unknown tolerance" in err
+
+    def test_tolerance_without_a_value_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "moments",
+                                 "--tol", "moments.closed_vs_poisson")
+        assert code == 2 and out == ""
+        assert err == "error: --tol takes NAME=VALUE, got 'moments.closed_vs_poisson'\n"
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-1", "abc"])
     def test_bad_tolerance_value_rejected(self, capsys, value):

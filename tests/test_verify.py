@@ -16,6 +16,12 @@ def test_every_tolerance_key_is_reached_by_exactly_one_check():
     assert {"qfim.oracle_vs_analytic", "qfim.fd_vs_analytic", "qfim.commutators"} <= set(keys)
 
 
+def test_unknown_suite_names_the_suites():
+    with pytest.raises(ValueError) as info:
+        verify.run_suite("nope")
+    assert str(info.value) == f"unknown suite 'nope'; choose from {verify.SUITE_NAMES + ('all',)}"
+
+
 def test_b_star_without_g_fails_the_approach_check(monkeypatch):
     monkeypatch.setattr(states, "b_star", lambda d, m, alpha_sq: states.noon_optimal_b(d))
     assert not verify.b_star_approach().passed
