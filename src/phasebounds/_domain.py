@@ -4,7 +4,8 @@ Each row of ``DOMAIN`` gives a parameter's label, the exception for a value
 that is not an integer (``None`` for a real), the ends of its interval, each
 open or closed, and the exception for a value outside it.  ``check`` tests
 numbers or NumPy arrays, picking its namespace as ``_arrays`` does.  A CLI
-flag reads one row and names itself: ``--m must be <= 109``.
+flag reads one row and names itself and the value given:
+``--m must be a positive int <= 109, got 110``.
 
 ``d`` counts the phases, up to the largest double, since every kernel forms
 it as one; ``m`` is the order of the generator ``(a^dag a)^m``,
@@ -55,27 +56,15 @@ DOMAIN = {
 }
 
 
-def ends(name: str) -> tuple[str, str]:
-    """A row's lower and upper end as text: ('>= 1', '<= 109'), ('> 0', 'finite')."""
-    _, _, lo, lo_closed, hi, hi_closed, _ = DOMAIN[name]
-    upper = "finite" if hi == inf else f"{'<=' if hi_closed else '<'} {hi:g}"
-    return f"{'>=' if lo_closed else '>'} {lo:g}", upper
-
-
 def rule(name: str) -> str:
     """What a row accepts: 'finite and > 0', 'a positive int', 'an int >= 0'."""
-    _, integer, lo, *_ = DOMAIN[name]
-    lower, upper = ends(name)
+    _, integer, lo, lo_closed, hi, hi_closed, _ = DOMAIN[name]
+    lower = f"{'>=' if lo_closed else '>'} {lo:g}"
+    upper = "finite" if hi == inf else f"{'<=' if hi_closed else '<'} {hi:g}"
     if integer is None:
         return upper if lo == -inf else f"{upper} and {lower}"
     kind = "a positive int" if lower == ">= 1" else f"an int {lower}"
     return kind if upper == "finite" else f"{kind} {upper}"
-
-
-def inside(name: str, x):
-    """Whether x is above the row's lower end, and below its upper end (elementwise)."""
-    _, _, lo, lo_closed, hi, hi_closed, _ = DOMAIN[name]
-    return (x >= lo if lo_closed else x > lo), (x <= hi if hi_closed else x < hi)
 
 
 def check(**values) -> None:
@@ -83,7 +72,6 @@ def check(**values) -> None:
     ``check(d=d, alpha_sq=alpha_sq)``; an integer is an int, not a bool, or an int array."""
     for name, x in values.items():
         label, integer, lo, lo_closed, hi, hi_closed, outside = DOMAIN[name]
-        # inside(name, x), written out: the call would cost a scalar kernel ~10%
         ok = (x >= lo if lo_closed else x > lo) & (x <= hi if hi_closed else x < hi)
         if integer is not None and type(x) is not int and not (
                 x.dtype.kind in "iu" if getattr(x, "ndim", 0)

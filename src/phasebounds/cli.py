@@ -149,24 +149,17 @@ def _require(args: argparse.Namespace, flag: str, family: str) -> float:
     return value
 
 
-def _inside(flag: str, name: str, value, upper: bool = True, got: str = "") -> None:
-    """Exit 2 naming flag and the end of domain row `name` (or of its lower end
-    alone) that value is outside."""
-    above, below = _domain.inside(name, value)
-    if not above or (upper and not below):
-        raise PhaseBoundsError(f"{flag} must be {_domain.ends(name)[above]}{got}")
-
-
-def _number(flag: str, value: float, name: str = "") -> None:
-    """Exit 2 unless domain row `name` (default the flag's: --n-tot reads n_tot) accepts
-    value; an alpha is squared before use, so its square must lie in the alpha_sq row too."""
-    name = name or flag.replace("-", "_")
-    ok, rule = all(_domain.inside(name, value)), _domain.rule(name)
-    if name == "alpha":
-        ok = ok and all(_domain.inside("alpha_sq", value * value))
-        rule = f"{_domain.ends(name)[0]} with a finite, nonzero square"
-    if not ok:
-        raise PhaseBoundsError(f"--{flag} must be {rule}, got {value!r}")
+def _flag(flag: str, row: str, value) -> None:
+    """Exit 2 unless domain row `row` accepts value: `--m must be a positive int <= 109,
+    got 110`.  An alpha is squared before use, so its square must lie in the alpha_sq
+    row too."""
+    try:
+        _domain.check(**{row: value})
+        if row == "alpha":
+            _domain.check(alpha_sq=value * value)
+    except ValueError:
+        rule = "> 0 with a finite, nonzero square" if row == "alpha" else _domain.rule(row)
+        raise PhaseBoundsError(f"{flag} must be {rule}, got {value!r}")
 
 
 @contextmanager
@@ -195,16 +188,20 @@ def _bounds_report(args: argparse.Namespace) -> bounds.BoundReport:
     a value or param that is not a finite double exits 2, keeping the message of an
     overflow the package named but not Python's bare arithmetic errors."""
     family = args.family
-    _inside("--d", "d", args.d)
+    _flag("--d", "d", args.d)
     if args.m is not None:
-        _inside("--m", "m", args.m)
+        _flag("--m", "m", args.m)
     rows = [(flags, report) for fam, flags, report in _FAMILIES if fam == family]
-    flags, report = next((row for row in rows if _value(args, row[0][0]) is not None), rows[-1])
+    row = next((row for row in rows if _value(args, row[0][0]) is not None), None)
+    if row is None:
+        needed = " or ".join(f"--{flags[0]}" for flags, _ in rows)
+        raise PhaseBoundsError(f"{needed} is required for family {family}")
+    flags, report = row
     given = {"d": args.d}
     for flag in flags:
         if flag != "m":
             given[flag] = _require(args, flag, family)
-            _number(flag, given[flag])
+            _flag(f"--{flag}", flag.replace("-", "_"), given[flag])
         elif args.m is not None:
             given[flag] = args.m
     for flag in ("m", "alpha", "N", "n-tot", "b"):
@@ -267,25 +264,25 @@ def _finite_power(flag: str, value: float, power: int) -> None:
     if not finite:
         raise PhaseBoundsError(
             f"{flag} must be finite with a finite {power}th power "
-            f"(at most {math.pow(sys.float_info.max, 1.0 / power):.6g}), got {value:g}")
+            f"(at most {math.pow(sys.float_info.max, 1.0 / power):.6g}), got {value!r}")
 
 
 def cmd_region(args: argparse.Namespace) -> int:
     import numpy as np
 
-    _inside("--m", "m", args.m)
+    _flag("--m", "m", args.m)
     _finite_power("--alpha-min", args.alpha_min, 4 * args.m)
-    _number("alpha-min", args.alpha_min, "alpha")
+    _flag("--alpha-min", "alpha", args.alpha_min)
     _finite_power("--alpha-max", args.alpha_max, 4 * args.m)
     if not args.alpha_max >= args.alpha_min:
         raise PhaseBoundsError("--alpha-max must be >= --alpha-min")
-    _inside("--alpha-steps", "count", args.alpha_steps)
+    _flag("--alpha-steps", "count", args.alpha_steps)
     if args.d_steps is not None:
-        _inside("--d-steps", "count", args.d_steps)
-    _inside("--d-min", "d", args.d_min)
+        _flag("--d-steps", "count", args.d_steps)
+    _flag("--d-min", "d", args.d_min)
     if args.d_max < args.d_min:
         raise PhaseBoundsError("--d-max must be >= --d-min")
-    _inside("--d-max", "d", args.d_max)
+    _flag("--d-max", "d", args.d_max)
 
     def chunks():
         # the grid's size is checked before anything is allocated, and d is a
@@ -304,9 +301,9 @@ def cmd_region(args: argparse.Namespace) -> int:
 def cmd_curves(args: argparse.Namespace) -> int:
     import numpy as np
 
-    _inside("--d", "d", args.d)
-    _inside("--points", "points", args.points)
-    _inside("--ntot-min", "N", args.ntot_min, upper=False)
+    _flag("--d", "d", args.d)
+    _flag("--points", "points", args.points)
+    _flag("--ntot-min", "N", args.ntot_min)
     if not args.ntot_max >= args.ntot_min:
         raise PhaseBoundsError("--ntot-max must be >= --ntot-min")
     _finite_power("--ntot-max", args.ntot_max, 4)
@@ -318,26 +315,15 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
-    _inside("--seed", "seed", args.seed, got=f", got {args.seed}")
+    _flag("--seed", "seed", args.seed)
     overrides = {}
     for item in args.tol:
         name, _, value = item.partition("=")
-        if not value:
-            raise PhaseBoundsError(f"--tol takes NAME=VALUE, got {item!r}")
-        if name not in verify.DEFAULT_TOLERANCES:
-            raise PhaseBoundsError(f"unknown tolerance {name!r}")
         try:
-            tol = float(value)
+            overrides[name] = float(value)
         except ValueError:
-            tol = math.nan
-        if not all(_domain.inside("tol", tol)):
-            lower, upper = _domain.ends("tol")
-            raise PhaseBoundsError(f"--tol {name} must be a {upper} number {lower}, got {value!r}")
-        suite = name.partition(".")[0]
-        if args.suite not in ("all", suite):
-            raise PhaseBoundsError(
-                f"--tol {name} sets a {suite} check, which --suite {args.suite} does not run")
-        overrides[name] = tol
+            raise PhaseBoundsError(f"--tol takes NAME=VALUE, got {item!r}")
+        _flag(f"--tol {name}", "tol", overrides[name])
     results = verify.run_suite(args.suite, seed=args.seed, tolerances=overrides)
     for result in results:
         print(result.line())

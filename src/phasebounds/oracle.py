@@ -296,18 +296,18 @@ def _exclusive_cumprod(f: np.ndarray) -> np.ndarray:
 
 
 def _overlap_tables(bra: SparseProductState, ket: SparseProductState,
-                    weight: np.ndarray | None = None, start: int = 0,
-                    pairs: bool = False) -> tuple[complex, np.ndarray, np.ndarray | None]:
+                    weight: np.ndarray | None = None
+                    ) -> tuple[complex, np.ndarray | None, np.ndarray | None]:
     """Overlaps of two states from per-mode factor tables.
 
     Returns ``(overlap, first, second)`` with W_j the diagonal ``weight`` on
-    mode j and i, l indexing the weighted modes j = start + i, k = start + l:
+    mode j:
 
     - ``overlap = <bra|ket>``;
-    - ``first[i] = <bra| W_j |ket>`` (empty without a weight);
-    - ``second[i, l] = <W_j bra| W_k ket>`` if ``pairs``, else None; the
-      diagonal is <bra| |W_j|^2 |ket>.  Only i <= l is formed; the rest is
-      its conjugate transpose, which needs ``bra is ket``.
+    - ``first[j] = <bra| W_j |ket>``, None without a weight;
+    - ``second[j, k] = <W_j bra| W_k ket>``, None without a weight; the
+      diagonal is <bra| |W_j|^2 |ket>.  Only j <= k is formed; the rest is
+      its conjugate transpose, so a weight needs ``bra is ket``.
 
     Vectors are deduplicated by identity, so each table is a Gram matrix of
     the few distinct vectors, conj(V) @ (w V)^T, gathered into term-pair x
@@ -316,8 +316,8 @@ def _overlap_tables(bra: SparseProductState, ket: SparseProductState,
     """
     if bra.num_modes != ket.num_modes:
         raise ValueError(f"mode count mismatch: {bra.num_modes} vs {ket.num_modes}")
-    if pairs and bra is not ket:
-        raise ValueError("pair overlaps need bra is ket")
+    if weight is not None and bra is not ket:
+        raise ValueError("weighted overlaps need bra is ket")
     # every factor of every term, bra then ket, term-major
     flat = [vec for state in (bra, ket) for _, factors in state.terms for vec in factors]
     unique = dict(zip(map(id, flat), flat))
@@ -332,36 +332,31 @@ def _overlap_tables(bra: SparseProductState, ket: SparseProductState,
     stack = np.array([vec.amplitudes for vec in unique.values()])
     conj_stack = stack.conj()
 
-    def table(w, modes=slice(None)) -> np.ndarray:
+    def table(w) -> np.ndarray:
         # table[mode, s, t] = <bra_s| w |ket_t> on that mode
         gram = np.einsum("an,bn->ab", conj_stack, stack if w is None else w * stack)
-        return gram[bra_rows[modes, :, None], ket_rows[modes, None, :]]
+        return gram[bra_rows[:, :, None], ket_rows[:, None, :]]
 
     coeffs = np.conj([c for c, _ in bra.terms])[:, None] * np.array([c for c, _ in ket.terms])
     plain = table(None)
     prefix = _exclusive_cumprod(plain)
     overlap = complex(np.sum(coeffs * prefix[-1] * plain[-1]))
     if weight is None:
-        return overlap, np.empty(0, dtype=complex), None
+        return overlap, None, None
     suffix = _exclusive_cumprod(plain[::-1])[::-1]
-    weighted = table(weight, slice(start, None))
-    first = np.einsum("st,ist,ist,ist->i", coeffs, weighted,
-                      prefix[start:], suffix[start:])
-    if not pairs:
-        return overlap, first, None
+    weighted = table(weight)
+    first = np.einsum("st,ist,ist,ist->i", coeffs, weighted, prefix, suffix)
     n = len(weighted)
     second = np.empty((n, n), dtype=complex)
     second[np.diag_indices(n)] = np.einsum(
-        "st,ist,ist,ist->i", coeffs, table(abs(weight) ** 2, slice(start, None)),
-        prefix[start:], suffix[start:])
-    bra_weighted = table(np.conj(weight), slice(start, None))
-    right = weighted * suffix[start:]
-    for i in range(n - 1):
-        j = start + i
-        left = coeffs * bra_weighted[i] * prefix[j]
+        "st,ist,ist,ist->i", coeffs, table(abs(weight) ** 2), prefix, suffix)
+    bra_weighted = table(np.conj(weight))
+    right = weighted * suffix
+    for j in range(n - 1):
+        left = coeffs * bra_weighted[j] * prefix[j]
         # mid[r] = product of the plain factors strictly between j and j + 1 + r
         mid = _exclusive_cumprod(plain[j + 1:])
-        second[i, i + 1:] = np.einsum("st,lst,lst->l", left, mid, right[i + 1:])
+        second[j, j + 1:] = np.einsum("st,lst,lst->l", left, mid, right[j + 1:])
     lower = np.tril_indices(n, -1)
     second[lower] = np.conj(second.T[lower])
     return overlap, first, second
@@ -388,7 +383,8 @@ def _qfim(state: SparseProductState, m: int) -> np.ndarray:
     From the factor tables of the one weight n^m on the sensing modes.
     Exactly symmetric by construction.
     """
-    _, first, second = _overlap_tables(state, state, _levels(state) ** m, start=1, pairs=True)
+    _, first, second = _overlap_tables(state, state, _levels(state) ** m)
+    first, second = first[1:], second[1:, 1:]
     return 4.0 * (second - np.outer(np.conj(first), first)).real
 
 

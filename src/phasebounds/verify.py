@@ -519,12 +519,20 @@ def run_suite(name: str, seed: int = 0,
     """Run one suite (or 'all'); deterministic for a given seed.
 
     `tolerances` overrides DEFAULT_TOLERANCES by check key: each check's
-    discrepancy is judged again at the given value.
+    discrepancy is judged again at the given value.  A key that names no
+    check, or a check of a suite not run, raises ValueError before any runs.
     """
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
-    results = [r for suite in (SUITE_NAMES if name == "all" else (name,))
-               for r in _SUITES[suite](np.random.default_rng(seed))]
+    suites = SUITE_NAMES if name == "all" else (name,)
     overrides = tolerances or {}
+    for key in overrides:
+        suite = key.partition(".")[0]
+        if key not in DEFAULT_TOLERANCES:
+            raise ValueError(f"unknown tolerance {key!r}")
+        if suite not in suites:
+            raise ValueError(f"tolerance {key!r} sets a {suite} check, "
+                             f"which suite {name!r} does not run")
+    results = [r for suite in suites for r in _SUITES[suite](np.random.default_rng(seed))]
     return [CheckResult(r.suite, r.name, r.discrepancy, float(overrides[r.key]), r.strict)
             if r.key in overrides else r for r in results]

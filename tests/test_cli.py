@@ -92,7 +92,24 @@ class TestBoundsCommand:
     def test_zero_d_or_m_names_the_flag(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, "bounds", *argv)
         assert code == 2 and out == ""
-        assert err == f"error: {flag} must be >= 1\n"
+        rule = {"--d": "a positive int <= 1.79769e+308", "--m": "a positive int <= 109"}[flag]
+        assert err == f"error: {flag} must be {rule}, got {argv[argv.index(flag) + 1]}\n"
+
+    @pytest.mark.parametrize("family,given,message", [
+        ("ecs-linear", (), "--alpha is required"),
+        ("ecs-nonlinear", (), "--alpha is required"),
+        ("ecs-optimal", ("--m", "2"), "--alpha is required"),
+        ("ecs-at-b", ("--alpha", "2"), "--b is required"),
+        ("noon-linear", (), "--N is required"),
+        ("noon-nonlinear", (), "--N is required"),
+        ("independent-ecs", (), "--n-tot or --alpha is required"),
+        ("independent-noon", (), "--n-tot is required"),
+        ("zzb-ecs", (), "--alpha is required"),
+        ("zzb-noon", (), "--N is required"),
+    ])
+    def test_missing_flag_names_every_alternative(self, capsys, family, given, message):
+        code, out, err = run_cli(capsys, "bounds", "--family", family, "--d", "3", *given)
+        assert (code, out, err) == (2, "", f"error: {message} for family {family}\n")
 
     @pytest.mark.parametrize("argv", [
         ("--family", "noon-linear", "--d", "3", "--N", "4"),
@@ -237,7 +254,8 @@ def test_d_above_the_largest_double_names_the_flag(capsys, argv):
     d = "1" + "0" * 400
     code, out, err = run_cli(capsys, *(a.format(d) for a in argv))
     flag = argv[argv.index("{}") - 1]
-    assert (code, out, err) == (2, "", f"error: {flag} must be <= 1.79769e+308\n")
+    assert (code, out, err) == (
+        2, "", f"error: {flag} must be a positive int <= 1.79769e+308, got {d}\n")
 
 
 # the flags each bounds family reads besides --d and --m (independent-ecs: either)
@@ -342,7 +360,8 @@ class TestRegionCommand:
 
     def test_rejects_zero_d_min(self, capsys):
         code, out, err = run_cli(capsys, "region", "--d-min", "0")
-        assert code == 2 and "--d-min must be >= 1" in err and out == ""
+        assert code == 2 and out == ""
+        assert err == "error: --d-min must be a positive int <= 1.79769e+308, got 0\n"
 
     @pytest.mark.parametrize("alpha_min,alpha_max", [("3", "1"), ("0.01", "-1")])
     def test_rejects_descending_alpha_range(self, capsys, alpha_min, alpha_max):
@@ -352,7 +371,8 @@ class TestRegionCommand:
 
     def test_rejects_zero_m(self, capsys):
         code, out, err = run_cli(capsys, "region", "--m", "0")
-        assert code == 2 and out == "" and err == "error: --m must be >= 1\n"
+        assert code == 2 and out == ""
+        assert err == "error: --m must be a positive int <= 109, got 0\n"
 
     @pytest.mark.parametrize("alpha_min", ["0", "-1", "1e-170"])
     def test_alpha_min_needs_a_nonzero_square(self, capsys, alpha_min):
@@ -452,7 +472,8 @@ class TestCurvesCommand:
 
     def test_rejects_zero_d(self, capsys):
         code, out, err = run_cli(capsys, "curves", "--d", "0")
-        assert code == 2 and out == "" and err == "error: --d must be >= 1\n"
+        assert code == 2 and out == ""
+        assert err == "error: --d must be a positive int <= 1.79769e+308, got 0\n"
 
     def test_rejects_descending_ntot_range(self, capsys):
         code, out, err = run_cli(capsys, "curves", "--ntot-min", "5", "--ntot-max", "1",
@@ -666,20 +687,24 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == "error: --tol takes NAME=VALUE, got 'moments.closed_vs_poisson'\n"
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "abc"])
-    def test_bad_tolerance_value_rejected(self, capsys, value):
+    @pytest.mark.parametrize("value,message", [
+        ("inf", "--tol moments.closed_vs_poisson must be finite and >= 0, got inf"),
+        ("nan", "--tol moments.closed_vs_poisson must be finite and >= 0, got nan"),
+        ("-1", "--tol moments.closed_vs_poisson must be finite and >= 0, got -1.0"),
+        ("abc", "--tol takes NAME=VALUE, got 'moments.closed_vs_poisson=abc'"),
+    ], ids=["inf", "nan", "-1", "abc"])
+    def test_bad_tolerance_value_rejected(self, capsys, value, message):
         code, out, err = run_cli(capsys, "verify", "--suite", "moments",
                                  "--tol", f"moments.closed_vs_poisson={value}")
         assert code == 2 and out == ""
-        assert err == ("error: --tol moments.closed_vs_poisson must be a finite number "
-                       f">= 0, got {value!r}\n")
+        assert err == f"error: {message}\n"
 
     def test_tolerance_for_unselected_suite_rejected(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "moments",
                                  "--tol", "qfim.commutators=1e-300")
         assert code == 2 and out == ""
-        assert err == ("error: --tol qfim.commutators sets a qfim check, "
-                       "which --suite moments does not run\n")
+        assert err == ("error: tolerance 'qfim.commutators' sets a qfim check, "
+                       "which suite 'moments' does not run\n")
 
     def test_zero_tolerance_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "moments",
@@ -700,7 +725,7 @@ class TestVerifyCommand:
     def test_negative_seed_names_the_flag(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "moments", "--seed", "-1")
         assert code == 2 and out == ""
-        assert err == "error: --seed must be >= 0, got -1\n"
+        assert err == "error: --seed must be an int >= 0, got -1\n"
 
     def test_seeded_report_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "--suite", "optimizer", "--seed", "7")

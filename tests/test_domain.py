@@ -80,7 +80,8 @@ def test_kernels_take_d_up_to_the_largest_double(call):
 ])
 @pytest.mark.parametrize("m", [M_MAX + 1, 10 ** 6, 10 ** 400])
 def test_m_above_the_max_names_the_flag(argv, m):
-    assert run([*argv, "--m", m]) == (2, "", "error: --m must be <= 109\n")
+    assert run([*argv, "--m", m]) == (
+        2, "", f"error: --m must be a positive int <= 109, got {m}\n")
 
 
 def test_m_max_runs_at_small_alpha():
@@ -158,6 +159,46 @@ def test_flag_accepts_what_its_kernel_row_accepts(flag, data):
     code, out, err = run([*argv, f"--{flag}={text}"])
     rejected = err.startswith(f"error: --{flag} must be ")
     assert code in (0, 2) and rejected is not _kernel_accepts(check, parse(text)), (text, err)
+
+
+# Every range-checked flag: an argv it completes, the domain row it reads, and
+# values outside that row (its ends, NaN, the infinities and 10**400 among
+# them).  The argv's last token is `{last word of flag}={value}`, so --tol
+# takes NAME=VALUE.  A NaN or infinite --alpha-min is caught first by the axis
+# power check, and a --d-max below --d-min by the range check.
+_D_BEYOND = int(sys.float_info.max) + 1
+REJECTED = [
+    ("bounds --family noon-linear --N 4", "--d", "d", [0, -3, _D_BEYOND, 10 ** 400]),
+    ("bounds --family ecs-optimal --d 3 --alpha 2", "--m", "m", [0, M_MAX + 1, 10 ** 400]),
+    ("bounds --family ecs-linear --d 3", "--alpha", "alpha",
+     [0.0, -2.0, math.nan, math.inf, -math.inf, 1e-170, 1e200]),
+    ("bounds --family noon-linear --d 3", "--N", "N",
+     [math.nextafter(1.0, 0.0), -1.0, math.nan, math.inf, -math.inf]),
+    ("bounds --family independent-noon --d 3", "--n-tot", "n_tot",
+     [0.0, -5e-324, math.nan, math.inf]),
+    ("bounds --family ecs-at-b --d 3 --alpha 2", "--b", "b", [-5e-324, math.nan, math.inf]),
+    ("region", "--m", "m", [0, M_MAX + 1, 10 ** 400]),
+    ("region", "--alpha-min", "alpha", [0.0, -1.0, 1e-170]),
+    ("region", "--d-min", "d", [0, -1, 10 ** 400]),
+    ("region", "--d-max", "d", [_D_BEYOND, 10 ** 400]),
+    ("region", "--d-steps", "count", [0, -10 ** 400]),
+    ("region", "--alpha-steps", "count", [0, -1]),
+    ("curves", "--d", "d", [0, 10 ** 400]),
+    ("curves", "--points", "points", [1, 0, -10 ** 400]),
+    ("curves", "--ntot-min", "N", [0.5, math.nan, math.inf, -math.inf]),
+    ("verify --suite moments", "--seed", "seed", [-1, -10 ** 400]),
+    ("verify --suite moments --tol", "--tol moments.closed_vs_poisson", "tol",
+     [-1.0, -5e-324, math.nan, math.inf]),
+]
+
+
+@pytest.mark.parametrize("argv,flag,row,value", [
+    pytest.param(argv, flag, row, value, id=f"{argv.split()[0]} {flag} {i}")
+    for argv, flag, row, values in REJECTED for i, value in enumerate(values)])
+def test_rejected_flag_names_its_rule_and_value(argv, flag, row, value):
+    rule = "> 0 with a finite, nonzero square" if row == "alpha" else _domain.rule(row)
+    code, out, err = run([*argv.split(), f"{flag.split()[-1]}={value!r}"])
+    assert (code, out, err) == (2, "", f"error: {flag} must be {rule}, got {value!r}\n")
 
 
 REGION_FLAGS = ("--m", "--d-min", "--d-max", "--d-steps", "--alpha-min", "--alpha-max",

@@ -306,18 +306,17 @@ class TestFactorTables:
             return oracle.SparseProductState(num_modes, tuple(
                 (c, f[:mode] + (oracle.ModeVector(f[mode].amplitudes * diag),) + f[mode + 1:])
                 for c, f in s.terms))
-        start = 1
-        overlap, first, second = oracle._overlap_tables(state, state, w, start, pairs=True)
+        overlap, first, second = oracle._overlap_tables(state, state, w)
         scale = abs(_loop_inner_product(state, state))
         assert abs(overlap - _loop_inner_product(state, state)) <= 1e-13 * scale
-        for i, j in enumerate(range(start, num_modes)):
-            assert abs(first[i] - _loop_inner_product(state, scaled(state, j, w))) <= 1e-13 * scale
-            for l, k in enumerate(range(start, num_modes)):
+        for j in range(num_modes):
+            assert abs(first[j] - _loop_inner_product(state, scaled(state, j, w))) <= 1e-13 * scale
+            for k in range(num_modes):
                 if j == k:
                     ref = _loop_inner_product(state, scaled(state, j, abs(w) ** 2))
                 else:
                     ref = _loop_inner_product(scaled(state, j, w), scaled(state, k, w))
-                assert abs(second[i, l] - ref) <= 1e-12 * scale, (j, k)
+                assert abs(second[j, k] - ref) <= 1e-12 * scale, (j, k)
 
     def test_noon_cross_overlaps_are_exactly_zero(self):
         # no division in the leave-one-out products: zero overlaps stay zero

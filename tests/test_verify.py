@@ -22,6 +22,17 @@ def test_unknown_suite_names_the_suites():
     assert str(info.value) == f"unknown suite 'nope'; choose from {verify.SUITE_NAMES + ('all',)}"
 
 
+@pytest.mark.parametrize("tolerances,message", [
+    ({"bogus.key": 1.0, "moments.closed_vs_poisson": 0.0}, "unknown tolerance 'bogus.key'"),
+    ({"qfim.oracle_vs_analytic": 0.0},
+     "tolerance 'qfim.oracle_vs_analytic' sets a qfim check, which suite 'moments' does not run"),
+], ids=["unknown", "unselected-suite"])
+def test_bad_override_key_is_rejected(tolerances, message):
+    with pytest.raises(ValueError) as info:
+        verify.run_suite("moments", tolerances=tolerances)
+    assert str(info.value) == message
+
+
 def test_b_star_without_g_fails_the_approach_check(monkeypatch):
     monkeypatch.setattr(states, "b_star", lambda d, m, alpha_sq: states.noon_optimal_b(d))
     assert not verify.b_star_approach().passed
