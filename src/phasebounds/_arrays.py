@@ -73,15 +73,6 @@ def clip_negative(x):
     return np.where(x < 0.0, 0.0, x)
 
 
-def minimum(a, b):
-    """Elementwise minimum that propagates NaN and returns b on ties, like np.minimum."""
-    if _numbers(a, b):
-        return a if a < b or a != a else b
-    import numpy as np
-
-    return np.minimum(a, b)
-
-
 def quiet_overflow(*xs):
     """Context in which arithmetic on xs may overflow to inf without a warning.
 

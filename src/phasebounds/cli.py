@@ -29,7 +29,6 @@ from contextlib import contextmanager
 from itertools import repeat
 
 from . import _domain, bounds, states
-from ._arrays import minimum, sqrt
 from ._suites import SUITE_NAMES
 from .errors import PhaseBoundsError
 
@@ -242,9 +241,11 @@ def _curves_chunks(d: int, axis) -> Iterator[tuple]:
     The coherent probe's photon number is the axis value itself; the exact
     mean uses the optimal weight clamped to the cap.
     """
+    import numpy as np
+
     for n_tot in _blocks(axis):
         geom = states.domain_geometry(d, 1, n_tot)
-        b_used = minimum(geom.b_star, sqrt(geom.gamma_cap))
+        b_used = np.minimum(geom.b_star, np.sqrt(geom.gamma_cap))
         exact_mean = states.mean_total_photons(states.ecs_params(d, n_tot, b_used))
         yield (n_tot,
                bounds.ecs_linear_value(d, n_tot),

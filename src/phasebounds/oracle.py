@@ -13,15 +13,14 @@ diagonal generators (a^dag a)^m.  Probes are valid by construction (see
 ``states``), so the oracle builds them without checking them again.
 
 Per-mode factor tables.  A probe holds only a few distinct amplitude vectors
-(vacuum and coherent, then their images under n^m or a phase), shared by
-identity across terms and modes; the operators below map each distinct
+(vacuum and coherent, then their images under n^m), shared by identity
+across terms and modes; the number-power operator maps each distinct
 vector once.  `_overlap_tables` forms the Gram table conj(V) @ (w V)^T of
 those vectors for each diagonal weight w it needs, gathers it into
 term-pair x mode factor arrays, and takes the products over all modes, all
 modes but one and all modes but two from prefix/suffix cumulative products
 (never by division: NOON overlaps are exactly 0).  Inner products, photon
-numbers, the commutator check and the one information-matrix routine (run
-on the probe, and on the phase-evolved probe for the derivative form) all
+numbers, the commutator check and the one information-matrix routine all
 go through it, at O(d^4) for a d x d matrix instead of O(d^5) vdots.
 
 A dense amplitude tensor is the second-layer oracle at small sizes.  Every
@@ -239,47 +238,24 @@ def _apply_number_power(state: SparseProductState, mode: int, m: int) -> SparseP
     """Apply the diagonal operator n^m on one mode.
 
     Exact under the truncation: the number operator cannot leak amplitude
-    across the cutoff.
-    """
-    return _scale_modes(state, {mode: _levels(state) ** m})
-
-
-def _apply_phase_evolution(state: SparseProductState, thetas: np.ndarray,
-                           m: int) -> SparseProductState:
-    """Imprint e^{i n^m theta_j} on sensing mode j for j = 1..d.
-
-    The reference mode is untouched.  The evolution is diagonal in the Fock
-    basis, hence exact under the truncation.
+    across the cutoff.  Each distinct vector on the mode is mapped once, so
+    vectors shared by identity stay shared and the factor tables stay small.
     """
     powers = _levels(state) ** m
-    return _scale_modes(state, {j: np.exp(1j * powers * t) for j, t in enumerate(thetas, 1)})
+    done: dict[int, ModeVector] = {}
+    new_terms = []
+    for coeff, factors in state.terms:
+        old = factors[mode]
+        if id(old) not in done:
+            done[id(old)] = ModeVector(amplitudes=old.amplitudes * powers,
+                                       tail_mass=old.tail_mass)
+        new_terms.append((coeff, factors[:mode] + (done[id(old)],) + factors[mode + 1:]))
+    return SparseProductState(num_modes=state.num_modes, terms=tuple(new_terms))
 
 
 def _levels(state: SparseProductState) -> np.ndarray:
     """Fock levels 0..cutoff as floats, the diagonal of the number operator."""
     return np.arange(state.cutoff() + 1, dtype=float)
-
-
-def _scale_modes(state: SparseProductState,
-                 scales: dict[int, np.ndarray]) -> SparseProductState:
-    """Multiply the factor amplitudes on each listed mode by that mode's diagonal.
-
-    Each distinct input vector is mapped once per mode, so vectors shared by
-    identity stay shared and the factor tables stay small.
-    """
-    done: dict[tuple[int, int], ModeVector] = {}
-    new_terms = []
-    for coeff, factors in state.terms:
-        new = list(factors)
-        for mode, scale in scales.items():
-            old = factors[mode]
-            key = (mode, id(old))
-            if key not in done:
-                done[key] = ModeVector(amplitudes=old.amplitudes * scale,
-                                       tail_mass=old.tail_mass)
-            new[mode] = done[key]
-        new_terms.append((coeff, tuple(new)))
-    return SparseProductState(num_modes=state.num_modes, terms=tuple(new_terms))
 
 
 def _exclusive_cumprod(f: np.ndarray) -> np.ndarray:
@@ -399,22 +375,18 @@ def numerical_qfim(p: EcsParams | NoonParams, cutoff: int | None = None,
 
 
 def qfim_via_state_derivatives(p: EcsParams | NoonParams,
-                               theta: Sequence[float] | None = None,
                                tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    """Information matrix via the derivative-overlap form at phases theta.
+    """Information matrix in the derivative-overlap form; the moment routine itself.
 
-    F_jk = 4 Re(<d_j psi|d_k psi> - <d_j psi|psi><psi|d_k psi>), where
-    |psi(theta)> evolves each sensing mode by the diagonal phase
-    e^{i n^m theta_j}, whose derivative is exact: d_j psi = i H_j psi.  The
-    factors i and -i cancel exactly in floating point, so this is the moment
-    routine run on the evolved probe.  The matrix does not depend on theta
-    because the generators commute with the evolution.
+    F_jk = 4 Re(<d_j psi|d_k psi> - <d_j psi|psi><psi|d_k psi>).  Under the
+    diagonal evolution e^{i n^m theta_j} the derivative is exact,
+    d_j psi = i H_j psi, and the factors i and -i cancel exactly in floating
+    point, so at every theta this is :func:`numerical_qfim` on the probe,
+    with the cutoff chosen from ``tail_tol``.  The name stays because the
+    benchmark's oracle worker, ``verify.fd_vs_analytic`` and the QFIM demo
+    call it.
     """
-    state = build_state(p, tail_tol=tail_tol)
-    theta_vec = np.zeros(p.d) if theta is None else np.asarray(theta, dtype=float)
-    if theta_vec.shape != (p.d,):
-        raise ValueError(f"theta must hold {p.d} phases, got shape {theta_vec.shape}")
-    return _qfim(_apply_phase_evolution(state, theta_vec, p.m), p.m)
+    return numerical_qfim(p, tail_tol=tail_tol)
 
 
 def commutator_expectation(p: EcsParams | NoonParams, j: int, k: int,

@@ -6,10 +6,10 @@ against the truncated-Fock oracle, the piecewise optimum against a dense
 grid scan, and the headline bound values and orderings against direct
 arithmetic.  ``qfim.oracle_vs_analytic`` and ``qfim.fd_vs_analytic`` reach
 the oracle's one information-matrix routine two ways, through the moment
-form and through the derivative form at theta = 0, so they read the same
-discrepancy; both keys stay because benchmark reports and ``--tol`` name
-them.  Every check is a named function of explicit inputs (a probe
-list, an rng, optimizer draws or an n_tot grid) that measures one
+form and through the derivative form, so they read the same discrepancy;
+both keys stay because benchmark reports and ``--tol`` name them.  Every
+check is a named function of explicit inputs (a probe list, an rng,
+optimizer draws or an n_tot grid) that measures one
 discrepancy and returns it as a ``CheckResult`` at its default tolerance,
 ``DEFAULT_TOLERANCES["<suite>.<name>"]``.  The pass rule is written once,
 on ``CheckResult``.  The ``suite_*`` functions are lists of calls on the
@@ -75,7 +75,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "qfim.fd_vs_analytic": 1e-5,
     "qfim.structured_inverse": 1e-10,
     "qfim.trace_formula": 1e-12,
-    "qfim.theta_independence": 1e-9,
     "qfim.commutators": 1e-14,
     "optimizer.scan_vs_closed": 1e-3,
     "optimizer.interior_closed_forms": 1e-12,
@@ -291,22 +290,10 @@ def structured_inverse(rng: np.random.Generator) -> CheckResult:
     return _check("qfim.structured_inverse", worst)
 
 
-def theta_independence(rng: np.random.Generator) -> CheckResult:
-    """The derivative-path QFIM at random phases equals that at theta = 0."""
-    def rel(p: states.EcsParams) -> float:
-        at_zero = oracle.qfim_via_state_derivatives(p)
-        theta = rng.uniform(-math.pi, math.pi, size=p.d)
-        return _rel_frobenius(oracle.qfim_via_state_derivatives(p, theta=theta), at_zero)
-
-    worst = _worst(map(rel, (states.ecs_params(2, 1.0, 0.3, 1),
-                             states.ecs_params(3, 4.0, 0.2, 2))))
-    return _check("qfim.theta_independence", worst)
-
-
 def suite_qfim(rng: np.random.Generator) -> list[CheckResult]:
     probes = criterion_grid_params() + wide_params() + noon_grid_params()
     return [oracle_vs_analytic(probes), fd_vs_analytic(probes), trace_formula(probes),
-            commutators(probes), structured_inverse(rng), theta_independence(rng)]
+            commutators(probes), structured_inverse(rng)]
 
 
 # ------------------------------------------------------------- optimizer

@@ -75,11 +75,6 @@ class TestHelpers:
 
     @settings(max_examples=300, deadline=None)
     @given(FLOATS, FLOATS)
-    def test_minimum(self, a, b):
-        _same(_arrays.minimum, [a, b])
-
-    @settings(max_examples=300, deadline=None)
-    @given(FLOATS, FLOATS)
     def test_quiet_overflow(self, a, b):
         def product(x, y):
             with _arrays.quiet_overflow(x, y):
@@ -97,12 +92,10 @@ class TestHelpers:
     def test_numbers_stay_python_numbers(self):
         assert type(_arrays.sqrt(4)) is float
         assert type(_arrays.clip_negative(-2.0)) is float
-        assert type(_arrays.minimum(1, 2.0)) is int
         assert _arrays.first_failing(3.0, False) == 3.0
 
     def test_numpy_scalars_take_the_array_branch(self):
         assert type(_arrays.sqrt(np.float64(4.0))) is np.float64
-        assert type(_arrays.minimum(np.float64(1.0), 2.0)) is np.float64
 
     @pytest.mark.parametrize("n", [0, -1, 2.0, True, np.int64(3)])
     def test_check_positive_int_rejects(self, n):

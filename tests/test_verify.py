@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phasebounds import bounds, moments, qfim, states, verify
+from phasebounds import bounds, moments, oracle, qfim, states, verify
 
 N_TOT = 1.0 + 0.01 * np.arange(9901)
 
@@ -110,3 +110,36 @@ def test_the_one_structured_qfim_can_fail_verify(monkeypatch):
     assert "qfim.oracle_vs_analytic" in _failed("qfim")
     assert not verify.oracle_vs_analytic(ecs).passed
     assert not verify.oracle_vs_analytic(noon).passed
+
+
+# (module, kernel, fault applied to the kernel's result, the check that guards it)
+KERNEL_MUTANTS = [
+    (oracle, "_qfim", lambda f: f * (1.0 + 3e-8),
+     lambda: verify.oracle_vs_analytic(verify.criterion_grid_params()[:4])),
+    (qfim, "trace_inverse_value", lambda t: t * (1.0 + 1e-11),
+     lambda: verify.trace_formula(verify.criterion_grid_params()[:4])),
+    (qfim, "qfim_inverse", lambda f: qfim.StructuredQfim(f.d, f.gamma, f.omega * (1.0 + 1e-8)),
+     lambda: verify.structured_inverse(np.random.default_rng(0))),
+    (oracle, "truncated_coherent",
+     lambda v: oracle.ModeVector(v.amplitudes * (1.0 + 1e-9), v.tail_mass), verify.oracle_norm),
+    (states, "mean_total_photons", lambda n: n * (1.0 + 3e-9), verify.mean_photons),
+]
+
+
+@pytest.mark.parametrize("module,name,fault,check", KERNEL_MUTANTS,
+                         ids=[f"{row[0].__name__}.{row[1]}" for row in KERNEL_MUTANTS])
+def test_each_qfim_and_normalization_kernel_has_a_check_that_fails(
+        module, name, fault, check, monkeypatch):
+    """A small fault in each kernel fails the check that guards it.
+
+    Two qfim checks fail under no mutant here on their own.
+    ``fd_vs_analytic`` runs the same oracle routine as ``oracle_vs_analytic``
+    and reads the same 3e-8 under the ``_qfim`` mutant, inside its 1e-5.
+    ``commutators`` is 0 by construction, since the generators are diagonal.
+    Both stay because the benchmark's oracle worker and acceptance criteria
+    2 and 10 read them.
+    """
+    assert check().passed
+    exact = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: fault(exact(*args)))
+    assert not check().passed
