@@ -5,9 +5,9 @@ matrix is gamma (I + omega J) with J the all-ones matrix, and its inverse
 is closed form.  This script builds the matrix two independent ways,
 from analytic moments and from the truncated-Fock oracle, inverts it with
 the structured formula, and checks the two-parameter effective-information
-identity.  The oracle's one routine is reached two ways (generator
-moments, exact state-derivative overlaps, where d_j psi = i H_j psi), so
-its two printed differences are equal.
+identity.  The oracle's one routine has two names (generator moments,
+exact state-derivative overlaps, where d_j psi = i H_j psi), so its two
+printed differences are equal.
 """
 
 import numpy as np

@@ -287,11 +287,13 @@ def cmd_region(args: argparse.Namespace) -> int:
 
     def chunks():
         # the grid's size is checked before anything is allocated, and d is a
-        # lazy range, or rounded to integers (repeats keep the requested product)
+        # lazy range, or sampled between float ends and rounded to integers kept
+        # inside [--d-min, --d-max] (repeats keep the requested product)
         rows = args.d_max - args.d_min + 1 if args.d_steps is None else args.d_steps
         _domain.check(cells=rows * args.alpha_steps)
         d_values = (range(args.d_min, args.d_max + 1) if args.d_steps is None else
-                    [int(round(x)) for x in np.linspace(args.d_min, args.d_max, args.d_steps)])
+                    [min(max(int(round(x)), args.d_min), args.d_max) for x in
+                     np.linspace(float(args.d_min), float(args.d_max), args.d_steps)])
         alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
         return _region_chunks(d_values, alphas, args.m)
 

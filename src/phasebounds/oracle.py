@@ -14,14 +14,15 @@ diagonal generators (a^dag a)^m.  Probes are valid by construction (see
 
 Per-mode factor tables.  A probe holds only a few distinct amplitude vectors
 (vacuum and coherent, then their images under n^m), shared by identity
-across terms and modes; the number-power operator maps each distinct
-vector once.  `_overlap_tables` forms the Gram table conj(V) @ (w V)^T of
-those vectors for each diagonal weight w it needs, gathers it into
-term-pair x mode factor arrays, and takes the products over all modes, all
-modes but one and all modes but two from prefix/suffix cumulative products
-(never by division: NOON overlaps are exactly 0).  Inner products, photon
-numbers, the commutator check and the one information-matrix routine all
-go through it, at O(d^4) for a d x d matrix instead of O(d^5) vdots.
+across terms and modes; a diagonal operator maps each distinct vector once.
+`_overlap_tables` forms the Gram matrix conj(V) @ V^T of the distinct
+vectors of a bra and a ket and gathers it into term-pair x mode factor
+arrays.  The generators are real and diagonal, so photon numbers and the
+one information-matrix routine (under both its names) read every moment
+from the tables of the probe against itself and against a diagonal W on
+every mode (n, or n^m and its square), taking products over all modes but
+one or two from prefix/suffix cumulative products (never by division: NOON
+overlaps are exactly 0), at O(d^4) for a d x d matrix instead of O(d^5) vdots.
 
 A dense amplitude tensor is the second-layer oracle at small sizes.  Every
 amplitude is formed densely, with no factor table, by contracting the
@@ -159,17 +160,16 @@ def minimal_cutoff(mu: float, tail_tol: float) -> int:
     c = max(int(mu), 0)
     if mu == 0.0:
         return c
-    if c > _MAX_CUTOFF:
-        raise CutoffError(
-            f"no cutoff below {_MAX_CUTOFF} reaches tail {tail_tol} for mu={mu}")
-    for tail in _upper_tail_sums(c + 1, mu, _TAIL_EPS * tail_tol):
-        if tail < tail_tol:
+    if c <= _MAX_CUTOFF:
+        for tail in _upper_tail_sums(c + 1, mu, _TAIL_EPS * tail_tol):
+            if tail < tail_tol:
+                return c
+            c += 1
+            if c > _MAX_CUTOFF:
+                break
+        else:
             return c
-        c += 1
-        if c > _MAX_CUTOFF:
-            raise CutoffError(
-                f"no cutoff below {_MAX_CUTOFF} reaches tail {tail_tol} for mu={mu}")
-    return c
+    raise CutoffError(f"no cutoff below {_MAX_CUTOFF} reaches tail {tail_tol} for mu={mu}")
 
 
 def truncated_coherent(alpha: complex, cutoff: int,
@@ -234,23 +234,29 @@ def build_state(p: EcsParams | NoonParams, cutoff: int | None = None,
     return SparseProductState(num_modes=p.d + 1, terms=tuple(terms))
 
 
-def _apply_number_power(state: SparseProductState, mode: int, m: int) -> SparseProductState:
-    """Apply the diagonal operator n^m on one mode.
+def _apply_diagonal(state: SparseProductState, w: np.ndarray,
+                    modes: Sequence[int]) -> SparseProductState:
+    """Multiply the factors on ``modes`` by the real diagonal w, exactly under the truncation.
 
-    Exact under the truncation: the number operator cannot leak amplitude
-    across the cutoff.  Each distinct vector on the mode is mapped once, so
-    vectors shared by identity stay shared and the factor tables stay small.
+    A diagonal operator cannot leak amplitude across the cutoff.  Each distinct
+    vector is mapped once, so shared vectors stay shared and the tables small.
     """
-    powers = _levels(state) ** m
     done: dict[int, ModeVector] = {}
-    new_terms = []
+    terms = []
     for coeff, factors in state.terms:
-        old = factors[mode]
-        if id(old) not in done:
-            done[id(old)] = ModeVector(amplitudes=old.amplitudes * powers,
-                                       tail_mass=old.tail_mass)
-        new_terms.append((coeff, factors[:mode] + (done[id(old)],) + factors[mode + 1:]))
-    return SparseProductState(num_modes=state.num_modes, terms=tuple(new_terms))
+        factors = list(factors)
+        for mode in modes:
+            vec = factors[mode]
+            if id(vec) not in done:
+                done[id(vec)] = ModeVector(amplitudes=vec.amplitudes * w, tail_mass=vec.tail_mass)
+            factors[mode] = done[id(vec)]
+        terms.append((coeff, tuple(factors)))
+    return SparseProductState(num_modes=state.num_modes, terms=tuple(terms))
+
+
+def _apply_number_power(state: SparseProductState, mode: int, m: int) -> SparseProductState:
+    """Apply the diagonal operator n^m on one mode."""
+    return _apply_diagonal(state, _levels(state) ** m, (mode,))
 
 
 def _levels(state: SparseProductState) -> np.ndarray:
@@ -271,29 +277,17 @@ def _exclusive_cumprod(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def _overlap_tables(bra: SparseProductState, ket: SparseProductState,
-                    weight: np.ndarray | None = None
-                    ) -> tuple[complex, np.ndarray | None, np.ndarray | None]:
-    """Overlaps of two states from per-mode factor tables.
+def _overlap_tables(bra: SparseProductState,
+                    ket: SparseProductState) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode overlaps of two states: ``(coeffs, table)``.
 
-    Returns ``(overlap, first, second)`` with W_j the diagonal ``weight`` on
-    mode j:
-
-    - ``overlap = <bra|ket>``;
-    - ``first[j] = <bra| W_j |ket>``, None without a weight;
-    - ``second[j, k] = <W_j bra| W_k ket>``, None without a weight; the
-      diagonal is <bra| |W_j|^2 |ket>.  Only j <= k is formed; the rest is
-      its conjugate transpose, so a weight needs ``bra is ket``.
-
-    Vectors are deduplicated by identity, so each table is a Gram matrix of
-    the few distinct vectors, conj(V) @ (w V)^T, gathered into term-pair x
-    mode arrays.  A product of per-mode factors leaving out mode j (or modes
-    j < k) is prefix[j] * suffix[j] (or prefix[j] * mid(j, k) * suffix[k]).
+    coeffs[s, t] = conj(c_s) c'_t and table[mode, s, t] = <bra_s|ket_t> on
+    that mode, so <bra|ket> sums coeffs times the product of the table over
+    modes.  Vectors are deduplicated by identity: the table gathers the Gram
+    matrix of the few distinct vectors into term-pair x mode arrays.
     """
     if bra.num_modes != ket.num_modes:
         raise ValueError(f"mode count mismatch: {bra.num_modes} vs {ket.num_modes}")
-    if weight is not None and bra is not ket:
-        raise ValueError("weighted overlaps need bra is ket")
     # every factor of every term, bra then ket, term-major
     flat = [vec for state in (bra, ket) for _, factors in state.terms for vec in factors]
     unique = dict(zip(map(id, flat), flat))
@@ -301,92 +295,94 @@ def _overlap_tables(bra: SparseProductState, ket: SparseProductState,
         raise ValueError("cutoff mismatch between states")
     position = dict(zip(unique, range(len(unique))))
     where = np.fromiter(map(position.__getitem__, map(id, flat)), np.intp, len(flat))
-    # rows[mode, term] = position of that factor in the stack of distinct vectors
+    # rows[mode, term] = position of that factor among the distinct vectors;
+    # mode-major, so the tables are too and the loops over them run faster
     split = len(bra.terms) * bra.num_modes
-    bra_rows = where[:split].reshape(len(bra.terms), bra.num_modes).T
-    ket_rows = where[split:].reshape(len(ket.terms), ket.num_modes).T
+    bra_rows = np.ascontiguousarray(where[:split].reshape(len(bra.terms), bra.num_modes).T)
+    ket_rows = np.ascontiguousarray(where[split:].reshape(len(ket.terms), ket.num_modes).T)
     stack = np.array([vec.amplitudes for vec in unique.values()])
-    conj_stack = stack.conj()
-
-    def table(w) -> np.ndarray:
-        # table[mode, s, t] = <bra_s| w |ket_t> on that mode
-        gram = np.einsum("an,bn->ab", conj_stack, stack if w is None else w * stack)
-        return gram[bra_rows[:, :, None], ket_rows[:, None, :]]
-
+    gram = np.einsum("an,bn->ab", stack.conj(), stack)
     coeffs = np.conj([c for c, _ in bra.terms])[:, None] * np.array([c for c, _ in ket.terms])
-    plain = table(None)
-    prefix = _exclusive_cumprod(plain)
-    overlap = complex(np.sum(coeffs * prefix[-1] * plain[-1]))
-    if weight is None:
-        return overlap, None, None
-    suffix = _exclusive_cumprod(plain[::-1])[::-1]
-    weighted = table(weight)
-    first = np.einsum("st,ist,ist,ist->i", coeffs, weighted, prefix, suffix)
-    n = len(weighted)
-    second = np.empty((n, n), dtype=complex)
-    second[np.diag_indices(n)] = np.einsum(
-        "st,ist,ist,ist->i", coeffs, table(abs(weight) ** 2), prefix, suffix)
-    bra_weighted = table(np.conj(weight))
-    right = weighted * suffix
-    for j in range(n - 1):
-        left = coeffs * bra_weighted[j] * prefix[j]
-        # mid[r] = product of the plain factors strictly between j and j + 1 + r
-        mid = _exclusive_cumprod(plain[j + 1:])
-        second[j, j + 1:] = np.einsum("st,lst,lst->l", left, mid, right[j + 1:])
-    lower = np.tril_indices(n, -1)
-    second[lower] = np.conj(second.T[lower])
-    return overlap, first, second
+    return coeffs, gram[bra_rows[:, :, None], ket_rows[:, None, :]]
 
 
 def inner_product(s1: SparseProductState, s2: SparseProductState) -> complex:
     """<s1|s2>, conjugate-linear in the first argument."""
-    return _overlap_tables(s1, s2)[0]
+    coeffs, table = _overlap_tables(s1, s2)
+    return complex(np.sum(coeffs * _exclusive_cumprod(table)[-1] * table[-1]))
 
 
 def norm_sq(state: SparseProductState) -> float:
     return inner_product(state, state).real
 
 
+def _weighted_tables(state: SparseProductState,
+                     *weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """coeffs and tables[i, mode, s, t] = <psi_s| W_i |psi_t> on that mode, W_0 = 1.
+
+    Each real diagonal W_i acts on every mode at once, so one overlap of the
+    probe with psi + W_1 psi + ... (a block of terms per W_i) gives every table.
+    """
+    every, size = range(state.num_modes), len(state.terms)
+    ket = SparseProductState(num_modes=state.num_modes, terms=state.terms + sum(
+        (_apply_diagonal(state, w, every).terms for w in weights), ()))
+    coeffs, table = _overlap_tables(state, ket)
+    blocks = table.reshape(state.num_modes, size, 1 + len(weights), size)
+    # one contiguous table per W_i: the loops over them run several times faster
+    return np.ascontiguousarray(coeffs[:, :size]), np.ascontiguousarray(np.moveaxis(blocks, 2, 0))
+
+
 def total_photon_expectation(state: SparseProductState) -> float:
     """<sum_modes n_mode> over all modes, reference included."""
-    norm, per_mode, _ = _overlap_tables(state, state, _levels(state))
-    return float(np.sum(per_mode.real)) / norm.real
+    coeffs, (plain, weighted) = _weighted_tables(state, _levels(state))
+    prefix, suffix = _exclusive_cumprod(plain), _exclusive_cumprod(plain[::-1])[::-1]
+    per_mode = np.einsum("st,ist,ist,ist->i", coeffs, weighted, prefix, suffix)
+    return float(np.sum(per_mode.real)) / np.sum(coeffs * prefix[-1] * plain[-1]).real
 
 
 def _qfim(state: SparseProductState, m: int) -> np.ndarray:
     """F_jk = 4 Re(<H_j psi|H_k psi> - <psi|H_j psi>* <psi|H_k psi>), H_j = (n_j)^m.
 
-    From the factor tables of the one weight n^m on the sensing modes.
-    Exactly symmetric by construction.
+    <psi|H_j psi> takes the table of W = n^m on mode j, <H_j psi|H_j psi>
+    that of W^2, and <H_j psi|H_k psi> for j < k that of W on modes j and k
+    with prefix[j] * mid * suffix[k], the plain tables elsewhere.  One step
+    per distance k - j advances every mid product.  Exactly symmetric.
     """
-    _, first, second = _overlap_tables(state, state, _levels(state) ** m)
-    first, second = first[1:], second[1:, 1:]
+    w = _levels(state) ** m
+    coeffs, (plain, weighted, squared) = _weighted_tables(state, w, w * w)
+    prefix, suffix = _exclusive_cumprod(plain), _exclusive_cumprod(plain[::-1])[::-1]
+    # the sensing modes 1..d
+    plain, weighted, squared, prefix, suffix = (
+        a[1:] for a in (plain, weighted, squared, prefix, suffix))
+    first = np.einsum("st,ist,ist,ist->i", coeffs, weighted, prefix, suffix)
+    second = np.diag(np.einsum("st,ist,ist,ist->i", coeffs, squared, prefix, suffix))
+    n, flat = len(second), second.reshape(-1)
+    left = coeffs * weighted * prefix
+    right = weighted * suffix
+    # mid[j] = product of the plain tables strictly between modes j and j + 1 + r
+    mid = np.ones_like(plain[:-1])
+    for r in range(n - 1):
+        count = n - 1 - r
+        pair = np.einsum("jst,jst,jst->j", left[:count], mid[:count], right[1 + r:])
+        # (j, j + 1 + r) for j < count, and its conjugate at (j + 1 + r, j)
+        flat[1 + r::n + 1][:count], flat[(1 + r) * n::n + 1][:count] = pair, pair.conj()
+        np.multiply(mid[:count - 1], plain[1 + r:n - 1], out=mid[:count - 1])
     return 4.0 * (second - np.outer(np.conj(first), first)).real
 
 
-def numerical_qfim(p: EcsParams | NoonParams, cutoff: int | None = None,
+def numerical_qfim(p: EcsParams | NoonParams,
                    tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
     """Information matrix from first principles: the generator moments on the probe.
 
-    F_jk = 4 (<H_j H_k> - <H_j><H_k>) with H_j = (n_j)^m on sensing mode j.
-    The cutoff, if given, is used as is (see :func:`build_state`).
+    F_jk = 4 (<H_j H_k> - <H_j><H_k>), H_j = (n_j)^m, at the cutoff build_state picks.
     """
-    return _qfim(build_state(p, cutoff, tail_tol), p.m)
+    return _qfim(build_state(p, tail_tol=tail_tol), p.m)
 
 
-def qfim_via_state_derivatives(p: EcsParams | NoonParams,
-                               tail_tol: float = DEFAULT_TAIL_TOL) -> np.ndarray:
-    """Information matrix in the derivative-overlap form; the moment routine itself.
-
-    F_jk = 4 Re(<d_j psi|d_k psi> - <d_j psi|psi><psi|d_k psi>).  Under the
-    diagonal evolution e^{i n^m theta_j} the derivative is exact,
-    d_j psi = i H_j psi, and the factors i and -i cancel exactly in floating
-    point, so at every theta this is :func:`numerical_qfim` on the probe,
-    with the cutoff chosen from ``tail_tol``.  The name stays because the
-    benchmark's oracle worker, ``verify.fd_vs_analytic`` and the QFIM demo
-    call it.
-    """
-    return numerical_qfim(p, tail_tol=tail_tol)
+# The derivative form 4 Re(<d_j psi|d_k psi> - <d_j psi|psi><psi|d_k psi>) is the
+# same matrix, since d_j psi = i H_j psi exactly and the factors i, -i cancel; the
+# name stays for the benchmark's oracle worker, verify's fd_vs_analytic and a demo.
+qfim_via_state_derivatives = numerical_qfim
 
 
 def commutator_expectation(p: EcsParams | NoonParams, j: int, k: int,

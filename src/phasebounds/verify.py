@@ -4,9 +4,9 @@ Each check pits a closed form against an independent computation: Stirling
 moments against the raw Poisson series, analytic information matrices
 against the truncated-Fock oracle, the piecewise optimum against a dense
 grid scan, and the headline bound values and orderings against direct
-arithmetic.  ``qfim.oracle_vs_analytic`` and ``qfim.fd_vs_analytic`` reach
-the oracle's one information-matrix routine two ways, through the moment
-form and through the derivative form, so they read the same discrepancy;
+arithmetic.  ``qfim.oracle_vs_analytic`` and ``qfim.fd_vs_analytic`` call
+the oracle's one information-matrix routine under its two names, the
+moment form and the derivative form, so they read the same discrepancy;
 both keys stay because benchmark reports and ``--tol`` name them.  Every
 check is a named function of explicit inputs (a probe list, an rng,
 optimizer draws or an n_tot grid) that measures one

@@ -328,6 +328,23 @@ class TestRegionCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) - 1 == 7 * 5
 
+    @pytest.mark.parametrize("d_max", [10 ** 20, 2 ** 63 - 1, 2 ** 63, 10 ** 150],
+                             ids=["1e20", "2^63-1", "2^63", "1e150"])
+    def test_d_steps_beyond_int64_samples_inside_the_range(self, capsys, d_max):
+        # Python ints past 2^63 reached np.linspace as object arrays, and
+        # 2^63 - 1 came back as the double 2^63, above --d-max
+        code, out, err = run_cli(capsys, "region", "--d-min", "1", "--d-max", str(d_max),
+                                 "--d-steps", "3", "--alpha-steps", "2")
+        assert (code, err) == (0, "")
+        ds = [int(row[0]) for row in list(csv.reader(io.StringIO(out)))[1:]]
+        # the ends are the double nearest each flag, kept inside the range
+        assert ds[::2] == ds[1::2] and ds[0] == 1 and ds[-1] == min(int(float(d_max)), d_max)
+        assert all(1 <= d <= d_max for d in ds)
+        # the last d on its own row, without --d-steps
+        code, single, _ = run_cli(capsys, "region", "--d-min", str(ds[-1]), "--d-max", str(ds[-1]),
+                                  "--alpha-steps", "2")
+        assert code == 0 and single.splitlines()[1:] == out.splitlines()[-2:]
+
     def test_rejects_nonpositive_alpha(self, capsys):
         code, _, err = run_cli(capsys, "region", "--alpha-min", "0.0")
         assert code == 2 and "alpha-min" in err

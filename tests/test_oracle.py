@@ -219,14 +219,8 @@ class TestDerivativePath:
                              qfim.to_dense(qfim.ecs_qfim(p))) < 1e-8
 
     def test_agrees_with_moment_path(self):
-        # d_j psi = i H_j psi, and the factors i and -i cancel exactly
-        for p in (states.ecs_params(1, 1.0, 0.5, m=1),
-                  states.ecs_params(3, 0.25, 0.1, m=2),
-                  states.ecs_params(3, 100.0, 0.3, m=2),
-                  states.noon_params(2, 4, m=2)):
-            fd = oracle.qfim_via_state_derivatives(p)
-            direct = oracle.numerical_qfim(p)
-            assert np.array_equal(fd, direct)
+        # d_j psi = i H_j psi, and the factors i and -i cancel exactly: one body, two names
+        assert oracle.qfim_via_state_derivatives is oracle.numerical_qfim
 
 
 class TestCommutators:
@@ -292,27 +286,47 @@ class TestFactorTables:
         def vec():
             return oracle.ModeVector(rng.normal(size=levels) + 1j * rng.normal(size=levels))
         pools = [[vec() for _ in range(3)] for _ in range(num_modes)]
-        terms = tuple((complex(rng.normal(), rng.normal()),
-                       tuple(pools[k][rng.integers(3)] for k in range(num_modes)))
-                      for _ in range(5))
-        state = oracle.SparseProductState(num_modes=num_modes, terms=terms)
-        w = rng.normal(size=levels) + 1j * rng.normal(size=levels)
 
-        def scaled(s, mode, diag):
-            return oracle.SparseProductState(num_modes, tuple(
-                (c, f[:mode] + (oracle.ModeVector(f[mode].amplitudes * diag),) + f[mode + 1:])
-                for c, f in s.terms))
-        overlap, first, second = oracle._overlap_tables(state, state, w)
-        scale = abs(_loop_inner_product(state, state))
-        assert abs(overlap - _loop_inner_product(state, state)) <= 1e-13 * scale
-        for j in range(num_modes):
-            assert abs(first[j] - _loop_inner_product(state, scaled(state, j, w))) <= 1e-13 * scale
-            for k in range(num_modes):
-                if j == k:
-                    ref = _loop_inner_product(state, scaled(state, j, abs(w) ** 2))
-                else:
-                    ref = _loop_inner_product(scaled(state, j, w), scaled(state, k, w))
-                assert abs(second[j, k] - ref) <= 1e-12 * scale, (j, k)
+        def generic(count):
+            return oracle.SparseProductState(num_modes=num_modes, terms=tuple(
+                (complex(rng.normal(), rng.normal()),
+                 tuple(pools[k][rng.integers(3)] for k in range(num_modes)))
+                for _ in range(count)))
+        bra, ket = generic(4), generic(5)
+        coeffs, table = oracle._overlap_tables(bra, ket)
+        for s, (cs, fs) in enumerate(bra.terms):
+            for t, (ct, ft) in enumerate(ket.terms):
+                assert coeffs[s, t] == pytest.approx(np.conj(cs) * ct, rel=1e-15)
+                ref = np.array([np.vdot(u.amplitudes, v.amplitudes) for u, v in zip(fs, ft)])
+                assert np.all(abs(table[:, s, t] - ref) <= 1e-15 * abs(ref).max())
+        # normalized, so that the pair moments are not swamped by the product of the means
+        scale = abs(_loop_inner_product(ket, ket)) ** -0.5
+        ket = oracle.SparseProductState(num_modes, tuple((scale * c, f) for c, f in ket.terms))
+        for m in (1, 2):
+            self._assert_moments_match_loop(ket, m, 1e-13)
+
+    @pytest.mark.parametrize("p,cutoff", [
+        (states.ecs_params(3, 2.0, 0.3, m=1), 20),
+        (states.ecs_params(4, 0.5, 0.2, m=2), 14),
+        (states.noon_params(3, 5, m=2), 5),
+        (states.noon_params(4, 3, b=0.4, m=1), 7),
+    ], ids=["ecs-m1", "ecs-m2", "noon-m2", "noon-m1"])
+    def test_moments_match_loop_on_probes(self, p, cutoff):
+        self._assert_moments_match_loop(oracle.build_state(p, cutoff), p.m, 1e-14)
+
+    @staticmethod
+    def _assert_moments_match_loop(state, m, tol):
+        """_qfim and total_photon_expectation against the term-pair loop, real weights n^m."""
+        sensing = range(1, state.num_modes)
+        h = [oracle._apply_number_power(state, j, m) for j in sensing]
+        means = np.array([_loop_inner_product(state, hj) for hj in h])
+        second = np.array([[_loop_inner_product(hj, hk) for hk in h] for hj in h])
+        ref = 4.0 * (second - np.outer(np.conj(means), means)).real
+        assert rel_frobenius(oracle._qfim(state, m), ref) < tol
+        counts = [oracle._apply_number_power(state, j, 1) for j in range(state.num_modes)]
+        photons = sum(_loop_inner_product(state, nj) for nj in counts).real
+        norm = _loop_inner_product(state, state).real
+        assert oracle.total_photon_expectation(state) == pytest.approx(photons / norm, rel=tol)
 
     def test_noon_cross_overlaps_are_exactly_zero(self):
         # no division in the leave-one-out products: zero overlaps stay zero
@@ -333,7 +347,7 @@ class TestFactorTables:
             means = np.array([_loop_inner_product(state, hj).real for hj in h])
             second = np.array([[_loop_inner_product(hj, hk).real for hk in h] for hj in h])
             ref = 4.0 * (second - np.outer(means, means))
-            assert rel_frobenius(oracle.numerical_qfim(p, cutoff=cutoff), ref) < 1e-14
+            assert rel_frobenius(oracle._qfim(state, p.m), ref) < 1e-14
 
     def test_operators_map_each_distinct_vector_once(self):
         state = oracle.build_state(states.ecs_params(5, 1.0, 0.2, m=1), 16)
@@ -384,7 +398,7 @@ class TestValidation:
         lambda p: oracle.numerical_qfim(p),
         lambda p: oracle.qfim_via_state_derivatives(p),
         lambda p: oracle.commutator_expectation(p, 1, 2),
-        lambda p: oracle.numerical_qfim(p, cutoff=12),
+        lambda p: oracle._qfim(oracle.build_state(p, 12), p.m),
         lambda p: oracle.dense_qfim(p, 8),
     ])
     @pytest.mark.parametrize("p", [states.ecs_params(2, 1.0, 0.3, m=2),
@@ -435,7 +449,7 @@ class TestDenseTensor:
     def test_qfim_matches_sparse(self):
         p = states.ecs_params(2, 1.0, 0.3, m=1)
         dense = oracle.dense_qfim(p, 10)
-        sparse = oracle.numerical_qfim(p, cutoff=10)
+        sparse = oracle._qfim(oracle.build_state(p, 10), p.m)
         assert rel_frobenius(dense, sparse) < 1e-10
 
     def test_size_limit(self):
@@ -513,16 +527,30 @@ def test_linear_combination():
     assert oracle.norm_sq(doubled) == pytest.approx(4.0 * oracle.norm_sq(state), rel=1e-13)
 
 
-def test_benchmark_oracle_worker_checks_every_op_kind_cleanly(tmp_path):
-    """The benchmark's oracle worker runs against this package: every oracle
-    name and keyword it calls exists, and every op it checks passes."""
+def _run_oracle_worker(tmp_path, trace):
+    """Run the benchmark's oracle worker (seed 5, 1 s) against this package; its JSON."""
     out = tmp_path / "oracle.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "perfbench"]),
                PYTHONDONTWRITEBYTECODE="1")
-    result = subprocess.run([sys.executable, "perfbench/oracle_worker.py", "5", "1", "0", str(out)],
+    result = subprocess.run([sys.executable, "perfbench/oracle_worker.py", "5", "1", trace, str(out)],
                             cwd=Path(__file__).resolve().parent.parent, env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    records = json.loads(out.read_text())["records"]
+    return json.loads(out.read_text())
+
+
+def test_benchmark_oracle_worker_checks_every_op_kind_cleanly(tmp_path):
+    """The benchmark's oracle worker runs against this package: every oracle
+    name and keyword it calls exists, and every op it checks passes."""
+    records = _run_oracle_worker(tmp_path, "0")["records"]
     assert {"ecs", "noon", "dense"} <= {r["kind"] for r in records}
     assert [r for r in records if r["errors"]] == []
+
+
+def test_benchmark_tracer_counts_the_oracle_truncation_and_term_pairs(tmp_path):
+    """With TRACE=1 the benchmark's tracer hooks on truncated_coherent (called
+    with its tail tolerance) and inner_product (called on two states) still
+    fire, so its cutoff, tail-mass and term-pair counters are filled."""
+    counters = _run_oracle_worker(tmp_path, "1")["trace"]["counters"]
+    for name in ("oracle.cutoff_max", "oracle.tail_mass_max", "oracle.term_pairs"):
+        assert counters[name] > 0, (name, counters)

@@ -1,5 +1,8 @@
 """The verify checks themselves: every tolerance is used, and known faults fail."""
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,59 @@ KERNEL_MUTANTS = [
 ]
 
 
+def _report(fault):
+    """The fault applied to a BoundReport's value, the rest of the report kept."""
+    return lambda r: bounds.BoundReport(fault(r.value), r.kind, r.regime, r.params)
+
+
+def _flip_interior(c):
+    return bounds.RegionCell(c.d, c.alpha, c.m, c.b_star, c.sqrt_gamma, not c.interior)
+
+
+DRAWS = verify.optimizer_draws(np.random.default_rng(0))
+
+# Rows of the same shape for every check of the moments, optimizer and bounds
+# suites, each fault just above its check's tolerance.  crossing_bracket reads
+# at most half a grid cell, or inf once the flip leaves the golden ratio's
+# cell, so its fault is the smallest scale tried that moves the flip.
+# unimodal counts draws: an alternating ripple of 5e-7 is the smallest tried
+# (1e-12 up by decades, then 2e-7, 3e-7) that breaks a draw's shape.
+SUITE_MUTANTS = [
+    (moments, "coherent_number_moment", lambda f: f * (1.0 + 2e-10), verify.closed_vs_poisson),
+    (moments, "coherent_number_moment", lambda f: f * (1.0 + 2e-14), verify.printed_polynomials),
+    (moments, "stirling2", lambda s: s + 1, verify.printed_coefficients),
+    (bounds, "minimize_bound_over_b", _report(lambda v: v * (1.0 + 2e-3)),
+     partial(verify.scan_vs_closed, DRAWS)),
+    (bounds, "minimize_bound_over_b", _report(lambda v: v * (1.0 + 2e-12)),
+     partial(verify.interior_closed_forms, DRAWS)),
+    (qfim, "trace_inverse_value", lambda t: t * (1.0 + 5e-7 * (-1.0) ** np.arange(np.size(t))),
+     partial(verify.unimodal, DRAWS)),
+    (bounds, "qcrb_ecs_linear", _report(lambda v: v * (1.0 + 2e-12)), verify.headline_values),
+    (bounds, "qcrb_noon_nonlinear", _report(lambda v: math.nextafter(v, math.inf)),
+     verify.noon_pair_exact),
+    (bounds, "_independent_alpha_sq", lambda x: x * (1.0 + 1e-11), verify.independent_match),
+    (bounds, "independent_ecs_vs_ntot", _report(lambda v: v * 1.05),
+     verify.independent_below_noon_baseline),
+    (bounds, "ecs_linear_value", lambda v: v * 1.015, partial(verify.crossing_bracket, N_TOT)),
+    (bounds, "ecs_linear_value", lambda v: v * 1.03, partial(verify.ecs_below_noon, N_TOT)),
+    (bounds, "ecs_linear_value", lambda v: v * (1.0 - 0.0125),
+     partial(verify.large_ntot_ratio, N_TOT)),
+    (bounds, "zzb_ecs", _report(lambda v: v * 1.13), verify.zzb_ordering),
+    (bounds, "region_classify", _flip_interior, verify.region_claim),
+    (states, "b_domain_limit", lambda g: g * (1.0 + 2e-10), verify.gamma_large_alpha),
+    (states, "b_star", lambda b: b * (1.0 + 2e-6), verify.b_star_approach),
+    (states, "b_star", lambda b: b * (1.0 + 2e-6), verify.b_star_limit),
+    (bounds, "qcrb_independent_ecs", _report(lambda v: v ** 1.6), verify.o_of_d_fit),
+]
+
+
+def _assert_the_check_fails_only_under_the_mutant(module, name, fault, check, monkeypatch):
+    assert check().passed
+    exact = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: fault(exact(*args)))
+    assert not check().passed
+
+
 @pytest.mark.parametrize("module,name,fault,check", KERNEL_MUTANTS,
                          ids=[f"{row[0].__name__}.{row[1]}" for row in KERNEL_MUTANTS])
 def test_each_qfim_and_normalization_kernel_has_a_check_that_fails(
@@ -139,7 +195,12 @@ def test_each_qfim_and_normalization_kernel_has_a_check_that_fails(
     Both stay because the benchmark's oracle worker and acceptance criteria
     2 and 10 read them.
     """
-    assert check().passed
-    exact = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: fault(exact(*args)))
-    assert not check().passed
+    _assert_the_check_fails_only_under_the_mutant(module, name, fault, check, monkeypatch)
+
+
+@pytest.mark.parametrize("module,name,fault,check", SUITE_MUTANTS, ids=[
+    f"{row[1]}-{getattr(row[3], 'func', row[3]).__name__}" for row in SUITE_MUTANTS])
+def test_each_moments_optimizer_and_bounds_check_fails_under_a_kernel_fault(
+        module, name, fault, check, monkeypatch):
+    """Every check of these three suites fails under a fault in a kernel it reads."""
+    _assert_the_check_fails_only_under_the_mutant(module, name, fault, check, monkeypatch)
