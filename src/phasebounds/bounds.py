@@ -223,28 +223,31 @@ def qcrb_noon_nonlinear(d: int, photon_number: float) -> BoundReport:
 
 def _two_mode_ecs_norm_sq(alpha_sq: float) -> float:
     """Squared normalization 1/(2(1 + e^{-alpha_sq})) of one two-mode coherent probe."""
-    check(alpha_sq=alpha_sq)
     return 1.0 / (2.0 * (1.0 + math.exp(-alpha_sq)))
 
 
 def independent_ecs_total_photons(d: int, alpha_sq: float) -> float:
     """Mean total photons across d independent two-mode probes: 2 d N^2 alpha_sq."""
-    check(d=d)
+    check(d=d, alpha_sq=alpha_sq)
     return 2.0 * d * _two_mode_ecs_norm_sq(alpha_sq) * alpha_sq
 
 
-def qcrb_independent_ecs(d: int, alpha_sq: float) -> BoundReport:
-    """d separate two-mode coherent probes, one phase each.
+def _independent_ecs(d: int, alpha_sq: float, n_tot: float) -> BoundReport:
+    """d times the single-probe variance 1/(4 N^2 alpha_sq [1 + alpha_sq (1 - N^2)]).
 
-    d times the single-probe variance 1/(4 N^2 alpha_sq [1 + alpha_sq (1 - N^2)]).
+    Dividing d by alpha_sq first keeps every intermediate at or below the
+    bound's own scale, so the value is a double wherever the bound is.
     """
-    check(d=d)
     n_sq = _two_mode_ecs_norm_sq(alpha_sq)
-    single = 1.0 / (4.0 * n_sq * alpha_sq * (1.0 + alpha_sq * (1.0 - n_sq)))
-    return BoundReport(value=d * single, kind=BoundKind.INDEPENDENT_ECS,
+    value = d / alpha_sq / (4.0 * n_sq * (1.0 + alpha_sq * (1.0 - n_sq)))
+    return BoundReport(value=value, kind=BoundKind.INDEPENDENT_ECS,
                        regime=Regime.NOT_APPLICABLE,
-                       params={"d": d, "alpha_sq": alpha_sq,
-                               "n_tot": independent_ecs_total_photons(d, alpha_sq)})
+                       params={"d": d, "alpha_sq": alpha_sq, "n_tot": n_tot})
+
+
+def qcrb_independent_ecs(d: int, alpha_sq: float) -> BoundReport:
+    """d separate two-mode coherent probes, one phase each, at per-probe alpha_sq."""
+    return _independent_ecs(d, alpha_sq, independent_ecs_total_photons(d, alpha_sq))
 
 
 def _independent_alpha_sq(d: int, n_tot: float) -> float:
@@ -271,18 +274,12 @@ def _independent_alpha_sq(d: int, n_tot: float) -> float:
 def independent_ecs_vs_ntot(d: int, n_tot: float) -> BoundReport:
     """Independent-probe baseline parameterized by the mean total photon number.
 
-    Inverts n_tot = 2 d N^2(alpha) alpha_sq (strictly increasing in alpha_sq)
-    for the per-probe intensity and evaluates
-    d^3 / (n_tot [2 d + n_tot (N^{-2} - 1)]); for matched arguments this
-    agrees with :func:`qcrb_independent_ecs` to rounding.
+    Solves n_tot = 2 d N^2(alpha) alpha_sq (strictly increasing in alpha_sq)
+    for the per-probe intensity and reports :func:`qcrb_independent_ecs`'s
+    value there, with the given n_tot.
     """
     check(d=d, n_tot=n_tot)
-    alpha_sq = _independent_alpha_sq(d, n_tot)
-    inv_n_sq = 2.0 * (1.0 + math.exp(-alpha_sq))
-    value = d ** 3 / (n_tot * (2.0 * d + n_tot * (inv_n_sq - 1.0)))
-    return BoundReport(value=value, kind=BoundKind.INDEPENDENT_ECS,
-                       regime=Regime.NOT_APPLICABLE,
-                       params={"d": d, "n_tot": n_tot, "alpha_sq": alpha_sq})
+    return _independent_ecs(d, _independent_alpha_sq(d, n_tot), n_tot)
 
 
 def qcrb_independent_noon(d: int, n_tot: float) -> BoundReport:

@@ -360,13 +360,9 @@ def o_of_d_advantage_fit() -> tuple[float, float, np.ndarray]:
     of the data.
     """
     ds = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
-    ratios = []
-    for d in ds.astype(int):
-        independent = bounds.qcrb_independent_ecs(int(d), 100.0).value
-        n_tot = bounds.independent_ecs_total_photons(int(d), 100.0)
-        simultaneous = bounds.qcrb_ecs_linear(int(d), n_tot).value
-        ratios.append(independent / simultaneous)
-    ratios = np.asarray(ratios)
+    independent = [bounds.qcrb_independent_ecs(int(d), 100.0) for d in ds]
+    ratios = np.array([r.value / bounds.qcrb_ecs_linear(r.params["d"], r.params["n_tot"]).value
+                       for r in independent])
     c = float(np.dot(ds, ratios) / np.dot(ds, ds))
     residual = float(np.sum((ratios - c * ds) ** 2) / np.sum(ratios ** 2))
     return c, residual, ratios
@@ -389,7 +385,8 @@ def noon_pair_exact() -> CheckResult:
 
 
 def independent_match() -> CheckResult:
-    """The independent coherent baseline via alpha_sq and via its total photons agree."""
+    """The independent coherent baseline via alpha_sq and via its total photons agree: one
+    body, so this reads the root solver's alpha_sq -> n_tot -> alpha_sq round trip."""
     def rel(d: int, alpha_sq: float) -> float:
         direct = bounds.qcrb_independent_ecs(d, alpha_sq).value
         n_tot = bounds.independent_ecs_total_photons(d, alpha_sq)
@@ -410,17 +407,20 @@ def independent_below_noon_baseline() -> CheckResult:
 def crossing_bracket(n_tot: np.ndarray) -> CheckResult:
     """The d = 5 coherent m = 1 bound crosses the NOON m = 2 bound once, at the golden ratio.
 
-    The discrepancy is the distance from the golden ratio to the middle of
-    the one grid cell where the sign flips; infinite unless the coherent
-    bound starts below, flips exactly once, and that cell brackets it.
-    """
-    below = bounds.ecs_linear_value(5, n_tot) < bounds.noon_nonlinear_value(5, n_tot)
-    flips = np.flatnonzero(below[:-1] != below[1:])
+    The discrepancy is the golden ratio's distance from the last double below the
+    crossing, bisected in the one grid cell where the sign flips; infinite unless
+    the coherent bound starts below and flips exactly once."""
+    def below(x):
+        return bounds.ecs_linear_value(5, x) < bounds.noon_nonlinear_value(5, x)
+
+    side = below(n_tot)
+    flips = np.flatnonzero(side[:-1] != side[1:])
     disc = math.inf
-    if len(flips) == 1 and below[0]:
+    if len(flips) == 1 and side[0]:
         lo, hi = float(n_tot[flips[0]]), float(n_tot[flips[0] + 1])
-        if lo <= GOLDEN <= hi:
-            disc = abs(0.5 * (lo + hi) - GOLDEN)
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if below(mid) else (lo, mid)
+        disc = abs(lo - GOLDEN)
     return _check("bounds.crossing_bracket", disc)
 
 

@@ -202,6 +202,58 @@ class TestIndependentBaselines:
         assert bounds.qcrb_independent_noon(5, 10.0).value == 1.25
 
 
+SMALLEST_NORMAL = Decimal(sys.float_info.min)
+SMALLEST_SUBNORMAL = Decimal(5e-324)
+
+
+def exact_independent_ecs(d: int, alpha_sq: float) -> Decimal:
+    """The paper's d / (4 N^2 alpha_sq [1 + alpha_sq (1 - N^2)]) to 60 digits,
+    with N^2 = 1/(2(1 + e^{-alpha_sq}))."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(alpha_sq)
+        n_sq = 1 / (2 * (1 + (-x).exp()))
+        return d / (4 * n_sq * x * (1 + x * (1 - n_sq)))
+
+
+class TestIndependentEcsAgainstDecimal:
+    """Both independent-ECS routes against the paper's formula written out in decimal.
+
+    Within 4 ulp where the exact bound is a normal double, within one
+    smallest subnormal below that, and never 0.0 where it rounds to a
+    nonzero double.  A form that multiplies N^2 alpha_sq by alpha_sq, or
+    n_tot by 2 d + n_tot (N^-2 - 1), before it divides overflows to inf and
+    returns 0.0 on 54 and 60 of these draws.
+    """
+
+    @staticmethod
+    def draws(lo: float, hi: float, seed: int, count: int = 2000):
+        rng = np.random.default_rng(seed)
+        ds = rng.integers(1, 65, size=count)
+        xs = 10.0 ** rng.uniform(math.log10(lo), math.log10(hi), size=count)
+        return [(int(d), float(x)) for d, x in zip(ds, xs)]
+
+    @staticmethod
+    def assert_close(value: float, exact: Decimal, case) -> None:
+        err = abs(Decimal(value) - exact)
+        if exact >= SMALLEST_NORMAL:
+            assert float(err) <= 4.0 * math.ulp(float(exact)), case
+        else:
+            assert err <= SMALLEST_SUBNORMAL, case
+        assert value != 0.0 or exact < SMALLEST_SUBNORMAL / 2, case
+
+    def test_via_alpha_sq(self):
+        for d, alpha_sq in self.draws(1e-12, 1e308, 20261020):
+            value = bounds.qcrb_independent_ecs(d, alpha_sq).value
+            self.assert_close(value, exact_independent_ecs(d, alpha_sq), (d, alpha_sq))
+
+    def test_via_n_tot_at_its_solved_alpha_sq(self):
+        for d, n_tot in self.draws(1e-3, 1.7e308, 20261021):
+            report = bounds.independent_ecs_vs_ntot(d, n_tot)
+            exact = exact_independent_ecs(d, report.params["alpha_sq"])
+            self.assert_close(report.value, exact, (d, n_tot))
+
+
 class TestIndependentRootSolver:
     """``independent_ecs_vs_ntot`` solves h(x) = d x / (1 + e^{-x}) = n_tot for alpha_sq."""
 

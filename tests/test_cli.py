@@ -232,6 +232,18 @@ class TestBoundsCommand:
         assert code == 0
         assert json.loads(out)["params"]["n_tot"] == 10
 
+    @pytest.mark.parametrize("flags,value", [
+        (("--d", "3", "--n-tot", "2e154"), 6.75e-308),
+        (("--d", "3", "--alpha", "1.2e77"), 1.44675925925926e-308),
+        (("--d", str(10 ** 122), "--n-tot", "1e200"), 1.0000000000000001e-34),
+    ], ids=["n-tot", "alpha", "huge-d"])
+    def test_independent_ecs_where_a_product_form_overflows(self, capsys, flags, value):
+        # each bound is a double, although d^3 / (n_tot (2 d + ...)) or a
+        # product N^2 alpha_sq^2 formed before the division overflows
+        code, out, err = run_cli(capsys, "bounds", "--family", "independent-ecs", *flags)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == value
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--family", "noon-linear",
                                "--d", "2", "--N", "3", "--format", "csv")
