@@ -283,26 +283,43 @@ def independent_ecs_vs_ntot(d: int, n_tot: float) -> BoundReport:
 
 
 def qcrb_independent_noon(d: int, n_tot: float) -> BoundReport:
-    """d separate two-mode NOON probes sharing n_tot photons: d^3 / n_tot^2."""
+    """d separate two-mode NOON probes sharing n_tot photons: d^3 / n_tot^2.
+
+    Where d^3 or n_tot^2 overflows, (d d / n_tot) d / n_tot gives the bound,
+    unless it underflows to 0, when the overflow stands.
+    """
     check(d=d, n_tot=n_tot)
-    return BoundReport(value=d ** 3 / n_tot ** 2, kind=BoundKind.INDEPENDENT_NOON,
+    try:
+        value = d ** 3 / n_tot ** 2
+    except OverflowError:
+        value = d * d / n_tot * d / n_tot
+        if not value:
+            raise
+    return BoundReport(value=value, kind=BoundKind.INDEPENDENT_NOON,
                        regime=Regime.NOT_APPLICABLE, params={"d": d, "n_tot": n_tot})
 
 
-def _zzb(kind: BoundKind, d: int, photon_sq: float, params: dict) -> BoundReport:
-    """The exact maximum of two branches, with N^2 = photon_sq,
+def _zzb(kind: BoundKind, d: int, photon: float, params: dict) -> BoundReport:
+    """The exact maximum of two branches, with N = photon,
 
         d (d + sqrt d)^2 / (80 lam^2 N^2)   and
         (pi^2/16 - 1/2) d (d + sqrt d)^2 / ((d + sqrt d - 1) N^2),
 
     with lam = ZIV_ZAKAI_LAMBDA and no smoothing; the first dominates for
-    large d (d >= 4).
+    large d (d >= 4).  Where N^2 overflows, d s (s / N) / N gives the common
+    factor d s^2 / N^2, unless the bound underflows to 0, when an overflow stands.
     """
     s = d + math.sqrt(d)
-    core = d * s * s / photon_sq
+    try:
+        core = d * s * s / photon ** 2
+    except OverflowError:
+        core = d * s * (s / photon) / photon
     first = core / (80.0 * ZIV_ZAKAI_LAMBDA * ZIV_ZAKAI_LAMBDA)
     second = (math.pi ** 2 / 16.0 - 0.5) * core / (s - 1.0)
-    return BoundReport(value=max(first, second), kind=kind, regime=Regime.NOT_APPLICABLE,
+    value = max(first, second)
+    if not value:
+        raise OverflowError(f"N^2 overflows and the bound underflows at N = {photon!r}")
+    return BoundReport(value=value, kind=kind, regime=Regime.NOT_APPLICABLE,
                        params={"d": d, **params, "lam": ZIV_ZAKAI_LAMBDA,
                                "branch_first": first, "branch_second": second})
 
@@ -310,14 +327,14 @@ def _zzb(kind: BoundKind, d: int, photon_sq: float, params: dict) -> BoundReport
 def zzb_noon(d: int, photon_number: float) -> BoundReport:
     """Bayesian bound for the NOON probe under a wide uniform prior (see _zzb)."""
     check(d=d, N=photon_number)
-    return _zzb(BoundKind.ZIV_ZAKAI_NOON, d, float(photon_number) ** 2,
+    return _zzb(BoundKind.ZIV_ZAKAI_NOON, d, float(photon_number),
                 {"photon_number": photon_number})
 
 
 def zzb_ecs(d: int, alpha_sq: float) -> BoundReport:
-    """Bayesian bound for the coherent probe: the NOON form with N^2 -> (alpha_sq + 1)^2."""
+    """Bayesian bound for the coherent probe: the NOON form with N -> alpha_sq + 1."""
     check(d=d, alpha_sq=alpha_sq)
-    return _zzb(BoundKind.ZIV_ZAKAI_ECS, d, (alpha_sq + 1.0) ** 2, {"alpha_sq": alpha_sq})
+    return _zzb(BoundKind.ZIV_ZAKAI_ECS, d, alpha_sq + 1.0, {"alpha_sq": alpha_sq})
 
 
 def region_classify(d, alpha, m: int) -> RegionCell:

@@ -7,8 +7,9 @@ region   attainability partition over (d, alpha) as CSV (or JSON)
 curves   the interior headline bounds against the total photon number as CSV (or JSON)
 verify   oracle-equivalence suites; exit 1 on any failed check
 
-Exit codes: 0 ok, 1 verification failure, 2 usage or domain error.  CSV
-numerics carry 17 significant digits so values round-trip exactly.  Sweeps
+Exit codes: 0 ok, 1 verification failure, 2 usage or domain error.  One
+writer formats every table through a printf template per chunk: CSV numerics
+carry 17 significant digits (an exact round trip), JSON equals json.dumps.  Sweeps
 run the array kernels one chunk of at most `CHUNK` rows at a time (a slice
 of a `region` d-row, a slice of the `curves` axis) and write each chunk as
 it is made, so memory stays flat as the grid grows, in both dimensions of a
@@ -26,7 +27,6 @@ import math
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from itertools import repeat
 
 from . import _domain, bounds, states
 from ._suites import SUITE_NAMES
@@ -38,8 +38,7 @@ REGION_HEADER = ("d", "alpha", "m", "b_star", "sqrt_gamma", "interior")
 CURVES_HEADER = ("n_tot", "ecs_linear", "noon_linear", "ecs_nonlinear",
                  "noon_nonlinear", "ecs_mean_photons_exact")
 # rows per sweep chunk, region and curves alike: enough that NumPy's per-call
-# cost is small next to the work, few enough that a chunk's JSON row objects
-# stay at a few MB
+# cost is small next to the work, few enough that a chunk's text stays small
 CHUNK = 2048
 
 
@@ -52,42 +51,42 @@ def _output(path: str | None) -> Iterator:
             yield fh
 
 
-def _csv_conversion(value) -> str:
-    """printf conversion of one CSV field: text as is, ints and flags as
-    integers (True is 1), floats with 17 significant digits."""
-    if isinstance(value, str):
-        return "%s"
-    if isinstance(value, int):
-        return "%d"
-    return "%.17g"
+# printf conversion of a field by its type, as CSV and as json.dumps writes it
+# (a float by float.__repr__, a flag as the word false or true)
+_CONVERSIONS = {"csv": {str: "%s", bool: "%d", int: "%d", float: "%.17g"},
+                "json": {bool: "%s", int: "%d", float: "%r"}}
 
 
 def _write_table(path: str | None, fmt: str, header: Sequence[str],
-                 chunks: Iterable[list[tuple]]) -> None:
-    """Write rows of Python values as CSV or as a JSON list of objects, chunk by chunk.
-
-    Every field is a number or a fixed name, so no CSV field needs quoting.
-    JSON chunks are joined with ", ", so the bytes equal json.dumps of the
-    whole list.
-    """
+                 chunks: Iterable[Sequence]) -> None:
+    """Write a table as CSV or as a JSON list of objects, each chunk of columns
+    through one printf template.  A column is an array, a list, or one Python
+    number that every row of its chunk shares, written into the template once.
+    No CSV field needs quoting, and the JSON bytes equal json.dumps of the list."""
+    conversions, json_out = _CONVERSIONS[fmt], fmt == "json"
+    joiner = ", " if json_out else ""
     with _output(path) as out:
-        if fmt == "csv":
-            out.write(",".join(header) + "\n")
-            for rows in chunks:
-                template = ",".join(map(_csv_conversion, rows[0])) + "\n"
-                out.write("".join(map(template.__mod__, rows)))
-            return
-        out.write("[")
+        out.write("[" if json_out else ",".join(header) + "\n")
         sep = ""
-        for rows in chunks:
-            out.write(sep + json.dumps([dict(zip(header, row)) for row in rows])[1:-1])
-            sep = ", "
-        out.write("]\n")
-
-
-def _rows(columns: Sequence) -> list[tuple]:
-    """Row tuples of Python values from a chunk's columns (arrays, or repeat() constants)."""
-    return list(zip(*(c.tolist() if hasattr(c, "tolist") else c for c in columns)))
+        for columns in chunks:
+            fields, read = [], []
+            for name, column in zip(header, columns):
+                column = column.tolist() if hasattr(column, "tolist") else column
+                constant = type(column) is not list
+                kind = type(column if constant else column[0])
+                if json_out and kind is bool:
+                    column = [("false", "true")[flag] for flag in column]
+                field = conversions[kind]
+                if constant:
+                    field %= column
+                else:
+                    read.append(column)
+                fields.append(f'"{name}": {field}' if json_out else field)
+            template = "{%s}" % ", ".join(fields) if json_out else ",".join(fields) + "\n"
+            out.write(sep + joiner.join(map(template.__mod__, zip(*read))))
+            sep = joiner
+        if json_out:
+            out.write("]\n")
 
 
 def _write_sweep(args: argparse.Namespace, header: Sequence[str],
@@ -98,7 +97,7 @@ def _write_sweep(args: argparse.Namespace, header: Sequence[str],
     with _naming(given):
         for _ in chunks():
             pass
-    _write_table(args.out, args.format, header, map(_rows, chunks()))
+    _write_table(args.out, args.format, header, chunks())
 
 
 def _report_payload(report: bounds.BoundReport) -> dict:
@@ -114,7 +113,7 @@ def _emit_report(report: bounds.BoundReport, fmt: str, out: str | None) -> None:
     keys = sorted(report.params)
     row = (report.kind.value, report.regime.value, report.value,
            *(report.params[k] for k in keys))
-    _write_table(out, "csv", ["kind", "regime", "value"] + keys, [[row]])
+    _write_table(out, "csv", ["kind", "regime", "value"] + keys, [[[x] for x in row]])
 
 
 # What each `bounds` family reads besides --d, and the bound it reports from
@@ -232,7 +231,7 @@ def _region_chunks(d_values: Sequence[int], alphas, m: int) -> Iterator[tuple]:
     for d in d_values:
         for block in _blocks(alphas):
             cell = bounds.region_classify(d, block, m)
-            yield (repeat(d), block, repeat(m), cell.b_star, cell.sqrt_gamma, cell.interior)
+            yield (d, block, m, cell.b_star, cell.sqrt_gamma, cell.interior)
 
 
 def _curves_chunks(d: int, axis) -> Iterator[tuple]:

@@ -254,6 +254,49 @@ class TestIndependentEcsAgainstDecimal:
             self.assert_close(report.value, exact, (d, n_tot))
 
 
+# pi to 60 digits, for the Ziv-Zakai branch coefficient pi^2/16 - 1/2
+PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def exact_zzb(d: int, photon: Decimal) -> Decimal:
+    """The larger Ziv-Zakai branch to 60 digits, with s = d + sqrt d and N = photon."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s = d + Decimal(d).sqrt()
+        lam = Decimal(bounds.ZIV_ZAKAI_LAMBDA)
+        core = d * s * s / (photon * photon)
+        return max(core / (80 * lam * lam), (PI_60 * PI_60 / 16 - Decimal("0.5")) * core / (s - 1))
+
+
+class TestSquareOverflowAgainstDecimal:
+    """independent-noon and the Ziv-Zakai bounds where n_tot^2, N^2 or
+    (alpha_sq + 1)^2 overflows, against their formulas in decimal, with
+    TestIndependentEcsAgainstDecimal's tolerance.  Where the bound rounds to
+    0 the overflow stands, so the CLI exits 2 there rather than print 0.0."""
+
+    def test_independent_noon_above_the_square_root_of_dbl_max(self):
+        close = TestIndependentEcsAgainstDecimal.assert_close
+        draws = TestIndependentEcsAgainstDecimal.draws(1.35e154, 1e165, 20261022)
+        for d, n_tot in [(3, 2e154), *draws]:  # the first is the CLI's --d 3 --n-tot 2e154
+            with localcontext() as ctx:
+                ctx.prec = 60
+                exact = Decimal(d) ** 3 / Decimal(n_tot) ** 2
+            if exact < SMALLEST_SUBNORMAL / 2:
+                with pytest.raises(OverflowError):
+                    bounds.qcrb_independent_noon(d, n_tot)
+            else:
+                close(bounds.qcrb_independent_noon(d, n_tot).value, exact, (d, n_tot))
+
+    @pytest.mark.parametrize("bound,x,photon", [
+        (bounds.zzb_noon, 2e154, Decimal(2e154)),
+        (bounds.zzb_ecs, 2e77 * 2e77, Decimal(2e77 * 2e77) + 1),
+    ], ids=["zzb-noon", "zzb-ecs"])
+    def test_ziv_zakai_at_d_3(self, bound, x, photon):
+        # the CLI's --N 2e154 and --alpha 2e77; both bounds are subnormal
+        TestIndependentEcsAgainstDecimal.assert_close(bound(3, x).value,
+                                                      exact_zzb(3, photon), x)
+
+
 class TestIndependentRootSolver:
     """``independent_ecs_vs_ntot`` solves h(x) = d x / (1 + e^{-x}) = n_tot for alpha_sq."""
 

@@ -244,6 +244,20 @@ class TestBoundsCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["value"] == value
 
+    @pytest.mark.parametrize("flags,value", [
+        (("independent-noon", "--d", "3", "--n-tot", "2e154"), 6.749999999999999e-308),
+        (("independent-noon", "--d", str(10 ** 122), "--n-tot", "1e200"),
+         1.0000000000000001e-34),
+        (("zzb-noon", "--d", "3", "--N", "2e154"), 5.25826237806382e-309),
+        (("zzb-ecs", "--d", "3", "--alpha", "2e77"), 1.314565594515956e-309),
+    ], ids=["independent-noon", "independent-noon-huge-d", "zzb-noon", "zzb-ecs"])
+    def test_bound_where_a_square_overflows(self, capsys, flags, value):
+        # each bound is a double, although n_tot^2, d^3, N^2 or (alpha_sq + 1)^2
+        # overflows; noon-linear and noon-nonlinear still exit 2 there
+        code, out, err = run_cli(capsys, "bounds", "--family", *flags)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == value
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--family", "noon-linear",
                                "--d", "2", "--N", "3", "--format", "csv")
@@ -553,6 +567,42 @@ def _curves_ref(d, n):
     return [format(x, ".17g") for x in values]
 
 
+def _largest_with_finite_power(power: int) -> float:
+    """The largest double whose power-th power math.pow gives as a finite double."""
+    def finite_power(x):
+        try:
+            return math.isfinite(math.pow(x, power))
+        except OverflowError:
+            return False
+    top = math.pow(sys.float_info.max, 1.0 / power)
+    while not finite_power(top):
+        top = math.nextafter(top, 0.0)
+    while finite_power(math.nextafter(top, math.inf)):
+        top = math.nextafter(top, math.inf)
+    return top
+
+
+def _smallest_alpha_with_nonzero_fourth_power() -> float:
+    """The smallest double alpha with (alpha alpha)^2 > 0: f(m)^2 of m = 1 and, as
+    f(2) = mu + mu^2 is mu there, of m = 2 too."""
+    def nonzero(a):
+        return (a * a) * (a * a) > 0.0
+    low = math.sqrt(math.sqrt(5e-324) * math.sqrt(0.5))
+    while not nonzero(low):
+        low = math.nextafter(low, math.inf)
+    while nonzero(math.nextafter(low, 0.0)):
+        low = math.nextafter(low, 0.0)
+    return low
+
+
+def _sweep_numbers(text: str, fmt: str) -> list[float]:
+    """Every number a sweep wrote; JSON NaN or Infinity fails the test."""
+    if fmt == "csv":
+        return [float(x) for row in list(csv.reader(io.StringIO(text)))[1:] for x in row]
+    rows = json.loads(text, parse_constant=_reject_constant)
+    return [float(x) for row in rows for x in row.values()]
+
+
 class TestSweepKernel:
     @pytest.mark.parametrize("m", [1, 2])
     def test_region_fields_equal_scalar_formulas(self, capsys, m):
@@ -580,7 +630,7 @@ class TestSweepKernel:
         # one scalar call per cell, at row lengths 1, 7 and 1000; curves: chunks of 1 point up to the whole axis
         def table(chunks, name):
             path = tmp_path / name
-            cli._write_table(str(path), "csv", ["x"] * 6, map(cli._rows, chunks))
+            cli._write_table(str(path), "csv", ["x"] * 6, chunks)
             return path.read_bytes()
 
         for ds, steps in (([3], 1), ([1, 2, 5, 40], 7), ([1, 17, 64], 1000)):
@@ -627,6 +677,48 @@ class TestSweepKernel:
                 tracemalloc.stop()
             assert len(json.loads(path.read_text())) == cells
         assert peaks[1] - peaks[0] < 2 * 2 ** 20, peaks
+
+    @pytest.mark.parametrize("argv", [
+        ("region", "--m", "1", "--d-max", "3", "--alpha-steps", "5000"),
+        ("region", "--m", "2", "--d-max", "3", "--alpha-steps", "5000"),
+        ("curves", "--d", "5", "--points", "5000"),
+    ])
+    def test_json_is_json_dumps_of_the_csv_values(self, capsys, argv):
+        # rows of 5000 cells: full chunks, then a short last one
+        assert cli.CHUNK < 5000 and 5000 % cli.CHUNK
+        code, text, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        rows = json.loads(text)
+        same = json.dumps(rows) + "\n" == text  # a bool: pytest's diff of 1 MB lines is slow
+        assert same, text[:300]
+        code, table, _ = run_cli(capsys, *argv)
+        header, *fields = list(csv.reader(io.StringIO(table)))
+        assert code == 0 and [list(row) for row in rows] == [header] * len(fields)
+        assert [list(row.values()) for row in rows] == [list(map(float, f)) for f in fields]
+
+    @pytest.mark.parametrize("d", [1, 2, 64, 10 ** 150])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cells_at_the_axis_extremes_are_finite(self, capsys, d, fmt):
+        # a JSON float is written by float.__repr__, which spells a non-finite
+        # value nan or inf where json.dumps writes NaN or Infinity: no cell is
+        # one, at the lowest alpha whose f(m)^2 is nonzero and at the ends
+        # whose power the kernels form is finite
+        low = _smallest_alpha_with_nonzero_fourth_power()
+        argvs = [("region", "--m", str(m), "--d-min", str(d), "--d-max", str(d),
+                  "--alpha-min", repr(low),
+                  "--alpha-max", repr(_largest_with_finite_power(4 * m)),
+                  "--alpha-steps", "300") for m in (1, 2)]
+        argvs.append(("curves", "--d", str(d), "--ntot-min", "1",
+                      "--ntot-max", repr(_largest_with_finite_power(4)), "--points", "300"))
+        for argv in argvs:
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, ""), argv
+            numbers = _sweep_numbers(out, fmt)
+            assert len(numbers) == 6 * 300 and all(map(math.isfinite, numbers)), argv
+        below = ("region", "--d-min", str(d), "--d-max", str(d),
+                 "--alpha-min", repr(math.nextafter(low, 0.0)))
+        code, out, err = run_cli(capsys, *below, "--format", fmt)
+        assert code == 2 and out == "" and "f(m)^2 = 0" in err
 
     @pytest.mark.parametrize("argv", [
         ("region", "--m", "2", "--alpha-max", "1e200"),
@@ -677,16 +769,7 @@ class TestSweepKernel:
     ])
     def test_axis_check_is_the_kernel_limit(self, capsys, argv, flag, power):
         # the largest end whose power is finite runs; the next double is rejected by name
-        def finite_power(x):
-            try:
-                return math.isfinite(math.pow(x, power))
-            except OverflowError:
-                return False
-        top = math.pow(sys.float_info.max, 1.0 / power)
-        while not finite_power(top):
-            top = math.nextafter(top, 0.0)
-        while finite_power(math.nextafter(top, math.inf)):
-            top = math.nextafter(top, math.inf)
+        top = _largest_with_finite_power(power)
         code, out, err = run_cli(capsys, *argv, flag, repr(top))
         assert code == 0 and err == "" and out.count("\n") > 1
         code, out, err = run_cli(capsys, *argv, flag, repr(math.nextafter(top, math.inf)))
