@@ -64,6 +64,24 @@ def sqrt(x):
     return np.sqrt(x)
 
 
+def frexp(x):
+    """(mantissa, exponent) with x = mantissa 2^exponent, the mantissa in [0.5, 1)."""
+    if type(x) in _NUMBER_TYPES:
+        return math.frexp(x)
+    import numpy as np
+
+    return np.frexp(x)
+
+
+def ldexp(x, exponent):
+    """x 2^exponent, rounded once: 0.0 where it underflows."""
+    if _numbers(x, exponent):
+        return math.ldexp(x, exponent)
+    import numpy as np
+
+    return np.ldexp(x, exponent)
+
+
 def clip_negative(x):
     """x with every negative element replaced by 0.0 (-0.0 and NaN kept)."""
     if type(x) in _NUMBER_TYPES:

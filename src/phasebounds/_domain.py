@@ -17,9 +17,11 @@ bound and in the cap Gamma, since the vacuum carries no phase information,
 and ``mu`` is that square where the vacuum is allowed, in a moment or a probe.  ``b`` and ``c``
 are the branch weights of a probe, ``N`` the photon number of a NOON bound,
 ``photon_number`` that of a NOON probe and ``n_tot`` the total photon number
-of independent estimation.  ``count``, ``points``, ``seed`` and ``tol`` are
-read by the CLI alone, as is ``cells``, d-rows times ``--alpha-steps`` of a
-``region`` grid (10^7 keeps each axis array within 80 MB).
+of independent estimation.  ``count``, ``points`` and ``seed`` are read by
+the CLI alone, as is ``cells``, d-rows times ``--alpha-steps`` of a
+``region`` grid (10^7 keeps each axis array within 80 MB).  ``SUITE_NAMES``
+is the domain of ``verify --suite`` (with ``all``), here so that the CLI
+builds its parser without importing the oracle or NumPy.
 
 Limits joining several inputs stay in the kernels: f(m)^2 > 0, an overflow
 at a given alpha and m, which a sweep also checks at its axis ends, and the
@@ -52,8 +54,9 @@ DOMAIN = {
     "points": ("points", ValueError, 2, True, inf, False, ValueError),
     "cells": ("region cells", ValueError, 1, True, 10 ** 7, True, ValueError),
     "seed": ("seed", ValueError, 0, True, inf, False, ValueError),
-    "tol": ("tolerance", None, 0.0, True, inf, False, ValueError),
 }
+
+SUITE_NAMES = ("moments", "normalization", "qfim", "optimizer", "bounds")
 
 
 def rule(name: str) -> str:

@@ -24,7 +24,7 @@ import math
 from collections.abc import Mapping
 from enum import Enum
 
-from ._arrays import libm, quiet_overflow, scalar, sqrt
+from ._arrays import frexp, ldexp, libm, quiet_overflow, scalar, sqrt
 from ._domain import check
 from ._record import Record, set_field
 from .errors import RegionError
@@ -141,14 +141,27 @@ def ecs_nonlinear_value(d, alpha_sq):
     return _headline(d, coherent_moments(2, alpha_sq))
 
 
-def noon_linear_value(d, photon_number):
+def _noon_value(d, m: int, photon_number):
+    """The headline value at NOON's moments (N^m, N^{2m}, 1).
+
+    Where N^{2m} overflows (for an array, in any element), N = M 2^e with M
+    in [1, 2) gives the bound as the value at M times 2^{-2me}: the same
+    arithmetic scaled by a power of two, rounded once, 0.0 where it underflows.
+    """
     check(d=d, N=photon_number)
-    return _headline(d, noon_moments(1, photon_number))
+    try:
+        return _headline(d, noon_moments(m, photon_number))
+    except OverflowError:
+        half, exponent = frexp(photon_number)
+        return scalar(ldexp(_headline(d, noon_moments(m, 2.0 * half)), 2 * m * (1 - exponent)))
+
+
+def noon_linear_value(d, photon_number):
+    return _noon_value(d, 1, photon_number)
 
 
 def noon_nonlinear_value(d, photon_number):
-    check(d=d, N=photon_number)
-    return _headline(d, noon_moments(2, photon_number))
+    return _noon_value(d, 2, photon_number)
 
 
 def minimize_bound_over_b(d: int, m: int, alpha_sq: float) -> BoundReport:
@@ -286,15 +299,13 @@ def qcrb_independent_noon(d: int, n_tot: float) -> BoundReport:
     """d separate two-mode NOON probes sharing n_tot photons: d^3 / n_tot^2.
 
     Where d^3 or n_tot^2 overflows, (d d / n_tot) d / n_tot gives the bound,
-    unless it underflows to 0, when the overflow stands.
+    0.0 where it underflows.
     """
     check(d=d, n_tot=n_tot)
     try:
         value = d ** 3 / n_tot ** 2
     except OverflowError:
         value = d * d / n_tot * d / n_tot
-        if not value:
-            raise
     return BoundReport(value=value, kind=BoundKind.INDEPENDENT_NOON,
                        regime=Regime.NOT_APPLICABLE, params={"d": d, "n_tot": n_tot})
 
@@ -306,20 +317,18 @@ def _zzb(kind: BoundKind, d: int, photon: float, params: dict) -> BoundReport:
         (pi^2/16 - 1/2) d (d + sqrt d)^2 / ((d + sqrt d - 1) N^2),
 
     with lam = ZIV_ZAKAI_LAMBDA and no smoothing; the first dominates for
-    large d (d >= 4).  Where N^2 overflows, d s (s / N) / N gives the common
-    factor d s^2 / N^2, unless the bound underflows to 0, when an overflow stands.
+    large d (d >= 4).  Where N^2 overflows, each branch is formed from
+    d s (s / N) and divided by the other N last, so that a bound below the
+    normal range is rounded once; 0.0 where it underflows.
     """
     s = d + math.sqrt(d)
     try:
-        core = d * s * s / photon ** 2
+        core, last = d * s * s / photon ** 2, 1.0
     except OverflowError:
-        core = d * s * (s / photon) / photon
-    first = core / (80.0 * ZIV_ZAKAI_LAMBDA * ZIV_ZAKAI_LAMBDA)
-    second = (math.pi ** 2 / 16.0 - 0.5) * core / (s - 1.0)
-    value = max(first, second)
-    if not value:
-        raise OverflowError(f"N^2 overflows and the bound underflows at N = {photon!r}")
-    return BoundReport(value=value, kind=kind, regime=Regime.NOT_APPLICABLE,
+        core, last = d * s * (s / photon), photon
+    first = core / (80.0 * ZIV_ZAKAI_LAMBDA * ZIV_ZAKAI_LAMBDA) / last
+    second = (math.pi ** 2 / 16.0 - 0.5) * core / (s - 1.0) / last
+    return BoundReport(value=max(first, second), kind=kind, regime=Regime.NOT_APPLICABLE,
                        params={"d": d, **params, "lam": ZIV_ZAKAI_LAMBDA,
                                "branch_first": first, "branch_second": second})
 

@@ -29,7 +29,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 
 from . import _domain, bounds, states
-from ._suites import SUITE_NAMES
 from .errors import PhaseBoundsError
 
 __all__ = ["main"]
@@ -183,8 +182,9 @@ def _unread(flag: str, family: str, flags: Sequence[str]) -> PhaseBoundsError:
 
 def _bounds_report(args: argparse.Namespace) -> bounds.BoundReport:
     """Check --d, --m and the family's flags, reject flags it does not read, then report;
-    a value or param that is not a finite double exits 2, keeping the message of an
-    overflow the package named but not Python's bare arithmetic errors."""
+    a value that is not a positive finite double (0.0 where the bound underflows), or a
+    param that is not finite, exits 2, keeping the message of an overflow the package
+    named but not Python's bare arithmetic errors."""
     family = args.family
     _flag("--d", "d", args.d)
     if args.m is not None:
@@ -208,12 +208,12 @@ def _bounds_report(args: argparse.Namespace) -> bounds.BoundReport:
     with _naming(given):
         try:
             result = report(*given.values())
-            if all(map(math.isfinite, (result.value, *result.params.values()))):
+            if 0.0 < result.value < math.inf and all(map(math.isfinite, result.params.values())):
                 return result
             named = ""
         except (ZeroDivisionError, OverflowError) as exc:
             named = f": {exc}" if isinstance(exc, PhaseBoundsError) else ""
-        raise PhaseBoundsError(f"the bound is not a finite double{named}")
+        raise PhaseBoundsError(f"the bound is not a positive finite double{named}")
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
@@ -318,15 +318,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
     _flag("--seed", "seed", args.seed)
-    overrides = {}
-    for item in args.tol:
-        name, _, value = item.partition("=")
-        try:
-            overrides[name] = float(value)
-        except ValueError:
-            raise PhaseBoundsError(f"--tol takes NAME=VALUE, got {item!r}")
-        _flag(f"--tol {name}", "tol", overrides[name])
-    results = verify.run_suite(args.suite, seed=args.seed, tolerances=overrides)
+    results = verify.run_suite(args.suite, seed=args.seed)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -376,10 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_curves)
 
     v = sub.add_parser("verify", help="run oracle-equivalence suites")
-    v.add_argument("--suite", choices=list(SUITE_NAMES) + ["all"], default="all")
+    v.add_argument("--suite", choices=list(_domain.SUITE_NAMES) + ["all"], default="all")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                   help="override one tolerance (repeatable)")
     v.set_defaults(func=cmd_verify)
     return parser
 

@@ -7,29 +7,27 @@ grid scan, and the headline bound values and orderings against direct
 arithmetic.  ``qfim.oracle_vs_analytic`` and ``qfim.fd_vs_analytic`` call
 the oracle's one information-matrix routine under its two names, the
 moment form and the derivative form, so they read the same discrepancy;
-both keys stay because benchmark reports and ``--tol`` name them.  Every
+both keys stay because benchmark reports name them.  Every
 check is a named function of explicit inputs (a probe list, an rng,
 optimizer draws or an n_tot grid) that measures one
-discrepancy and returns it as a ``CheckResult`` at its default tolerance,
+discrepancy and returns it as a ``CheckResult`` at its pinned tolerance,
 ``DEFAULT_TOLERANCES["<suite>.<name>"]``.  The pass rule is written once,
 on ``CheckResult``.  The ``suite_*`` functions are lists of calls on the
 ``verify`` subcommand's inputs; the acceptance gate calls the same
 functions on its own pinned inputs, so each comparison is written once.
-``run_suite`` is the one place a tolerance can be overridden, for
-sensitivity studies: it judges the same discrepancy against the new value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 
 import numpy as np
 
 from . import bounds, moments, oracle, qfim, states
 from ._record import Record, set_field
-from ._suites import SUITE_NAMES
+from ._domain import SUITE_NAMES
 
 __all__ = ["CheckResult", "DEFAULT_TOLERANCES", "SUITE_NAMES", "run_suite",
            "criterion_grid_params", "optimizer_draws"]
@@ -501,25 +499,9 @@ def suite_bounds(rng: np.random.Generator) -> list[CheckResult]:
 _SUITES = {name: globals()[f"suite_{name}"] for name in SUITE_NAMES}
 
 
-def run_suite(name: str, seed: int = 0,
-              tolerances: Mapping[str, float] | None = None) -> list[CheckResult]:
-    """Run one suite (or 'all'); deterministic for a given seed.
-
-    `tolerances` overrides DEFAULT_TOLERANCES by check key: each check's
-    discrepancy is judged again at the given value.  A key that names no
-    check, or a check of a suite not run, raises ValueError before any runs.
-    """
+def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
+    """Run one suite (or 'all'); deterministic for a given seed."""
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES + ('all',)}")
     suites = SUITE_NAMES if name == "all" else (name,)
-    overrides = tolerances or {}
-    for key in overrides:
-        suite = key.partition(".")[0]
-        if key not in DEFAULT_TOLERANCES:
-            raise ValueError(f"unknown tolerance {key!r}")
-        if suite not in suites:
-            raise ValueError(f"tolerance {key!r} sets a {suite} check, "
-                             f"which suite {name!r} does not run")
-    results = [r for suite in suites for r in _SUITES[suite](np.random.default_rng(seed))]
-    return [CheckResult(r.suite, r.name, r.discrepancy, float(overrides[r.key]), r.strict)
-            if r.key in overrides else r for r in results]
+    return [r for suite in suites for r in _SUITES[suite](np.random.default_rng(seed))]

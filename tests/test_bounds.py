@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebounds import bounds, moments, qfim, states, verify
+from phasebounds import bounds, cli, moments, qfim, states, verify
 from phasebounds.errors import DegenerateInputError, RegionError
 from phasebounds.verify import crossing_bracket, o_of_d_advantage_fit
 
@@ -272,7 +273,7 @@ class TestSquareOverflowAgainstDecimal:
     """independent-noon and the Ziv-Zakai bounds where n_tot^2, N^2 or
     (alpha_sq + 1)^2 overflows, against their formulas in decimal, with
     TestIndependentEcsAgainstDecimal's tolerance.  Where the bound rounds to
-    0 the overflow stands, so the CLI exits 2 there rather than print 0.0."""
+    0 the kernel returns 0.0, which the CLI refuses with exit 2."""
 
     def test_independent_noon_above_the_square_root_of_dbl_max(self):
         close = TestIndependentEcsAgainstDecimal.assert_close
@@ -282,8 +283,7 @@ class TestSquareOverflowAgainstDecimal:
                 ctx.prec = 60
                 exact = Decimal(d) ** 3 / Decimal(n_tot) ** 2
             if exact < SMALLEST_SUBNORMAL / 2:
-                with pytest.raises(OverflowError):
-                    bounds.qcrb_independent_noon(d, n_tot)
+                assert bounds.qcrb_independent_noon(d, n_tot).value == 0.0, (d, n_tot)
             else:
                 close(bounds.qcrb_independent_noon(d, n_tot).value, exact, (d, n_tot))
 
@@ -295,6 +295,96 @@ class TestSquareOverflowAgainstDecimal:
         # the CLI's --N 2e154 and --alpha 2e77; both bounds are subnormal
         TestIndependentEcsAgainstDecimal.assert_close(bound(3, x).value,
                                                       exact_zzb(3, photon), x)
+
+
+def exact_noon(d: int, m: int, photon: float) -> Decimal:
+    """The NOON headline d (sqrt d + 1)^2 / (4 N^{2m}) to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return d * (Decimal(d).sqrt() + 1) ** 2 / (4 * Decimal(photon) ** (2 * m))
+
+
+def exact_independent_noon(d: int, n_tot: float) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(d) ** 3 / Decimal(n_tot) ** 2
+
+
+def assert_within_4_ulp(value: float, exact: Decimal, case) -> None:
+    """Within 4 ulp of the exact value, the ulp of a subnormal (or of 0) being
+    the smallest subnormal, and 0.0 exactly where the exact value rounds to 0."""
+    rounded = float(exact)
+    assert abs(Decimal(value) - exact) <= 4 * Decimal(math.ulp(rounded)), case
+    assert (value > 0.0) == (rounded > 0.0), case
+
+
+class TestNoonWherePowerOverflows:
+    """noon-linear and noon-nonlinear where N^2 or N^4 overflows, from the
+    first such N to past the one where the bound rounds to 0 (d <= 64)."""
+
+    @pytest.mark.parametrize("m,lo,hi", [(1, 1.35e154, 1e166), (2, 1.16e77, 1e83)])
+    def test_against_decimal(self, m, lo, hi):
+        value = bounds.noon_linear_value if m == 1 else bounds.noon_nonlinear_value
+        for d, photon in TestIndependentEcsAgainstDecimal.draws(lo, hi, 20261027 + m, 4000):
+            assert_within_4_ulp(value(d, photon), exact_noon(d, m, photon), (d, photon))
+
+    def test_arrays_warn_nothing(self, recwarn):
+        photons = np.array([2.0, 1.2e77, 1e200, 1e300])
+        values = bounds.noon_nonlinear_value(3, photons)
+        assert values.tolist() == [bounds.noon_nonlinear_value(3, float(n)) for n in photons]
+        assert values[-1] == 0.0 and not recwarn.list
+
+
+SQUARE_TOP = 1.3407807929942596e154  # the largest double whose square is finite
+FOURTH_TOP = 1.1579208923731618e77  # the largest double whose fourth power is finite
+
+
+def _exact_independent_ecs_by_n_tot(d: int, n_tot: float) -> Decimal:
+    return exact_independent_ecs(d, bounds.independent_ecs_vs_ntot(d, n_tot).params["alpha_sq"])
+
+
+def _window_ends(family, flag, top, last, zero, exact):
+    """A family at --d 3 on either side of where its product form overflows
+    (top, the largest double with a finite power, and the next one) and of
+    where its bound rounds to 0 (last, zero): (family, flag, value, exact
+    bound at (d, value), exit code)."""
+    return [(family, flag, x, exact, code) for x, code in
+            ((top, 0), (math.nextafter(top, math.inf), 0), (last, 0), (zero, 2))]
+
+
+WINDOW_ENDS = [
+    *_window_ends("independent-ecs", "--alpha", FOURTH_TOP, 1.02e81, 1.08e81,
+                  lambda d, x: exact_independent_ecs(d, x * x)),
+    *_window_ends("independent-ecs", "--n-tot", SQUARE_TOP, 3.2e162, 3.4e162,
+                  _exact_independent_ecs_by_n_tot),
+    *_window_ends("independent-noon", "--n-tot", SQUARE_TOP, 3.2e162, 3.4e162,
+                  exact_independent_noon),
+    *_window_ends("noon-linear", "--N", SQUARE_TOP, 1.45e162, 1.56e162,
+                  lambda d, x: exact_noon(d, 1, x)),
+    *_window_ends("noon-nonlinear", "--N", FOURTH_TOP, 1.2e81, 1.25e81,
+                  lambda d, x: exact_noon(d, 2, x)),
+    *_window_ends("zzb-noon", "--N", SQUARE_TOP, 9.0e161, 9.5e161,
+                  lambda d, x: exact_zzb(d, Decimal(x))),
+    *_window_ends("zzb-ecs", "--alpha", FOURTH_TOP, 9.4e80, 9.8e80,
+                  lambda d, x: exact_zzb(d, Decimal(x * x) + 1)),
+]
+
+
+@pytest.mark.parametrize("family,flag,x,exact,code", WINDOW_ENDS,
+                         ids=[f"{f} {flag} {x!r}" for f, flag, x, _, _ in WINDOW_ENDS])
+def test_cli_bound_at_the_window_ends(capsys, family, flag, x, exact, code):
+    """The printed bound is within 4 ulp of its decimal value wherever that
+    rounds to a positive double; where it rounds to 0 the command exits 2."""
+    bound = exact(3, x)
+    assert (float(bound) > 0.0) == (code == 0)
+    assert cli.main(["bounds", "--family", family, "--d", "3", flag, repr(x)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == ""
+        assert_within_4_ulp(json.loads(out)["value"], bound, x)
+    else:
+        assert out == ""
+        assert err == f"error: the bound is not a positive finite double (at --d 3 {flag} {x!r})\n"
 
 
 class TestIndependentRootSolver:

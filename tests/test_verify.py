@@ -25,17 +25,6 @@ def test_unknown_suite_names_the_suites():
     assert str(info.value) == f"unknown suite 'nope'; choose from {verify.SUITE_NAMES + ('all',)}"
 
 
-@pytest.mark.parametrize("tolerances,message", [
-    ({"bogus.key": 1.0, "moments.closed_vs_poisson": 0.0}, "unknown tolerance 'bogus.key'"),
-    ({"qfim.oracle_vs_analytic": 0.0},
-     "tolerance 'qfim.oracle_vs_analytic' sets a qfim check, which suite 'moments' does not run"),
-], ids=["unknown", "unselected-suite"])
-def test_bad_override_key_is_rejected(tolerances, message):
-    with pytest.raises(ValueError) as info:
-        verify.run_suite("moments", tolerances=tolerances)
-    assert str(info.value) == message
-
-
 def test_b_star_without_g_fails_the_approach_check(monkeypatch):
     monkeypatch.setattr(states, "b_star", lambda d, m, alpha_sq: states.noon_optimal_b(d))
     assert not verify.b_star_approach().passed
@@ -62,8 +51,9 @@ def test_large_ntot_ratio_tolerance_is_the_window_below_one(monkeypatch):
     result = verify.large_ntot_ratio(N_TOT)
     assert result.passed
     assert result.discrepancy == pytest.approx(1.0 - 2500.0 / 2601.0, rel=1e-12)
-    narrow = verify.run_suite("bounds", tolerances={"bounds.large_ntot_ratio": 0.01})
-    assert [r.passed for r in narrow if r.name == "large_ntot_ratio"] == [False]
+    narrow = verify.CheckResult(result.suite, result.name, result.discrepancy, 0.01,
+                                result.strict)
+    assert not narrow.passed
     exact = bounds.noon_linear_value
     monkeypatch.setattr(bounds, "noon_linear_value", lambda d, n: 0.5 * exact(d, n))
     above = verify.large_ntot_ratio(N_TOT)
@@ -74,12 +64,11 @@ STRICT = {"bounds.independent_below_noon_baseline", "bounds.ecs_below_noon",
           "bounds.zzb_ordering"}
 
 
-def test_override_equal_to_the_discrepancy_passes_unless_strict():
+def test_tolerance_equal_to_the_discrepancy_passes_unless_strict():
     measured = verify.run_suite("bounds")
     assert all(r.passed for r in measured)
-    judged = verify.run_suite("bounds", tolerances={r.key: r.discrepancy for r in measured})
-    assert [r.discrepancy for r in judged] == [r.discrepancy for r in measured]
-    assert [r.tolerance for r in judged] == [r.discrepancy for r in measured]
+    judged = [verify.CheckResult(r.suite, r.name, r.discrepancy, r.discrepancy, r.strict)
+              for r in measured]
     assert {r.key for r in judged if not r.passed} == STRICT
 
 

@@ -40,6 +40,10 @@ EDGES = [
      "--format", "json"],
     ["curves", "--d", "64", "--ntot-max", "1.1579208923731618e+77", "--points", "5000",
      "--format", "json"],
+    ["verify", "--suite", "all", "--seed", "7"],
+    ["verify", "--suite", "moments", "--tol", "moments.closed_vs_poisson=1"],
+    ["bounds", "--family", "independent-ecs", "--d", "3", "--n-tot", "1e300"],
+    ["bounds", "--family", "noon-nonlinear", "--d", "3", "--N", "1.2e77"],
 ]
 
 
