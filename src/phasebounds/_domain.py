@@ -4,11 +4,12 @@ Each row of ``DOMAIN`` gives a parameter's label, the exception for a value
 that is not an integer (``None`` for a real), the ends of its interval, each
 open or closed, and the exception for a value outside it.  ``check`` tests
 numbers or NumPy arrays, picking its namespace as ``_arrays`` does.  A CLI
-flag reads one row and names itself and the value given:
-``--m must be a positive int <= 109, got 110``.
+flag reads one row and names itself and the value given, an integer limit
+in full: ``--m must be a positive int <= 109, got 110``.
 
-``d`` counts the phases, up to the largest double, since every kernel forms
-it as one; ``m`` is the order of the generator ``(a^dag a)^m``,
+``d`` counts the phases, up to 2^53: every kernel forms d as a double, and
+every integer up to 2^53 is one exactly, with d^3 and d (d - 1) far below
+the largest double; ``m`` is the order of the generator ``(a^dag a)^m``,
 1 for the linear protocol and 2 for the nonlinear one.  f(2m) sums Stirling
 numbers S(2m, k): every S(218, k) converts to a double and some S(220, k)
 does not, so m stops at 109.  A moment ``order`` has no upper limit.
@@ -32,14 +33,13 @@ flags read: ``... (at --d 3 --alpha 2.0)``.
 """
 
 from math import inf
-from sys import float_info
 
 from ._arrays import all_true, first_failing
 from .errors import CoefficientDomainError, DegenerateInputError, NormalizationError
 
 DOMAIN = {
     # name: (label, not an integer, lo, lo closed, hi, hi closed, outside)
-    "d": ("d", ValueError, 1, True, float_info.max, True, ValueError),
+    "d": ("d", ValueError, 1, True, 2 ** 53, True, ValueError),
     "m": ("generator order m", ValueError, 1, True, 109, True, ValueError),
     "order": ("moment order", TypeError, 0, True, inf, False, ValueError),
     "alpha": ("alpha", None, 0.0, False, inf, False, DegenerateInputError),
@@ -59,11 +59,16 @@ DOMAIN = {
 SUITE_NAMES = ("moments", "normalization", "qfim", "optimizer", "bounds")
 
 
+def _limit(x) -> str:
+    """An integer limit in full, so that it can be typed back; a real one by :g."""
+    return str(x) if type(x) is int else f"{x:g}"
+
+
 def rule(name: str) -> str:
     """What a row accepts: 'finite and > 0', 'a positive int', 'an int >= 0'."""
     _, integer, lo, lo_closed, hi, hi_closed, _ = DOMAIN[name]
-    lower = f"{'>=' if lo_closed else '>'} {lo:g}"
-    upper = "finite" if hi == inf else f"{'<=' if hi_closed else '<'} {hi:g}"
+    lower = f"{'>=' if lo_closed else '>'} {_limit(lo)}"
+    upper = "finite" if hi == inf else f"{'<=' if hi_closed else '<'} {_limit(hi)}"
     if integer is None:
         return upper if lo == -inf else f"{upper} and {lower}"
     kind = "a positive int" if lower == ">= 1" else f"an int {lower}"

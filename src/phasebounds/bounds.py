@@ -141,19 +141,25 @@ def ecs_nonlinear_value(d, alpha_sq):
     return _headline(d, coherent_moments(2, alpha_sq))
 
 
-def _noon_value(d, m: int, photon_number):
-    """The headline value at NOON's moments (N^m, N^{2m}, 1).
+def _power_scaled(value_at, x, p: int):
+    """value_at(x) for a bound of the form C / x^p.
 
-    Where N^{2m} overflows (for an array, in any element), N = M 2^e with M
-    in [1, 2) gives the bound as the value at M times 2^{-2me}: the same
-    arithmetic scaled by a power of two, rounded once, 0.0 where it underflows.
+    Only where that raises OverflowError (for an array, in any element) is
+    x written as M 2^k with M in [1, 2), and the bound is value_at(M) 2^{-pk}:
+    the same arithmetic, scaled by a power of two that is exact in the normal
+    range and rounds once below it (0.0 where the bound underflows).
     """
-    check(d=d, N=photon_number)
     try:
-        return _headline(d, noon_moments(m, photon_number))
+        return value_at(x)
     except OverflowError:
-        half, exponent = frexp(photon_number)
-        return scalar(ldexp(_headline(d, noon_moments(m, 2.0 * half)), 2 * m * (1 - exponent)))
+        half, exponent = frexp(x)
+        return scalar(ldexp(value_at(2.0 * half), p * (1 - exponent)))
+
+
+def _noon_value(d, m: int, photon_number):
+    """The headline value at NOON's moments (N^m, N^{2m}, 1), power-scaled in N^{2m}."""
+    check(d=d, N=photon_number)
+    return _power_scaled(lambda n: _headline(d, noon_moments(m, n)), photon_number, 2 * m)
 
 
 def noon_linear_value(d, photon_number):
@@ -296,18 +302,11 @@ def independent_ecs_vs_ntot(d: int, n_tot: float) -> BoundReport:
 
 
 def qcrb_independent_noon(d: int, n_tot: float) -> BoundReport:
-    """d separate two-mode NOON probes sharing n_tot photons: d^3 / n_tot^2.
-
-    Where d^3 or n_tot^2 overflows, (d d / n_tot) d / n_tot gives the bound,
-    0.0 where it underflows.
-    """
+    """d separate two-mode NOON probes sharing n_tot photons: d^3 / n_tot^2, power-scaled."""
     check(d=d, n_tot=n_tot)
-    try:
-        value = d ** 3 / n_tot ** 2
-    except OverflowError:
-        value = d * d / n_tot * d / n_tot
-    return BoundReport(value=value, kind=BoundKind.INDEPENDENT_NOON,
-                       regime=Regime.NOT_APPLICABLE, params={"d": d, "n_tot": n_tot})
+    return BoundReport(value=_power_scaled(lambda n: d ** 3 / n ** 2, n_tot, 2),
+                       kind=BoundKind.INDEPENDENT_NOON, regime=Regime.NOT_APPLICABLE,
+                       params={"d": d, "n_tot": n_tot})
 
 
 def _zzb(kind: BoundKind, d: int, photon: float, params: dict) -> BoundReport:
@@ -317,17 +316,14 @@ def _zzb(kind: BoundKind, d: int, photon: float, params: dict) -> BoundReport:
         (pi^2/16 - 1/2) d (d + sqrt d)^2 / ((d + sqrt d - 1) N^2),
 
     with lam = ZIV_ZAKAI_LAMBDA and no smoothing; the first dominates for
-    large d (d >= 4).  Where N^2 overflows, each branch is formed from
-    d s (s / N) and divided by the other N last, so that a bound below the
-    normal range is rounded once; 0.0 where it underflows.
+    large d (d >= 4).  Each branch is power-scaled in N^2 on its own, so
+    each rounds once below the normal range.
     """
     s = d + math.sqrt(d)
-    try:
-        core, last = d * s * s / photon ** 2, 1.0
-    except OverflowError:
-        core, last = d * s * (s / photon), photon
-    first = core / (80.0 * ZIV_ZAKAI_LAMBDA * ZIV_ZAKAI_LAMBDA) / last
-    second = (math.pi ** 2 / 16.0 - 0.5) * core / (s - 1.0) / last
+    first = _power_scaled(
+        lambda n: d * s * s / n ** 2 / (80.0 * ZIV_ZAKAI_LAMBDA * ZIV_ZAKAI_LAMBDA), photon, 2)
+    second = _power_scaled(
+        lambda n: (math.pi ** 2 / 16.0 - 0.5) * (d * s * s / n ** 2) / (s - 1.0), photon, 2)
     return BoundReport(value=max(first, second), kind=kind, regime=Regime.NOT_APPLICABLE,
                        params={"d": d, **params, "lam": ZIV_ZAKAI_LAMBDA,
                                "branch_first": first, "branch_second": second})

@@ -269,6 +269,12 @@ def exact_zzb(d: int, photon: Decimal) -> Decimal:
         return max(core / (80 * lam * lam), (PI_60 * PI_60 / 16 - Decimal("0.5")) * core / (s - 1))
 
 
+def exact_independent_noon(d: int, n_tot: float) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(d) ** 3 / Decimal(n_tot) ** 2
+
+
 class TestSquareOverflowAgainstDecimal:
     """independent-noon and the Ziv-Zakai bounds where n_tot^2, N^2 or
     (alpha_sq + 1)^2 overflows, against their formulas in decimal, with
@@ -279,13 +285,20 @@ class TestSquareOverflowAgainstDecimal:
         close = TestIndependentEcsAgainstDecimal.assert_close
         draws = TestIndependentEcsAgainstDecimal.draws(1.35e154, 1e165, 20261022)
         for d, n_tot in [(3, 2e154), *draws]:  # the first is the CLI's --d 3 --n-tot 2e154
-            with localcontext() as ctx:
-                ctx.prec = 60
-                exact = Decimal(d) ** 3 / Decimal(n_tot) ** 2
+            exact = exact_independent_noon(d, n_tot)
             if exact < SMALLEST_SUBNORMAL / 2:
                 assert bounds.qcrb_independent_noon(d, n_tot).value == 0.0, (d, n_tot)
             else:
                 close(bounds.qcrb_independent_noon(d, n_tot).value, exact, (d, n_tot))
+
+    @pytest.mark.parametrize("bound,exact", [
+        (bounds.qcrb_independent_noon, exact_independent_noon(3, 2e154)),
+        (bounds.zzb_noon, exact_zzb(3, Decimal(2e154))),
+    ], ids=["independent-noon", "zzb-noon"])
+    def test_cli_values_are_the_rounded_decimal(self, bound, exact):
+        # the values test_bound_where_a_square_overflows pins at --d 3 and
+        # 2e154: the power-scaled value rounds once, to the nearest double
+        assert bound(3, 2e154).value == float(exact) > 0.0
 
     @pytest.mark.parametrize("bound,x,photon", [
         (bounds.zzb_noon, 2e154, Decimal(2e154)),
@@ -302,12 +315,6 @@ def exact_noon(d: int, m: int, photon: float) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = 60
         return d * (Decimal(d).sqrt() + 1) ** 2 / (4 * Decimal(photon) ** (2 * m))
-
-
-def exact_independent_noon(d: int, n_tot: float) -> Decimal:
-    with localcontext() as ctx:
-        ctx.prec = 60
-        return Decimal(d) ** 3 / Decimal(n_tot) ** 2
 
 
 def assert_within_4_ulp(value: float, exact: Decimal, case) -> None:

@@ -92,7 +92,7 @@ class TestBoundsCommand:
     def test_zero_d_or_m_names_the_flag(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, "bounds", *argv)
         assert code == 2 and out == ""
-        rule = {"--d": "a positive int <= 1.79769e+308", "--m": "a positive int <= 109"}[flag]
+        rule = {"--d": "a positive int <= 9007199254740992", "--m": "a positive int <= 109"}[flag]
         assert err == f"error: {flag} must be {rule}, got {argv[argv.index(flag) + 1]}\n"
 
     @pytest.mark.parametrize("family,given,message", [
@@ -240,7 +240,7 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("flags,value", [
         (("--d", "3", "--n-tot", "2e154"), 6.75e-308),
         (("--d", "3", "--alpha", "1.2e77"), 1.44675925925926e-308),
-        (("--d", str(10 ** 122), "--n-tot", "1e200"), 1.0000000000000001e-34),
+        (("--d", str(2 ** 53), "--n-tot", "2e154"), 1.8268770466636285e-261),
     ], ids=["n-tot", "alpha", "huge-d"])
     def test_independent_ecs_where_a_product_form_overflows(self, capsys, flags, value):
         # each bound is a double, although d^3 / (n_tot (2 d + ...)) or a
@@ -250,17 +250,17 @@ class TestBoundsCommand:
         assert json.loads(out)["value"] == value
 
     @pytest.mark.parametrize("flags,value", [
-        (("independent-noon", "--d", "3", "--n-tot", "2e154"), 6.749999999999999e-308),
-        (("independent-noon", "--d", str(10 ** 122), "--n-tot", "1e200"),
-         1.0000000000000001e-34),
-        (("zzb-noon", "--d", "3", "--N", "2e154"), 5.258262378063816e-309),
+        (("independent-noon", "--d", "3", "--n-tot", "2e154"), 6.75e-308),
+        (("independent-noon", "--d", str(2 ** 53), "--n-tot", "2e154"),
+         1.8268770466636287e-261),
+        (("zzb-noon", "--d", "3", "--N", "2e154"), 5.25826237806382e-309),
         (("zzb-ecs", "--d", "3", "--alpha", "2e77"), 1.314565594515956e-309),
         (("noon-linear", "--d", "3", "--N", "2e154"), 1.399519052838329e-308),
         (("noon-nonlinear", "--d", "3", "--N", "1.2e77"), 2.6996895309381356e-308),
     ], ids=["independent-noon", "independent-noon-huge-d", "zzb-noon", "zzb-ecs",
             "noon-linear", "noon-nonlinear"])
     def test_bound_where_a_square_overflows(self, capsys, flags, value):
-        # each bound is a double, although n_tot^2, d^3, N^2, N^4 or
+        # each bound is a double, although n_tot^2, N^2, N^4 or
         # (alpha_sq + 1)^2 overflows
         code, out, err = run_cli(capsys, "bounds", "--family", *flags)
         assert (code, err) == (0, "")
@@ -277,19 +277,22 @@ class TestBoundsCommand:
 
 
 @pytest.mark.parametrize("argv", [
-    ("bounds", "--family", "ecs-linear", "--d", "{}", "--alpha", "2"),
+    ("bounds", "--family", "ecs-optimal", "--d", "{}", "--alpha", "2"),
     ("curves", "--d", "{}"),
     ("region", "--d-min", "{}", "--d-max", "{}"),
     ("region", "--d-min", "1", "--d-max", "{}", "--alpha-steps", "2"),
 ], ids=["bounds", "curves", "region", "region-d-max"])
 def test_d_above_the_largest_double_names_the_flag(capsys, argv):
-    # every kernel forms d as a double; a larger one is outside the d row,
-    # not a bound that is not a finite double
-    d = "1" + "0" * 400
+    # every kernel forms d as a double, exact up to 2^53, the end of the d
+    # row; a larger d is outside the row, not a bound that is not a double
+    code, _, err = run_cli(capsys, *(a.format(2 ** 53) for a in argv))
+    # 1..2^53 is accepted as a d range, and then has too many rows
+    assert (code, err) == (0, "") or err.startswith("error: region cells must be ")
+    d = 2 ** 53 + 1
     code, out, err = run_cli(capsys, *(a.format(d) for a in argv))
     flag = argv[argv.index("{}") - 1]
     assert (code, out, err) == (
-        2, "", f"error: {flag} must be a positive int <= 1.79769e+308, got {d}\n")
+        2, "", f"error: {flag} must be a positive int <= 9007199254740992, got {d}\n")
 
 
 # the flags each bounds family reads besides --d and --m (independent-ecs: either)
@@ -311,7 +314,7 @@ FLAG_VALUE = st.floats() | st.floats(0.01, 100.0) | st.sampled_from(
 @given(data=st.data())
 def test_every_accepted_bounds_argv_exits_0_or_2(data):
     family = data.draw(st.sampled_from(sorted(BOUNDS_READS)), "family")
-    d = data.draw(st.integers(1, 64) | st.sampled_from([10 ** 20, 10 ** 400]), "d")
+    d = data.draw(st.integers(1, 64) | st.sampled_from([2 ** 53, 2 ** 53 + 1, 10 ** 400]), "d")
     m = data.draw(st.none() | st.integers(1, 2) | st.integers(-1, 0), "m")
     # half the draws give just the flags the family reads, half any of them
     flags = data.draw(st.sampled_from(BOUNDS_READS[family])
@@ -362,18 +365,16 @@ class TestRegionCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert len(rows) - 1 == 7 * 5
 
-    @pytest.mark.parametrize("d_max", [10 ** 20, 2 ** 63 - 1, 2 ** 63, 10 ** 150],
-                             ids=["1e20", "2^63-1", "2^63", "1e150"])
-    def test_d_steps_beyond_int64_samples_inside_the_range(self, capsys, d_max):
-        # Python ints past 2^63 reached np.linspace as object arrays, and
-        # 2^63 - 1 came back as the double 2^63, above --d-max
-        code, out, err = run_cli(capsys, "region", "--d-min", "1", "--d-max", str(d_max),
-                                 "--d-steps", "3", "--alpha-steps", "2")
+    def test_d_steps_sample_inside_the_range(self, capsys):
+        # every d up to 2^53 is an exact double, so np.linspace between the
+        # ends, rounded monotonically, stays inside them
+        d_min, d_max = 2 ** 53 - 10, 2 ** 53
+        code, out, err = run_cli(capsys, "region", "--d-min", str(d_min), "--d-max", str(d_max),
+                                 "--d-steps", "7", "--alpha-steps", "2")
         assert (code, err) == (0, "")
         ds = [int(row[0]) for row in list(csv.reader(io.StringIO(out)))[1:]]
-        # the ends are the double nearest each flag, kept inside the range
-        assert ds[::2] == ds[1::2] and ds[0] == 1 and ds[-1] == min(int(float(d_max)), d_max)
-        assert all(1 <= d <= d_max for d in ds)
+        assert len(ds) == 14 and ds[::2] == ds[1::2] and ds[0] == d_min and ds[-1] == d_max
+        assert all(d_min <= d <= d_max for d in ds)
         # the last d on its own row, without --d-steps
         code, single, _ = run_cli(capsys, "region", "--d-min", str(ds[-1]), "--d-max", str(ds[-1]),
                                   "--alpha-steps", "2")
@@ -402,7 +403,7 @@ class TestRegionCommand:
         code, out, err = run_cli(capsys, "region", *grid)
         assert (code, out) == (2, "")
         assert err.startswith(
-            f"error: region cells must be a positive int <= 1e+07, got {cells} (at ")
+            f"error: region cells must be a positive int <= 10000000, got {cells} (at ")
         assert " ".join(grid[:2]) in err and " ".join(grid[-2:]) in err
 
     def test_rejects_empty_d_range(self, capsys):
@@ -412,7 +413,7 @@ class TestRegionCommand:
     def test_rejects_zero_d_min(self, capsys):
         code, out, err = run_cli(capsys, "region", "--d-min", "0")
         assert code == 2 and out == ""
-        assert err == "error: --d-min must be a positive int <= 1.79769e+308, got 0\n"
+        assert err == "error: --d-min must be a positive int <= 9007199254740992, got 0\n"
 
     @pytest.mark.parametrize("alpha_min,alpha_max", [("3", "1"), ("0.01", "-1")])
     def test_rejects_descending_alpha_range(self, capsys, alpha_min, alpha_max):
@@ -524,7 +525,7 @@ class TestCurvesCommand:
     def test_rejects_zero_d(self, capsys):
         code, out, err = run_cli(capsys, "curves", "--d", "0")
         assert code == 2 and out == ""
-        assert err == "error: --d must be a positive int <= 1.79769e+308, got 0\n"
+        assert err == "error: --d must be a positive int <= 9007199254740992, got 0\n"
 
     def test_rejects_descending_ntot_range(self, capsys):
         code, out, err = run_cli(capsys, "curves", "--ntot-min", "5", "--ntot-max", "1",
@@ -704,7 +705,7 @@ class TestSweepKernel:
         assert code == 0 and [list(row) for row in rows] == [header] * len(fields)
         assert [list(row.values()) for row in rows] == [list(map(float, f)) for f in fields]
 
-    @pytest.mark.parametrize("d", [1, 2, 64, 10 ** 150])
+    @pytest.mark.parametrize("d", [1, 2, 64, 2 ** 53])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_cells_at_the_axis_extremes_are_finite(self, capsys, d, fmt):
         # a JSON float is written by float.__repr__, which spells a non-finite

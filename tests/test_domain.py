@@ -62,14 +62,15 @@ def test_kernels_take_m_up_to_the_max(call):
     lambda d: states.noon_optimal_b(d),
 ], ids=["check", "ecs_linear_value", "noon_linear", "domain_geometry", "noon_optimal_b"])
 def test_kernels_take_d_up_to_the_largest_double(call):
-    # every kernel forms d as a double, so the row ends at the largest one
-    d_max = int(sys.float_info.max)
-    _domain.check(d=d_max)
+    # every kernel forms d as a double, so the row ends at 2^53: every
+    # integer up to it is an exact double
+    d_max = 2 ** 53
+    call(d_max)
     for d in (d_max + 1, 10 ** 400):
         with pytest.raises(ValueError) as info:
             call(d)
         assert type(info.value) is ValueError
-        assert str(info.value) == f"d must be a positive int <= 1.79769e+308, got {d}"
+        assert str(info.value) == f"d must be a positive int <= 9007199254740992, got {d}"
 
 
 @pytest.mark.parametrize("argv", [
@@ -96,8 +97,8 @@ def test_integer_rows_take_integer_arrays(n):
 
 
 @pytest.mark.parametrize("name,x,error,message", [
-    ("d", np.array([2, 0, 5]), ValueError, "d must be a positive int <= 1.79769e+308, got 0"),
-    ("d", np.array([2.0]), ValueError, "d must be a positive int <= 1.79769e+308, got 2.0"),
+    ("d", np.array([2, 0, 5]), ValueError, "d must be a positive int <= 9007199254740992, got 0"),
+    ("d", np.array([2.0]), ValueError, "d must be a positive int <= 9007199254740992, got 2.0"),
     ("order", 2.0, TypeError, "moment order must be an int >= 0, got 2.0"),
     ("order", -1, ValueError, "moment order must be an int >= 0, got -1"),
     ("mu", np.array([1.0, math.nan]), DegenerateInputError,
@@ -166,7 +167,7 @@ def test_flag_accepts_what_its_kernel_row_accepts(flag, data):
 # them).  The argv's last token is `{flag}={value}`.  A NaN or infinite
 # --alpha-min is caught first by the axis power check, and a --d-max below
 # --d-min by the range check.
-_D_BEYOND = int(sys.float_info.max) + 1
+_D_BEYOND = 2 ** 53 + 1
 REJECTED = [
     ("bounds --family noon-linear --N 4", "--d", "d", [0, -3, _D_BEYOND, 10 ** 400]),
     ("bounds --family ecs-optimal --d 3 --alpha 2", "--m", "m", [0, M_MAX + 1, 10 ** 400]),
@@ -205,15 +206,14 @@ CURVES_FLAGS = ("--d", "--ntot-min", "--ntot-max", "--points")
 
 
 @pytest.mark.parametrize("argv,shown", [
-    (("region", "--d-max", 10 ** 24), f"--d-max {10 ** 24}"),
+    (("region", "--d-max", 2 ** 53), f"--d-max {2 ** 53}"),
     (("region", "--alpha-steps", 10 ** 18), f"--alpha-steps {10 ** 18}"),
     (("region", "--d-steps", 10 ** 22), f"--d-steps {10 ** 22}"),
     (("curves", "--points", 10 ** 23), f"--points {10 ** 23}"),
-    # d (d - 1) exceeds the largest double
-    (("region", "--d-min", 10 ** 160, "--d-max", 10 ** 160),
-     f"--d-min {10 ** 160} --d-max {10 ** 160}"),
-    (("curves", "--d", 10 ** 160, "--points", 2), f"--d {10 ** 160}"),
-], ids=["d-max", "alpha-steps", "d-steps", "points", "d-range", "curves-d"])
+    # the top 10^7 + 1 d-rows, each of --alpha-steps 400 cells
+    (("region", "--d-min", 2 ** 53 - 10 ** 7, "--d-max", 2 ** 53),
+     f"--d-min {2 ** 53 - 10 ** 7} --d-max {2 ** 53}"),
+], ids=["d-max", "alpha-steps", "d-steps", "points", "d-range"])
 def test_sweep_error_names_its_flags(argv, shown):
     code, out, err = run(argv)
     assert code == 2 and out == ""
