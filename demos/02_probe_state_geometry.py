@@ -14,10 +14,10 @@ import math
 from phasebounds import (
     b_domain_limit,
     b_star,
+    domain_geometry,
     ecs_params,
     mean_total_photons,
     overlaps,
-    region_classify,
 )
 from phasebounds import oracle
 
@@ -25,9 +25,9 @@ d = 5
 print(f"branch-weight geometry for d = {d}, linear generator:")
 print(f"{'alpha':>6} {'b_star':>9} {'sqrt(Gamma)':>12} {'reachable':>10}")
 for alpha in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
-    cell = region_classify(d, alpha, 1)
-    print(f"{alpha:>6} {cell.b_star:>9.5f} {cell.sqrt_gamma:>12.5f} "
-          f"{'yes' if cell.interior else 'no':>10}")
+    geom = domain_geometry(d, 1, alpha * alpha)
+    print(f"{alpha:>6} {geom.b_star:>9.5f} {math.sqrt(geom.gamma_cap):>12.5f} "
+          f"{'yes' if geom.interior else 'no':>10}")
 
 print("\nonce alpha is large the cap tends to 1/d and b_star to 1/sqrt(d + sqrt d):")
 print("  Gamma(5, alpha_sq=49) =", b_domain_limit(5, 49.0), " vs 1/5")

@@ -20,7 +20,9 @@ are the branch weights of a probe, ``N`` the photon number of a NOON bound,
 ``photon_number`` that of a NOON probe and ``n_tot`` the total photon number
 of independent estimation.  ``count``, ``points`` and ``seed`` are read by
 the CLI alone, as is ``cells``, d-rows times ``--alpha-steps`` of a
-``region`` grid (10^7 keeps each axis array within 80 MB).  ``SUITE_NAMES``
+``region`` grid.  ``points``, the length of the ``curves`` axis, and ``cells``
+each stop at 10^7, which keeps each axis array within 80 MB: the axis is
+allocated whole, before any of its points is checked.  ``SUITE_NAMES``
 is the domain of ``verify --suite`` (with ``all``), here so that the CLI
 builds its parser without importing the oracle or NumPy.
 
@@ -51,7 +53,7 @@ DOMAIN = {
     "photon_number": ("photon_number", ValueError, 1, True, inf, False, ValueError),
     "n_tot": ("n_tot", None, 0.0, False, inf, False, DegenerateInputError),
     "count": ("count", ValueError, 1, True, inf, False, ValueError),
-    "points": ("points", ValueError, 2, True, inf, False, ValueError),
+    "points": ("points", ValueError, 2, True, 10 ** 7, True, ValueError),
     "cells": ("region cells", ValueError, 1, True, 10 ** 7, True, ValueError),
     "seed": ("seed", ValueError, 0, True, inf, False, ValueError),
 }
@@ -65,14 +67,15 @@ def _limit(x) -> str:
 
 
 def rule(name: str) -> str:
-    """What a row accepts: 'finite and > 0', 'a positive int', 'an int >= 0'."""
+    """What a row accepts: 'finite and > 0', 'a positive int', 'an int >= 0',
+    'an int >= 2 and <= 10000000'."""
     _, integer, lo, lo_closed, hi, hi_closed, _ = DOMAIN[name]
     lower = f"{'>=' if lo_closed else '>'} {_limit(lo)}"
     upper = "finite" if hi == inf else f"{'<=' if hi_closed else '<'} {_limit(hi)}"
     if integer is None:
         return upper if lo == -inf else f"{upper} and {lower}"
-    kind = "a positive int" if lower == ">= 1" else f"an int {lower}"
-    return kind if upper == "finite" else f"{kind} {upper}"
+    kind, joint = ("a positive int", " ") if lower == ">= 1" else (f"an int {lower}", " and ")
+    return kind if upper == "finite" else kind + joint + upper
 
 
 def check(**values) -> None:

@@ -14,8 +14,8 @@ at NOON's (N^m, N^{2m}, 1).  Every headline value and report calls it.
 Plus independent-estimation baselines and Bayesian (Ziv-Zakai) bounds for
 phases drawn from a wide uniform prior.
 
-The four headline values and :func:`region_classify` broadcast over their
-arguments (see ``_arrays``); sweeps call them with arrays.
+The four headline values broadcast over their arguments (see ``_arrays``);
+sweeps call them with arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from collections.abc import Mapping
 from enum import Enum
 
-from ._arrays import frexp, ldexp, libm, quiet_overflow, scalar, sqrt
+from ._arrays import frexp, ldexp, libm, scalar, sqrt
 from ._domain import check
 from ._record import Record, set_field
 from .errors import RegionError
@@ -36,7 +36,6 @@ __all__ = [
     "BoundKind",
     "Regime",
     "BoundReport",
-    "RegionCell",
     "ZIV_ZAKAI_LAMBDA",
     "ecs_linear_value",
     "ecs_nonlinear_value",
@@ -54,7 +53,6 @@ __all__ = [
     "qcrb_independent_noon",
     "zzb_noon",
     "zzb_ecs",
-    "region_classify",
     "grid_scan_minimizer",
 ]
 
@@ -95,24 +93,6 @@ class BoundReport(Record):
         set_field(self, "kind", kind)
         set_field(self, "regime", regime)
         set_field(self, "params", params)
-
-
-class RegionCell(Record):
-    """One cell of the attainability partition: is b_star inside the domain?
-
-    Every field but m is an array when region_classify was given arrays.
-    """
-
-    __slots__ = ("d", "alpha", "m", "b_star", "sqrt_gamma", "interior")
-
-    def __init__(self, d: int, alpha: float, m: int, b_star: float, sqrt_gamma: float,
-                 interior: bool) -> None:
-        set_field(self, "d", d)
-        set_field(self, "alpha", alpha)
-        set_field(self, "m", m)
-        set_field(self, "b_star", b_star)
-        set_field(self, "sqrt_gamma", sqrt_gamma)
-        set_field(self, "interior", interior)
 
 
 def _headline(d, moments):
@@ -340,19 +320,6 @@ def zzb_ecs(d: int, alpha_sq: float) -> BoundReport:
     """Bayesian bound for the coherent probe: the NOON form with N -> alpha_sq + 1."""
     check(d=d, alpha_sq=alpha_sq)
     return _zzb(BoundKind.ZIV_ZAKAI_ECS, d, alpha_sq + 1.0, {"alpha_sq": alpha_sq})
-
-
-def region_classify(d, alpha, m: int) -> RegionCell:
-    """Classify whether the unconstrained optimizer is attainable at (d, alpha, m).
-
-    d and alpha broadcast against each other.
-    """
-    check(alpha=alpha)
-    with quiet_overflow(alpha):
-        alpha_sq = alpha * alpha  # an overflow to inf is rejected by domain_geometry
-    geom = domain_geometry(d, m, alpha_sq)
-    return RegionCell(d=d, alpha=alpha, m=m, b_star=geom.b_star,
-                      sqrt_gamma=scalar(sqrt(geom.gamma_cap)), interior=geom.interior)
 
 
 def grid_scan_minimizer(d: int, m: int, alpha_sq: float) -> BoundReport:

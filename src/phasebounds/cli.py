@@ -228,10 +228,12 @@ def _blocks(axis) -> Iterator:
 
 def _region_chunks(d_values: Sequence[int], alphas, m: int) -> Iterator[tuple]:
     """Columns of the region table, each d-row in blocks of at most CHUNK cells."""
+    import numpy as np
+
     for d in d_values:
         for block in _blocks(alphas):
-            cell = bounds.region_classify(d, block, m)
-            yield (d, block, m, cell.b_star, cell.sqrt_gamma, cell.interior)
+            geom = states.domain_geometry(d, m, block * block)
+            yield (d, block, m, geom.b_star, np.sqrt(geom.gamma_cap), geom.interior)
 
 
 def _curves_chunks(d: int, axis) -> Iterator[tuple]:

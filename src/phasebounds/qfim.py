@@ -61,10 +61,6 @@ class StructuredQfim(Record):
     def off_diagonal(self) -> float:
         return self.gamma * self.omega
 
-    @property
-    def is_positive_definite(self) -> bool:
-        return self.gamma > 0.0 and 1.0 + self.omega * self.d > 0.0
-
 
 def _sensing(p: EcsParams | NoonParams) -> tuple:
     """(b^2, f(2m), g): all the information matrix reads of a probe, the one

@@ -455,8 +455,8 @@ def zzb_ordering() -> CheckResult:
 
 def region_claim() -> CheckResult:
     """Count of cells with alpha in [2.5, 4], d <= 10 that are not interior."""
-    misclassified = sum(not bounds.region_classify(d, float(alpha), 1).interior
-                        for d in range(1, 11) for alpha in np.linspace(2.5, 4.0, 61))
+    misclassified = sum(not states.domain_geometry(d, 1, a * a).interior
+                        for d in range(1, 11) for a in np.linspace(2.5, 4.0, 61).tolist())
     return _check("bounds.region_claim", float(misclassified))
 
 

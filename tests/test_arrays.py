@@ -125,12 +125,6 @@ class TestKernels:
         _same(lambda b_sq: qfim.trace_inverse_value(d, geom.f_2m, geom.g, b_sq),
               [fraction * geom.g / d])
 
-    @settings(max_examples=300, deadline=None)
-    @given(D, M, ALPHA_SQ)
-    def test_region_classify(self, d, m, alpha_sq):
-        _same(lambda d, a: bounds.region_classify(d, a, m), [d, math.sqrt(alpha_sq)],
-              fields=("b_star", "sqrt_gamma", "interior"))
-
     @pytest.mark.parametrize("fn", [bounds.ecs_linear_value, bounds.ecs_nonlinear_value,
                                     bounds.noon_linear_value, bounds.noon_nonlinear_value])
     @settings(max_examples=200, deadline=None)

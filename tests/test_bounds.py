@@ -514,18 +514,18 @@ class TestZivZakai:
 
 class TestRegionClassification:
     def test_reachable_at_moderate_amplitude(self):
-        assert bounds.region_classify(5, 2.5, 1).interior
+        assert states.domain_geometry(5, 1, 2.5 * 2.5).interior
 
     def test_unreachable_for_large_d_small_alpha(self):
-        assert not bounds.region_classify(100, 0.1, 1).interior
+        assert not states.domain_geometry(100, 1, 0.1 * 0.1).interior
 
     def test_single_parameter_linear_always_interior(self):
-        for alpha in np.geomspace(0.05, 10.0, 200):
-            assert bounds.region_classify(1, float(alpha), 1).interior
+        for a in np.geomspace(0.05, 10.0, 200).tolist():
+            assert states.domain_geometry(1, 1, a * a).interior
 
     def test_single_transition_in_alpha(self):
-        flags = [bounds.region_classify(5, float(a), 1).interior
-                 for a in np.linspace(0.05, 4.0, 400)]
+        flags = [states.domain_geometry(5, 1, a * a).interior
+                 for a in np.linspace(0.05, 4.0, 400).tolist()]
         changes = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
         assert changes == 1 and flags[-1]
 
@@ -533,8 +533,8 @@ class TestRegionClassification:
         # same structure as m=1: one reachability threshold in alpha per d,
         # already passed by alpha = 4 for every d up to 10
         for d in range(1, 11):
-            flags = [bounds.region_classify(d, float(a), 2).interior
-                     for a in np.linspace(0.1, 4.0, 400)]
+            flags = [states.domain_geometry(d, 2, a * a).interior
+                     for a in np.linspace(0.1, 4.0, 400).tolist()]
             changes = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
             assert changes <= 1
             assert flags[-1]

@@ -646,15 +646,15 @@ class TestSweepKernel:
             alphas = np.linspace(0.01, 4.0, steps)
             for m in (1, 2):
                 rows = table(cli._region_chunks(ds, alphas, m), "rows")
-                cell = bounds.region_classify(np.array(ds)[:, None], alphas, m)
+                geom = states.domain_geometry(np.array(ds)[:, None], m, alphas * alphas)
                 whole = table([(np.repeat(ds, steps), np.tile(alphas, len(ds)),
-                                np.full(len(ds) * steps, m), cell.b_star.ravel(),
-                                cell.sqrt_gamma.ravel(), cell.interior.ravel())], "whole")
+                                np.full(len(ds) * steps, m), geom.b_star.ravel(),
+                                np.sqrt(geom.gamma_cap).ravel(), geom.interior.ravel())], "whole")
                 assert rows == whole
-                scalar_cells = [bounds.region_classify(d, a, m) for d in ds
-                                for a in alphas.tolist()]
-                singles = table([([c.d], [c.alpha], [c.m], [c.b_star], [c.sqrt_gamma],
-                                  [c.interior]) for c in scalar_cells], "singles")
+                cells = [(d, a, states.domain_geometry(d, m, a * a)) for d in ds
+                         for a in alphas.tolist()]
+                singles = table([([d], [a], [m], [g.b_star], [math.sqrt(g.gamma_cap)],
+                                  [g.interior]) for d, a, g in cells], "singles")
                 assert rows == singles
                 for size in (1, 7):  # slices of a d-row
                     with monkeypatch.context() as patch:

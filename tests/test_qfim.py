@@ -39,10 +39,9 @@ class TestEcsQfim:
         with pytest.raises(DegenerateInputError):
             qfim.ecs_qfim(states.ecs_params(2, 1.0, 0.0))
 
-    def test_positive_definite_flag(self):
+    def test_positive_definite(self):
         p = states.ecs_params(2, 1.0, 0.3)
         f = qfim.ecs_qfim(p)
-        assert f.is_positive_definite
         eigs = np.linalg.eigvalsh(qfim.to_dense(f))
         assert np.all(eigs > 0)
 

@@ -25,7 +25,6 @@ RECORDS = {
     "NoonParams": states.noon_params(2, 3),
     "DomainGeometry": states.domain_geometry(3, 1, 2.0),
     "BoundReport": bounds.minimize_bound_over_b(3, 1, 2.0),
-    "RegionCell": bounds.region_classify(3, 0.5, 1),
     "StructuredQfim": qfim.ecs_qfim(_ECS),
     "ModeVector": _STATE.terms[0][1][0],
     "SparseProductState": _STATE,
@@ -112,7 +111,6 @@ def test_equality_and_hash_go_by_the_fields(name):
     (RECORDS["NoonParams"], states.noon_params(2, 4)),
     (RECORDS["DomainGeometry"], states.domain_geometry(3, 1, 2.5)),
     (RECORDS["BoundReport"], bounds.minimize_bound_over_b(3, 2, 2.0)),
-    (RECORDS["RegionCell"], bounds.region_classify(4, 0.5, 1)),
     (RECORDS["StructuredQfim"], qfim.StructuredQfim(2, 1.0, 0.5)),
     (RECORDS["ModeVector"], oracle.ModeVector(RECORDS["ModeVector"].amplitudes, 1e-3)),
     (RECORDS["SparseProductState"], oracle.SparseProductState(4, _STATE.terms)),

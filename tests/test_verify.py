@@ -123,8 +123,8 @@ def _report(fault):
     return lambda r: bounds.BoundReport(fault(r.value), r.kind, r.regime, r.params)
 
 
-def _flip_interior(c):
-    return bounds.RegionCell(c.d, c.alpha, c.m, c.b_star, c.sqrt_gamma, not c.interior)
+def _flip_interior(g):
+    return states.DomainGeometry(g.gamma_cap, g.b_star, g.g, not g.interior, g.f_m, g.f_2m)
 
 
 DRAWS = verify.optimizer_draws(np.random.default_rng(0))
@@ -157,7 +157,7 @@ SUITE_MUTANTS = [
     (bounds, "ecs_linear_value", lambda v: v * (1.0 - 0.0125),
      partial(verify.large_ntot_ratio, N_TOT)),
     (bounds, "zzb_ecs", _report(lambda v: v * 1.13), verify.zzb_ordering),
-    (bounds, "region_classify", _flip_interior, verify.region_claim),
+    (states, "domain_geometry", _flip_interior, verify.region_claim),
     (states, "b_domain_limit", lambda g: g * (1.0 + 2e-10), verify.gamma_large_alpha),
     (states, "b_star", lambda b: b * (1.0 + 2e-6), verify.b_star_approach),
     (states, "b_star", lambda b: b * (1.0 + 2e-6), verify.b_star_limit),

@@ -45,6 +45,9 @@ EDGES = [
     ["verify", "--suite", "all", "--seed", "7"],
     ["bounds", "--family", "independent-ecs", "--d", "3", "--n-tot", "1e300"],
     ["bounds", "--family", "noon-nonlinear", "--d", "3", "--N", "1.2e77"],
+    # rows whose interior flag is decided by rounding
+    *(["region", "--d-max", "2", "--alpha-min", "1e-9", "--alpha-max", "1e-9",
+       "--alpha-steps", "2", "--format", fmt] for fmt in ("csv", "json")),
 ]
 
 
