@@ -13,8 +13,10 @@ carry 17 significant digits (an exact round trip), JSON equals json.dumps.  Swee
 run the array kernels one chunk of at most `CHUNK` rows at a time (a slice
 of a `region` d-row, a slice of the `curves` axis) and write each chunk as
 it is made, so memory stays flat as the grid grows, in both dimensions of a
-`region` grid.  Every chunk is evaluated once before the output is
-opened, so a sweep that fails on any cell writes nothing.  NumPy is
+`region` grid.  Each chunk is evaluated once, as it is written; `region`
+first evaluates the cells at its alpha axis ends, which raise any error of
+its grid, and a `curves` cell raises nothing on an accepted axis, so a sweep
+that fails on any cell writes nothing.  NumPy is
 imported by `region` and `curves`, and with the oracle by `verify`; `bounds`
 runs the kernels on Python numbers and never loads it.
 """
@@ -25,7 +27,7 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 
 from . import _domain, bounds, states
@@ -86,17 +88,6 @@ def _write_table(path: str | None, fmt: str, header: Sequence[str],
             sep = joiner
         if json_out:
             out.write("]\n")
-
-
-def _write_sweep(args: argparse.Namespace, header: Sequence[str],
-                 chunks: Callable[[], Iterable[Sequence]]) -> None:
-    """Evaluate every chunk once, so that any error exits 2 naming the sweep's
-    numeric flags before output exists, then write."""
-    given = {k.replace("_", "-"): v for k, v in vars(args).items() if type(v) in (int, float)}
-    with _naming(given):
-        for _ in chunks():
-            pass
-    _write_table(args.out, args.format, header, chunks())
 
 
 def _report_payload(report: bounds.BoundReport) -> dict:
@@ -286,7 +277,8 @@ def cmd_region(args: argparse.Namespace) -> int:
         raise PhaseBoundsError("--d-max must be >= --d-min")
     _flag("--d-max", "d", args.d_max)
 
-    def chunks():
+    given = {k.replace("_", "-"): v for k, v in vars(args).items() if type(v) in (int, float)}
+    with _naming(given):
         # the grid's size is checked before anything is allocated, and d is a
         # lazy range, or sampled between its ends, exact doubles, so the samples
         # stay inside them, and rounded to integers (repeats keep the requested
@@ -296,9 +288,14 @@ def cmd_region(args: argparse.Namespace) -> int:
         d_values = (range(args.d_min, args.d_max + 1) if args.d_steps is None else
                     [int(round(x)) for x in np.linspace(args.d_min, args.d_max, args.d_steps)])
         alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
-        return _region_chunks(d_values, alphas, args.m)
-
-    _write_sweep(args, REGION_HEADER, chunks)
+        # a cell raises by alpha alone, on a tail of the axis (f(m)^2 underflows
+        # at the low end, a moment overflows at the high end), so one kernel
+        # call on the two end cells raises any error of the grid, in the
+        # kernel's own order, before the output is opened
+        ends = alphas[[0, -1]]
+        states.domain_geometry(args.d_min, args.m, ends * ends)
+    _write_table(args.out, args.format, REGION_HEADER,
+                 _region_chunks(d_values, alphas, args.m))
     return 0
 
 
@@ -311,8 +308,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if not args.ntot_max >= args.ntot_min:
         raise PhaseBoundsError("--ntot-max must be >= --ntot-min")
     _finite_power("--ntot-max", args.ntot_max, 4)
-    _write_sweep(args, CURVES_HEADER, lambda: _curves_chunks(
-        args.d, np.linspace(args.ntot_min, args.ntot_max, args.points)))
+    axis = np.linspace(args.ntot_min, args.ntot_max, args.points)
+    _write_table(args.out, args.format, CURVES_HEADER, _curves_chunks(args.d, axis))
     return 0
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebounds import _domain, bounds, cli, states, verify
+from phasebounds import _domain, bounds, cli, states
 from phasebounds.cli import main
 
 
@@ -732,6 +732,11 @@ class TestSweepKernel:
     @pytest.mark.parametrize("argv", [
         ("region", "--m", "2", "--alpha-max", "1e200"),
         ("region", "--d-max", "5", "--alpha-max", "inf"),
+        # f(2m) overflows above alpha ~ 1.03, far inside the finite alpha^(4m)
+        ("region", "--m", "109", "--d-max", "2", "--alpha-steps", "50"),
+        # f(m)^2 underflows at the low end; a grid over the cell limit
+        ("region", "--alpha-min", "1e-160", "--alpha-max", "1e-150"),
+        ("region", "--d-max", "25001"),
         ("curves", "--d", "5", "--ntot-max", "1e200"),
         ("curves", "--d", "5", "--ntot-max", "inf"),
     ])
@@ -743,6 +748,28 @@ class TestSweepKernel:
         code, out, err = run_cli(capsys, *argv, "--format", fmt, "--out", str(path))
         assert code == 2 and out == "" and "error" in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv,calls", [
+        # the cells at the two alpha ends, then 3 d-rows of 3 blocks
+        (("region", "--d-max", "3", "--alpha-steps", "7"), 1 + 3 * 3),
+        (("region", "--d-max", "4", "--d-steps", "2", "--alpha-steps", "4"), 1 + 2 * 2),
+        (("curves", "--points", "7"), 3),
+    ])
+    def test_each_sweep_runs_its_kernel_once(self, capsys, monkeypatch, argv, calls):
+        # one states.domain_geometry call per block of cells written, and in
+        # region one on its two alpha ends before the output is opened
+        monkeypatch.setattr(cli, "CHUNK", 3)
+        seen = []
+        kernel = states.domain_geometry
+
+        def counted(*args):
+            seen.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(states, "domain_geometry", counted)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.count("\n") > 1
+        assert len(seen) == calls, seen
 
     @pytest.mark.parametrize("argv,name", [
         (("bounds", "--family", "ecs-linear", "--d", "5", "--alpha", "2"), "x.json"),

@@ -5,16 +5,28 @@
 
 The argvs are the first 150 one-shot `bounds` ops and the first 12 sweep ops
 that perfbench/mix.py draws for SEED, then a fixed list of edge cases.  Each
-runs as `python -m phasebounds.cli` from SRC (default: this tree's src/), so
-two trees' outputs compare with one diff of this script's output.
+runs through `phasebounds.cli.main` from SRC (default: this tree's src/) in
+this process, with stdout and stderr captured, so two trees' outputs compare
+with one diff of this script's output.  An argv that leaves `main` other than
+by its return (argparse's exit, an uncaught exception) or that warns runs
+again as `python -m phasebounds.cli` in a fresh process: those bytes come
+from the interpreter, and a warning prints once per process.
+
+tests/data/output_digests.txt holds seed 1's digests, and a test replays
+them; a change that moves output bytes regenerates it with
+
+    python3 tools/output_digest.py 1 > tests/data/output_digests.txt
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
@@ -48,29 +60,67 @@ EDGES = [
     # rows whose interior flag is decided by rounding
     *(["region", "--d-max", "2", "--alpha-min", "1e-9", "--alpha-max", "1e-9",
        "--alpha-steps", "2", "--format", fmt] for fmt in ("csv", "json")),
+    # a cell error at each end of the alpha axis: f(2m) overflows above
+    # alpha ~ 1.03 at m = 109, and f(m)^2 underflows below alpha ~ 1e-81
+    ["region", "--m", "109", "--d-max", "2", "--alpha-steps", "50"],
+    ["region", "--alpha-min", "1e-160", "--alpha-max", "1e-150"],
 ]
 
 
-def main() -> None:
-    seed = int(sys.argv[1])
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(
-        sys.argv[2] if len(sys.argv) > 2 else os.path.join(ROOT, "src")))
+def argvs(seed: int, out: str) -> list:
+    """Every argv digested for seed, those of sweeps writing to the path out."""
+    return [*map(mix.bounds_argv, itertools.islice(mix.oneshot_ops(seed), 150)),
+            *(mix.sweep_argv(op, out) for op in itertools.islice(mix.sweep_ops(seed), 12)),
+            *EDGES]
+
+
+def _unlink(path: str) -> None:
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+
+
+def _run(argv: list, src: str, out: str) -> tuple:
+    """(exit code, stdout, stderr) of the CLI on argv, as bytes; a fresh process
+    starts with no file at out."""
+    from phasebounds import cli
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with warnings.catch_warnings(record=True) as warned, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        if not warned:
+            return code, stdout.getvalue().encode(), stderr.getvalue().encode()
+    except (SystemExit, Exception):
+        pass
+    _unlink(out)
+    run = subprocess.run([sys.executable, "-m", "phasebounds.cli", *argv],
+                         capture_output=True, env=dict(os.environ, PYTHONPATH=src))
+    return run.returncode, run.stdout, run.stderr
+
+
+def digests(seed: int, src: str):
+    """One `digest argv` line per argv, the output path shown as OUT."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        argvs = [*map(mix.bounds_argv, itertools.islice(mix.oneshot_ops(seed), 150)),
-                 *(mix.sweep_argv(op, out) for op in itertools.islice(mix.sweep_ops(seed), 12)),
-                 *EDGES]
-        for argv in argvs:
-            run = subprocess.run([sys.executable, "-m", "phasebounds.cli", *argv],
-                                 capture_output=True, env=env)
+        for argv in argvs(seed, out):
+            result = _run(argv, src, out)
             written = None
             if os.path.exists(out):
                 with open(out, "rb") as fh:
                     written = fh.read()
-                os.unlink(out)
-            digest = hashlib.sha256(repr((run.returncode, run.stdout, run.stderr, written))
-                                    .encode()).hexdigest()
-            print(digest, " ".join("OUT" if a == out else a for a in argv), flush=True)
+                _unlink(out)
+            digest = hashlib.sha256(repr((*result, written)).encode()).hexdigest()
+            yield " ".join([digest, *("OUT" if a == out else a for a in argv)])
+
+
+def main() -> None:
+    seed = int(sys.argv[1])
+    src = os.path.abspath(sys.argv[2] if len(sys.argv) > 2 else os.path.join(ROOT, "src"))
+    sys.path.insert(0, src)
+    for line in digests(seed, src):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
