@@ -27,8 +27,9 @@ is the domain of ``verify --suite`` (with ``all``), here so that the CLI
 builds its parser without importing the oracle or NumPy.
 
 Limits joining several inputs stay in the kernels: f(m)^2 > 0 and an
-overflow at a given alpha and m, which ``region`` checks only at its alpha
-axis ends, before it writes (each fails on a tail of the axis), and the
+overflow at a given alpha (or n_tot) and m, which ``region`` and ``curves``
+check only at their axis ends, before they write (each fails on a tail of
+the axis), and the
 cap b^2 <= Gamma and the normalization of c.  The cap and the normalization
 residual are each tested in one function of ``states``, for both probe
 families: a NOON probe is the coherent one with (u, v) = (d, 0).  An error a kernel raises under a command exits 2 naming the

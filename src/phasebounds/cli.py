@@ -13,10 +13,11 @@ carry 17 significant digits (an exact round trip), JSON equals json.dumps.  Swee
 run the array kernels one chunk of at most `CHUNK` rows at a time (a slice
 of a `region` d-row, a slice of the `curves` axis) and write each chunk as
 it is made, so memory stays flat as the grid grows, in both dimensions of a
-`region` grid.  Each chunk is evaluated once, as it is written; `region`
-first evaluates the cells at its alpha axis ends, which raise any error of
-its grid, and a `curves` cell raises nothing on an accepted axis, so a sweep
-that fails on any cell writes nothing.  NumPy is
+`region` grid.  Each chunk is evaluated once, as it is written.  A flag is
+judged by its domain row, a limit joining several flags by the kernel: each
+sweep first evaluates the points at its axis ends (alpha in `region`, n_tot in
+`curves`), which raise any error of its grid, so a sweep that fails on any
+cell writes nothing.  NumPy is
 imported by `region` and `curves`, and with the oracle by `verify`; `bounds`
 runs the kernels on Python numbers and never loads it.
 """
@@ -247,28 +248,19 @@ def _curves_chunks(d: int, axis) -> Iterator[tuple]:
                exact_mean)
 
 
-def _finite_power(flag: str, value: float, power: int) -> None:
-    """Exit 2 naming flag unless this power of a sweep axis end, which the kernels form
-    (f(2m) of alpha^2, n_tot^4), is finite: checked before np.linspace warns on inf."""
-    try:
-        finite = math.isfinite(math.pow(value, power))
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise PhaseBoundsError(
-            f"{flag} must be finite with a finite {power}th power "
-            f"(at most {math.pow(sys.float_info.max, 1.0 / power):.6g}), got {value!r}")
+def _numeric_flags(args: argparse.Namespace) -> dict:
+    """Every numeric flag of a sweep and its value, as `_naming` shows them."""
+    return {k.replace("_", "-"): v for k, v in vars(args).items() if type(v) in (int, float)}
 
 
 def cmd_region(args: argparse.Namespace) -> int:
     import numpy as np
 
     _flag("--m", "m", args.m)
-    _finite_power("--alpha-min", args.alpha_min, 4 * args.m)
     _flag("--alpha-min", "alpha", args.alpha_min)
-    _finite_power("--alpha-max", args.alpha_max, 4 * args.m)
     if not args.alpha_max >= args.alpha_min:
         raise PhaseBoundsError("--alpha-max must be >= --alpha-min")
+    _flag("--alpha-max", "alpha", args.alpha_max)
     _flag("--alpha-steps", "count", args.alpha_steps)
     if args.d_steps is not None:
         _flag("--d-steps", "count", args.d_steps)
@@ -277,8 +269,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         raise PhaseBoundsError("--d-max must be >= --d-min")
     _flag("--d-max", "d", args.d_max)
 
-    given = {k.replace("_", "-"): v for k, v in vars(args).items() if type(v) in (int, float)}
-    with _naming(given):
+    with _naming(_numeric_flags(args)):
         # the grid's size is checked before anything is allocated, and d is a
         # lazy range, or sampled between its ends, exact doubles, so the samples
         # stay inside them, and rounded to integers (repeats keep the requested
@@ -289,11 +280,10 @@ def cmd_region(args: argparse.Namespace) -> int:
                     [int(round(x)) for x in np.linspace(args.d_min, args.d_max, args.d_steps)])
         alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
         # a cell raises by alpha alone, on a tail of the axis (f(m)^2 underflows
-        # at the low end, a moment overflows at the high end), so one kernel
-        # call on the two end cells raises any error of the grid, in the
-        # kernel's own order, before the output is opened
-        ends = alphas[[0, -1]]
-        states.domain_geometry(args.d_min, args.m, ends * ends)
+        # at the low end, a moment overflows at the high end), so the two end
+        # cells raise any error of the grid, in the kernel's own order, before
+        # the output is opened
+        list(_region_chunks([args.d_min], alphas[[0, -1]], args.m))
     _write_table(args.out, args.format, REGION_HEADER,
                  _region_chunks(d_values, alphas, args.m))
     return 0
@@ -307,8 +297,13 @@ def cmd_curves(args: argparse.Namespace) -> int:
     _flag("--ntot-min", "N", args.ntot_min)
     if not args.ntot_max >= args.ntot_min:
         raise PhaseBoundsError("--ntot-max must be >= --ntot-min")
-    _finite_power("--ntot-max", args.ntot_max, 4)
-    axis = np.linspace(args.ntot_min, args.ntot_max, args.points)
+    _flag("--ntot-max", "N", args.ntot_max)
+
+    with _naming(_numeric_flags(args)):
+        axis = np.linspace(args.ntot_min, args.ntot_max, args.points)
+        # as in region: a point raises by n_tot alone, a moment overflowing on
+        # the high tail of the axis, so its two ends raise any error of the sweep
+        list(_curves_chunks(args.d, axis[[0, -1]]))
     _write_table(args.out, args.format, CURVES_HEADER, _curves_chunks(args.d, axis))
     return 0
 

@@ -415,7 +415,8 @@ class TestRegionCommand:
         assert code == 2 and out == ""
         assert err == "error: --d-min must be a positive int <= 9007199254740992, got 0\n"
 
-    @pytest.mark.parametrize("alpha_min,alpha_max", [("3", "1"), ("0.01", "-1")])
+    # a NaN end is not >= any, so the range check refuses it before its row
+    @pytest.mark.parametrize("alpha_min,alpha_max", [("3", "1"), ("0.01", "-1"), ("0.01", "nan")])
     def test_rejects_descending_alpha_range(self, capsys, alpha_min, alpha_max):
         code, out, err = run_cli(capsys, "region", "--d-max", "2", "--alpha-min", alpha_min,
                                  "--alpha-max", alpha_max, "--alpha-steps", "3")
@@ -739,6 +740,8 @@ class TestSweepKernel:
         ("region", "--d-max", "25001"),
         ("curves", "--d", "5", "--ntot-max", "1e200"),
         ("curves", "--d", "5", "--ntot-max", "inf"),
+        # f(4) overflows at this end while f(2) does not: ecs_nonlinear decides
+        ("curves", "--d", "5", "--ntot-max", "1e100"),
     ])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_failed_sweep_writes_nothing(self, capsys, tmp_path, argv, fmt):
@@ -753,11 +756,12 @@ class TestSweepKernel:
         # the cells at the two alpha ends, then 3 d-rows of 3 blocks
         (("region", "--d-max", "3", "--alpha-steps", "7"), 1 + 3 * 3),
         (("region", "--d-max", "4", "--d-steps", "2", "--alpha-steps", "4"), 1 + 2 * 2),
-        (("curves", "--points", "7"), 3),
+        # the points at the two n_tot ends, then 3 blocks
+        (("curves", "--points", "7"), 1 + 3),
     ])
     def test_each_sweep_runs_its_kernel_once(self, capsys, monkeypatch, argv, calls):
-        # one states.domain_geometry call per block of cells written, and in
-        # region one on its two alpha ends before the output is opened
+        # one states.domain_geometry call per block of cells written, and one,
+        # in both sweeps, on the two axis ends before the output is opened
         monkeypatch.setattr(cli, "CHUNK", 3)
         seen = []
         kernel = states.domain_geometry
@@ -782,20 +786,32 @@ class TestSweepKernel:
         assert err.startswith("error: cannot write output: "), err
         assert not path.parent.exists()
 
-    @pytest.mark.parametrize("argv,flag", [
-        (("curves", "--d", "5", "--ntot-max", "1e200", "--points", "5"), "--ntot-max"),
-        (("curves", "--d", "5", "--ntot-max", "1e100", "--points", "5"), "--ntot-max"),
-        (("curves", "--ntot-max", "inf"), "--ntot-max"),
-        (("region", "--m", "2", "--alpha-max", "1e200"), "--alpha-max"),
-        (("region", "--m", "2", "--alpha-max", "1e50"), "--alpha-max"),
-        (("region", "--m", "1", "--alpha-max", "1e100"), "--alpha-max"),
-        (("region", "--alpha-max", "nan"), "--alpha-max"),
-        (("region", "--alpha-min", "inf"), "--alpha-min"),
-    ])
-    def test_overflowing_axis_names_the_flag(self, capsys, recwarn, argv, flag):
-        code, out, err = run_cli(capsys, *argv)
+    @pytest.mark.parametrize("argv,flag,value,rule", [
+        (("region", "--m", "2"), "--alpha-max", "1e200", "> 0 with a finite, nonzero square"),
+        (("region", "--d-max", "5"), "--alpha-max", "inf", "> 0 with a finite, nonzero square"),
+        (("region",), "--alpha-min", "inf", "> 0 with a finite, nonzero square"),
+        (("curves",), "--ntot-max", "inf", "finite and >= 1"),
+    ], ids=["alpha-max-1e200", "alpha-max-inf", "alpha-min-inf", "ntot-max-inf"])
+    def test_axis_end_outside_its_row_names_the_flag(self, capsys, recwarn, argv, flag,
+                                                     value, rule):
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert (code, out, err) == (2, "", f"error: {flag} must be {rule}, got {float(value)!r}\n")
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+    @pytest.mark.parametrize("argv,flag,value,m", [
+        (("curves", "--d", "5", "--points", "5"), "--ntot-max", "1e200", 2),
+        (("curves", "--d", "5", "--points", "5"), "--ntot-max", "1e100", 4),
+        (("region", "--m", "2"), "--alpha-max", "1e50", 4),
+        (("region", "--m", "1"), "--alpha-max", "1e100", 2),
+    ], ids=["ntot-max-1e200", "ntot-max-1e100", "m2-alpha-max-1e50", "m1-alpha-max-1e100"])
+    def test_overflowing_axis_end_is_the_kernel_error(self, capsys, recwarn, argv, flag,
+                                                      value, m):
+        # a finite end inside its row whose moment overflows: the kernel's
+        # message at the axis end, naming every flag read
+        code, out, err = run_cli(capsys, *argv, flag, value)
         assert code == 2 and out == ""
-        assert err.startswith(f"error: {flag} must be finite with a finite "), err
+        assert err.startswith(f"error: coherent_number_moment overflows for m={m}, "), err
+        assert " (at --" in err and f" {flag} {float(value)!r}" in err, err
         assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
     @pytest.mark.parametrize("argv,flag,power", [

@@ -162,9 +162,8 @@ def test_flag_accepts_what_its_kernel_row_accepts(flag, data):
 
 # Every range-checked flag: an argv it completes, the domain row it reads, and
 # values outside that row (its ends, NaN, the infinities and 10**400 among
-# them).  The argv's last token is `{flag}={value}`.  A NaN or infinite
-# --alpha-min is caught first by the axis power check, and a --d-max below
-# --d-min by the range check.
+# them).  The argv's last token is `{flag}={value}`.  A --d-max below --d-min,
+# and a NaN --alpha-max or --ntot-max, is caught first by the range check.
 _D_BEYOND = 2 ** 53 + 1
 REJECTED = [
     ("bounds --family noon-linear --N 4", "--d", "d", [0, -3, _D_BEYOND, 10 ** 400]),
@@ -177,7 +176,8 @@ REJECTED = [
      [0.0, -5e-324, math.nan, math.inf]),
     ("bounds --family ecs-at-b --d 3 --alpha 2", "--b", "b", [-5e-324, math.nan, math.inf]),
     ("region", "--m", "m", [0, M_MAX + 1, 10 ** 400]),
-    ("region", "--alpha-min", "alpha", [0.0, -1.0, 1e-170]),
+    ("region", "--alpha-min", "alpha", [0.0, -1.0, 1e-170, math.nan, math.inf]),
+    ("region", "--alpha-max", "alpha", [1e200, math.inf]),
     ("region", "--d-min", "d", [0, -1, 10 ** 400]),
     ("region", "--d-max", "d", [_D_BEYOND, 10 ** 400]),
     ("region", "--d-steps", "count", [0, -10 ** 400]),
@@ -185,6 +185,7 @@ REJECTED = [
     ("curves", "--d", "d", [0, 10 ** 400]),
     ("curves", "--points", "points", [1, 0, -10 ** 400, 10 ** 7 + 1, 10 ** 23]),
     ("curves", "--ntot-min", "N", [0.5, math.nan, math.inf, -math.inf]),
+    ("curves", "--ntot-max", "N", [math.inf]),
     ("verify --suite moments", "--seed", "seed", [-1, -10 ** 400]),
 ]
 
@@ -215,7 +216,8 @@ CURVES_FLAGS = ("--d", "--ntot-min", "--ntot-max", "--points")
     # the top 10^7 + 1 d-rows, each of --alpha-steps 400 cells
     (("region", "--d-min", 2 ** 53 - 10 ** 7, "--d-max", 2 ** 53),
      f"--d-min {2 ** 53 - 10 ** 7} --d-max {2 ** 53}"),
-], ids=["d-max", "alpha-steps", "d-steps", "d-range"])
+    (("curves", "--d", 5, "--ntot-max", 1e100), "--ntot-max 1e+100"),
+], ids=["d-max", "alpha-steps", "d-steps", "d-range", "ntot-max"])
 def test_sweep_error_names_its_flags(argv, shown):
     code, out, err = run(argv)
     assert code == 2 and out == ""

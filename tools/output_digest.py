@@ -64,6 +64,10 @@ EDGES = [
     # alpha ~ 1.03 at m = 109, and f(m)^2 underflows below alpha ~ 1e-81
     ["region", "--m", "109", "--d-max", "2", "--alpha-steps", "50"],
     ["region", "--alpha-min", "1e-160", "--alpha-max", "1e-150"],
+    # a moment overflowing at a finite high end: f(4) of n_tot = 1e100, and
+    # f(4) of alpha^2 = 1e100 at m = 2
+    ["curves", "--d", "5", "--ntot-max", "1e100", "--points", "5"],
+    ["region", "--m", "2", "--d-max", "2", "--alpha-max", "1e50", "--alpha-steps", "3"],
 ]
 
 
