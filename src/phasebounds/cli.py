@@ -13,11 +13,13 @@ carry 17 significant digits (an exact round trip), JSON equals json.dumps.  Swee
 run the array kernels one chunk of at most `CHUNK` rows at a time (a slice
 of a `region` d-row, a slice of the `curves` axis) and write each chunk as
 it is made, so memory stays flat as the grid grows, in both dimensions of a
-`region` grid.  Each chunk is evaluated once, as it is written.  A flag is
-judged by its domain row, a limit joining several flags by the kernel: each
-sweep first evaluates the points at its axis ends (alpha in `region`, n_tot in
-`curves`), which raise any error of its grid, so a sweep that fails on any
-cell writes nothing.  NumPy is
+`region` grid.  Each chunk is evaluated once, as it is written.  Before any
+command runs, one pass judges every numeric flag given by its domain row,
+naming the first outside it in the parser's order, then each sweep axis by
+its order (its end >= its start).  A limit joining several flags is left to
+the kernel: each sweep first evaluates the points at its axis ends (alpha in
+`region`, n_tot in `curves`), which raise any error of its grid, so a sweep
+that fails on any cell writes nothing.  NumPy is
 imported by `region` and `curves`, and with the oracle by `verify`; `bounds`
 runs the kernels on Python numbers and never loads it.
 """
@@ -108,7 +110,7 @@ def _emit_report(report: bounds.BoundReport, fmt: str, out: str | None) -> None:
 
 
 # What each `bounds` family reads besides --d, and the bound it reports from
-# those values: (family, flags, report).  --m is optional (default 1) and
+# those values: (family, flags by argparse dest, report).  --m is optional (default 1) and
 # comes last.  independent-ecs has two rows: it reads --n-tot when that is
 # given, --alpha otherwise.
 _FAMILIES = (
@@ -118,37 +120,53 @@ _FAMILIES = (
     ("ecs-at-b", ("alpha", "b", "m"), lambda d, a, b, m=1: bounds.qcrb_ecs_at_b(d, m, a * a, b)),
     ("noon-linear", ("N",), bounds.qcrb_noon_linear),
     ("noon-nonlinear", ("N",), bounds.qcrb_noon_nonlinear),
-    ("independent-ecs", ("n-tot",), bounds.independent_ecs_vs_ntot),
+    ("independent-ecs", ("n_tot",), bounds.independent_ecs_vs_ntot),
     ("independent-ecs", ("alpha",), lambda d, a: bounds.qcrb_independent_ecs(d, a * a)),
-    ("independent-noon", ("n-tot",), bounds.qcrb_independent_noon),
+    ("independent-noon", ("n_tot",), bounds.qcrb_independent_noon),
     ("zzb-ecs", ("alpha",), lambda d, a: bounds.zzb_ecs(d, a * a)),
     ("zzb-noon", ("N",), bounds.zzb_noon),
 )
 _FAMILY_NAMES = list(dict.fromkeys(fam for fam, _, _ in _FAMILIES))
 
 
-def _value(args: argparse.Namespace, flag: str):
-    return getattr(args, flag.replace("-", "_"))
+# The domain row each numeric flag reads, keyed by argparse dest: a dest that
+# names a row reads it, an axis end reads its axis's row, a step count the count row
+_ROWS = {"d": "d", "alpha": "alpha", "N": "N", "n_tot": "n_tot", "m": "m", "b": "b",
+         "d_min": "d", "d_max": "d", "d_steps": "count", "alpha_min": "alpha",
+         "alpha_max": "alpha", "alpha_steps": "count", "ntot_min": "N", "ntot_max": "N",
+         "points": "points", "seed": "seed"}
+# each sweep axis as its (low, high) ends
+_AXES = (("alpha_min", "alpha_max"), ("d_min", "d_max"), ("ntot_min", "ntot_max"))
 
 
-def _require(args: argparse.Namespace, flag: str, family: str) -> float:
-    value = _value(args, flag)
-    if value is None:
-        raise PhaseBoundsError(f"--{flag} is required for family {family}")
-    return value
+def _option(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
-def _flag(flag: str, row: str, value) -> None:
-    """Exit 2 unless domain row `row` accepts value: `--m must be a positive int <= 109,
-    got 110`.  An alpha is squared before use, so its square must lie in the alpha_sq
-    row too."""
-    try:
-        _domain.check(**{row: value})
-        if row == "alpha":
-            _domain.check(alpha_sq=value * value)
-    except ValueError:
-        rule = "> 0 with a finite, nonzero square" if row == "alpha" else _domain.rule(row)
-        raise PhaseBoundsError(f"{flag} must be {rule}, got {value!r}")
+def _numeric_flags(args: argparse.Namespace) -> dict:
+    """Every numeric flag given and its value, by dest, in the parser's order (argparse
+    sets each dest in the order its option was added), as `_naming` shows them."""
+    return {dest: v for dest, v in vars(args).items() if dest in _ROWS and v is not None}
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Exit 2 unless every numeric flag given lies in its domain row, naming the first
+    outside it: `--m must be a positive int <= 109, got 110`.  An alpha is squared
+    before use, so its square must lie in the alpha_sq row too.  Then each sweep axis
+    must end at or above its start."""
+    given = _numeric_flags(args)
+    for dest, value in given.items():
+        row = _ROWS[dest]
+        try:
+            _domain.check(**{row: value})
+            if row == "alpha":
+                _domain.check(alpha_sq=value * value)
+        except ValueError:
+            rule = "> 0 with a finite, nonzero square" if row == "alpha" else _domain.rule(row)
+            raise PhaseBoundsError(f"{_option(dest)} must be {rule}, got {value!r}")
+    for low, high in _AXES:
+        if low in given and given[high] < given[low]:
+            raise PhaseBoundsError(f"{_option(high)} must be >= {_option(low)}")
 
 
 @contextmanager
@@ -157,7 +175,7 @@ def _naming(given: dict) -> Iterator[None]:
     try:
         yield
     except Exception as exc:
-        shown = " ".join(f"--{flag} {value!r}" for flag, value in given.items())
+        shown = " ".join(f"{_option(flag)} {value!r}" for flag, value in given.items())
         raise PhaseBoundsError(f"{exc} (at {shown})") from exc
 
 
@@ -166,36 +184,35 @@ def _unread(flag: str, family: str, flags: Sequence[str]) -> PhaseBoundsError:
     readers = list(dict.fromkeys(fam for fam, read, _ in _FAMILIES if flag in read))
     if family in readers:
         return PhaseBoundsError(
-            f"--{flag} and --{flags[0]} are alternatives for family {family}; give one")
+            f"{_option(flag)} and {_option(flags[0])} are alternatives for family "
+            f"{family}; give one")
     *rest, last = readers
     names = f"families {', '.join(rest)} and {last}" if rest else f"family {last}"
-    return PhaseBoundsError(f"--{flag} applies to {names} only, not {family}")
+    return PhaseBoundsError(f"{_option(flag)} applies to {names} only, not {family}")
 
 
 def _bounds_report(args: argparse.Namespace) -> bounds.BoundReport:
-    """Check --d, --m and the family's flags, reject flags it does not read, then report;
-    a value that is not a positive finite double (0.0 where the bound underflows), or a
-    param that is not finite, exits 2, keeping the message of an overflow the package
-    named but not Python's bare arithmetic errors."""
+    """Require the family's flags, reject flags it does not read, then report; each
+    flag given is in its domain row already.  A value that is not a positive finite
+    double (0.0 where the bound underflows), or a param that is not finite, exits 2,
+    keeping the message of an overflow the package named but not Python's bare
+    arithmetic errors."""
     family = args.family
-    _flag("--d", "d", args.d)
-    if args.m is not None:
-        _flag("--m", "m", args.m)
     rows = [(flags, report) for fam, flags, report in _FAMILIES if fam == family]
-    row = next((row for row in rows if _value(args, row[0][0]) is not None), None)
+    row = next((row for row in rows if getattr(args, row[0][0]) is not None), None)
     if row is None:
-        needed = " or ".join(f"--{flags[0]}" for flags, _ in rows)
+        needed = " or ".join(_option(flags[0]) for flags, _ in rows)
         raise PhaseBoundsError(f"{needed} is required for family {family}")
     flags, report = row
     given = {"d": args.d}
     for flag in flags:
-        if flag != "m":
-            given[flag] = _require(args, flag, family)
-            _flag(f"--{flag}", flag.replace("-", "_"), given[flag])
-        elif args.m is not None:
-            given[flag] = args.m
-    for flag in ("m", "alpha", "N", "n-tot", "b"):
-        if flag not in flags and _value(args, flag) is not None:
+        value = getattr(args, flag)
+        if value is not None:
+            given[flag] = value
+        elif flag != "m":
+            raise PhaseBoundsError(f"{_option(flag)} is required for family {family}")
+    for flag in ("m", "alpha", "N", "n_tot", "b"):
+        if flag not in flags and getattr(args, flag) is not None:
             raise _unread(flag, family, flags)
     with _naming(given):
         try:
@@ -248,26 +265,8 @@ def _curves_chunks(d: int, axis) -> Iterator[tuple]:
                exact_mean)
 
 
-def _numeric_flags(args: argparse.Namespace) -> dict:
-    """Every numeric flag of a sweep and its value, as `_naming` shows them."""
-    return {k.replace("_", "-"): v for k, v in vars(args).items() if type(v) in (int, float)}
-
-
 def cmd_region(args: argparse.Namespace) -> int:
     import numpy as np
-
-    _flag("--m", "m", args.m)
-    _flag("--alpha-min", "alpha", args.alpha_min)
-    if not args.alpha_max >= args.alpha_min:
-        raise PhaseBoundsError("--alpha-max must be >= --alpha-min")
-    _flag("--alpha-max", "alpha", args.alpha_max)
-    _flag("--alpha-steps", "count", args.alpha_steps)
-    if args.d_steps is not None:
-        _flag("--d-steps", "count", args.d_steps)
-    _flag("--d-min", "d", args.d_min)
-    if args.d_max < args.d_min:
-        raise PhaseBoundsError("--d-max must be >= --d-min")
-    _flag("--d-max", "d", args.d_max)
 
     with _naming(_numeric_flags(args)):
         # the grid's size is checked before anything is allocated, and d is a
@@ -292,13 +291,6 @@ def cmd_region(args: argparse.Namespace) -> int:
 def cmd_curves(args: argparse.Namespace) -> int:
     import numpy as np
 
-    _flag("--d", "d", args.d)
-    _flag("--points", "points", args.points)
-    _flag("--ntot-min", "N", args.ntot_min)
-    if not args.ntot_max >= args.ntot_min:
-        raise PhaseBoundsError("--ntot-max must be >= --ntot-min")
-    _flag("--ntot-max", "N", args.ntot_max)
-
     with _naming(_numeric_flags(args)):
         axis = np.linspace(args.ntot_min, args.ntot_max, args.points)
         # as in region: a point raises by n_tot alone, a moment overflowing on
@@ -311,7 +303,6 @@ def cmd_curves(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
 
-    _flag("--seed", "seed", args.seed)
     results = verify.run_suite(args.suite, seed=args.seed)
     for result in results:
         print(result.line())
@@ -371,6 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (PhaseBoundsError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -217,10 +217,13 @@ class TestBoundsCommand:
         (("--family", "ecs-optimal", "--alpha", "2", "--n-tot", "4"),
          "--n-tot applies to families independent-ecs and independent-noon only, "
          "not ecs-optimal"),
-        # the flags the family reads are checked first
+        # every flag is judged by its row first, whether the family reads it or not
         (("--family", "noon-nonlinear", "--N", "0.5", "--b", "0.3"),
          "--N must be finite and >= 1, got 0.5"),
-    ], ids=["b", "alpha-with-n-tot", "alpha", "N", "n-tot", "read-flag-first"])
+        (("--family", "ecs-linear", "--alpha", "2", "--b", "-1"),
+         "--b must be finite and >= 0, got -1.0"),
+    ], ids=["b", "alpha-with-n-tot", "alpha", "N", "n-tot", "read-flag-first",
+            "unread-flag-row-first"])
     def test_flag_the_family_does_not_read(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "bounds", "--d", "3", *argv)
         assert code == 2 and out == ""
@@ -415,12 +418,16 @@ class TestRegionCommand:
         assert code == 2 and out == ""
         assert err == "error: --d-min must be a positive int <= 9007199254740992, got 0\n"
 
-    # a NaN end is not >= any, so the range check refuses it before its row
-    @pytest.mark.parametrize("alpha_min,alpha_max", [("3", "1"), ("0.01", "-1"), ("0.01", "nan")])
-    def test_rejects_descending_alpha_range(self, capsys, alpha_min, alpha_max):
+    # each end is judged by its row first, the order of the two ends after
+    @pytest.mark.parametrize("alpha_min,alpha_max,message", [
+        ("3", "1", "--alpha-max must be >= --alpha-min"),
+        ("0.01", "-1", "--alpha-max must be > 0 with a finite, nonzero square, got -1.0"),
+        ("0.01", "nan", "--alpha-max must be > 0 with a finite, nonzero square, got nan"),
+    ], ids=["3-1", "0.01--1", "0.01-nan"])
+    def test_rejects_descending_alpha_range(self, capsys, alpha_min, alpha_max, message):
         code, out, err = run_cli(capsys, "region", "--d-max", "2", "--alpha-min", alpha_min,
                                  "--alpha-max", alpha_max, "--alpha-steps", "3")
-        assert code == 2 and out == "" and err == "error: --alpha-max must be >= --alpha-min\n"
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
     def test_rejects_zero_m(self, capsys):
         code, out, err = run_cli(capsys, "region", "--m", "0")

@@ -1,6 +1,7 @@
 """The input-domain table: its checker, the largest generator order, and the
 CLI flags that read the same rows as the kernels."""
 
+import argparse
 import contextlib
 import io
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebounds import _domain, bounds, moments, states
+from phasebounds import _domain, bounds, cli, moments, states
 from phasebounds.errors import DegenerateInputError, NormalizationError
 from phasebounds.cli import main
 
@@ -162,8 +163,8 @@ def test_flag_accepts_what_its_kernel_row_accepts(flag, data):
 
 # Every range-checked flag: an argv it completes, the domain row it reads, and
 # values outside that row (its ends, NaN, the infinities and 10**400 among
-# them).  The argv's last token is `{flag}={value}`.  A --d-max below --d-min,
-# and a NaN --alpha-max or --ntot-max, is caught first by the range check.
+# them).  The argv's last token is `{flag}={value}`.  Each flag is judged by its
+# row before the order of an axis's two ends is checked.
 _D_BEYOND = 2 ** 53 + 1
 REJECTED = [
     ("bounds --family noon-linear --N 4", "--d", "d", [0, -3, _D_BEYOND, 10 ** 400]),
@@ -177,15 +178,15 @@ REJECTED = [
     ("bounds --family ecs-at-b --d 3 --alpha 2", "--b", "b", [-5e-324, math.nan, math.inf]),
     ("region", "--m", "m", [0, M_MAX + 1, 10 ** 400]),
     ("region", "--alpha-min", "alpha", [0.0, -1.0, 1e-170, math.nan, math.inf]),
-    ("region", "--alpha-max", "alpha", [1e200, math.inf]),
+    ("region", "--alpha-max", "alpha", [1e200, math.inf, math.nan, -1.0, 0.0]),
     ("region", "--d-min", "d", [0, -1, 10 ** 400]),
-    ("region", "--d-max", "d", [_D_BEYOND, 10 ** 400]),
+    ("region", "--d-max", "d", [_D_BEYOND, 10 ** 400, 0, -1]),
     ("region", "--d-steps", "count", [0, -10 ** 400]),
     ("region", "--alpha-steps", "count", [0, -1]),
     ("curves", "--d", "d", [0, 10 ** 400]),
     ("curves", "--points", "points", [1, 0, -10 ** 400, 10 ** 7 + 1, 10 ** 23]),
     ("curves", "--ntot-min", "N", [0.5, math.nan, math.inf, -math.inf]),
-    ("curves", "--ntot-max", "N", [math.inf]),
+    ("curves", "--ntot-max", "N", [math.inf, math.nan, 0.5]),
     ("verify --suite moments", "--seed", "seed", [-1, -10 ** 400]),
 ]
 
@@ -194,9 +195,29 @@ REJECTED = [
     pytest.param(argv, flag, row, value, id=f"{argv.split()[0]} {flag} {i}")
     for argv, flag, row, values in REJECTED for i, value in enumerate(values)])
 def test_rejected_flag_names_its_rule_and_value(argv, flag, row, value):
-    rule = "> 0 with a finite, nonzero square" if row == "alpha" else _domain.rule(row)
     code, out, err = run([*argv.split(), f"{flag}={value!r}"])
-    assert (code, out, err) == (2, "", f"error: {flag} must be {rule}, got {value!r}\n")
+    assert (code, out, err) == (2, "", _row_message(flag, row, value))
+
+
+def _row_message(flag, row, value) -> str:
+    rule = "> 0 with a finite, nonzero square" if row == "alpha" else _domain.rule(row)
+    return f"error: {flag} must be {rule}, got {value!r}\n"
+
+
+def _row_accepts(row, value) -> bool:
+    # an alpha is squared before use, so its square must lie in the alpha_sq row too
+    return _kernel_accepts(lambda x: _domain.check(**{row: x}), value) and (
+        row != "alpha" or _kernel_accepts(lambda a: _domain.check(alpha_sq=a * a), value))
+
+
+def test_every_numeric_flag_reads_a_domain_row():
+    # so that no int or float option skips the check of its row
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    numeric = {action.dest for command in commands.choices.values()
+               for action in command._actions if action.type in (int, float)}
+    assert numeric == set(cli._ROWS)
+    assert set(cli._ROWS.values()) <= set(_domain.DOMAIN)
 
 
 def test_points_row_admits_its_upper_end():
@@ -204,9 +225,10 @@ def test_points_row_admits_its_upper_end():
     _domain.check(points=10 ** 7)
 
 
-REGION_FLAGS = ("--m", "--d-min", "--d-max", "--d-steps", "--alpha-min", "--alpha-max",
-                "--alpha-steps")
-CURVES_FLAGS = ("--d", "--ntot-min", "--ntot-max", "--points")
+# each sweep flag and the domain row it reads, in the parser's order
+REGION_FLAGS = {"--m": "m", "--d-min": "d", "--d-max": "d", "--d-steps": "count",
+                "--alpha-min": "alpha", "--alpha-max": "alpha", "--alpha-steps": "count"}
+CURVES_FLAGS = {"--d": "d", "--ntot-min": "N", "--ntot-max": "N", "--points": "points"}
 
 
 @pytest.mark.parametrize("argv,shown", [
@@ -230,9 +252,8 @@ COUNT = st.integers(-1, 20) | st.sampled_from([10 ** 9, 10 ** 20, 10 ** 400])
 END = st.floats() | st.floats(0.01, 5.0) | st.sampled_from(FLOAT_EDGES)
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_every_accepted_sweep_argv_exits_0_or_2(data):
+def _sweep_argv(data) -> tuple:
+    """A drawn region or curves argv, and the flags of its command."""
     if data.draw(st.booleans(), "region"):
         flags = REGION_FLAGS
         argv = ["region", f"--d-max={data.draw(COUNT, 'd-max')}",
@@ -247,9 +268,32 @@ def test_every_accepted_sweep_argv_exits_0_or_2(data):
         if data.draw(st.booleans(), flag):
             argv.append(f"{flag}={data.draw(values, flag)!r}")
     argv += ["--format", data.draw(st.sampled_from(["csv", "json"]), "format")]
+    return argv, flags
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_accepted_sweep_argv_exits_0_or_2(data):
+    argv, flags = _sweep_argv(data)
     code, out, err = run(argv)
     assert code in (0, 2), (argv, err)
     if code == 2:
         assert out == "" and any(flag in err for flag in flags), (argv, err)
     else:
         assert err == "" and out, argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_first_flag_outside_its_row_is_named_before_any_axis_order(data):
+    argv, flags = _sweep_argv(data)
+    args = cli._build_parser().parse_args(argv)
+    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in flags}
+    outside = [flag for flag, value in values.items()
+               if value is not None and not _row_accepts(flags[flag], value)]
+    code, out, err = run(argv)
+    if outside:
+        first = outside[0]
+        assert (code, out, err) == (2, "", _row_message(first, flags[first], values[first])), argv
+    else:
+        assert "must be >= --" in err or not err.startswith("error: --"), (argv, err)

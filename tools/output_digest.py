@@ -68,6 +68,11 @@ EDGES = [
     # f(4) of alpha^2 = 1e100 at m = 2
     ["curves", "--d", "5", "--ntot-max", "1e100", "--points", "5"],
     ["region", "--m", "2", "--d-max", "2", "--alpha-max", "1e50", "--alpha-steps", "3"],
+    # a flag outside its row, named before any axis order or family rule
+    ["region", "--alpha-max", "nan"],
+    ["curves", "--ntot-max", "nan"],
+    ["region", "--d-max", "0"],
+    ["bounds", "--family", "ecs-linear", "--d", "3", "--alpha", "2", "--b", "-1"],
 ]
 
 
