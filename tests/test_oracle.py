@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from phasebounds import oracle, qfim, states, verify
-from phasebounds.errors import CutoffError, SizeLimitError
+from phasebounds.errors import CutoffError, DegenerateInputError, SizeLimitError
 from phasebounds.moments import coherent_number_moment
 
 from conftest import rel_frobenius
@@ -100,6 +101,12 @@ class TestPoissonTail:
             oracle.minimal_cutoff(99_990.0, 1e-14)
         with pytest.raises(CutoffError):
             oracle.minimal_cutoff(2e5, 1e-14)
+        for mu in (-1.0, math.nan, math.inf):
+            message = f"^alpha_sq must be finite and >= 0, got {re.escape(str(mu))}$"
+            with pytest.raises(DegenerateInputError, match=message):
+                oracle.minimal_cutoff(mu, 1e-14)
+            with pytest.raises(DegenerateInputError, match=message):
+                oracle.poisson_tail(5, mu)
 
 
 class TestBuildStates:
@@ -293,12 +300,15 @@ class TestFactorTables:
                  tuple(pools[k][rng.integers(3)] for k in range(num_modes)))
                 for _ in range(count)))
         bra, ket = generic(4), generic(5)
-        coeffs, table = oracle._overlap_tables(bra, ket)
+        weights = rng.normal(size=(2, levels))
+        coeffs, tables = oracle._overlap_tables(bra, ket, *weights)
         for s, (cs, fs) in enumerate(bra.terms):
             for t, (ct, ft) in enumerate(ket.terms):
                 assert coeffs[s, t] == pytest.approx(np.conj(cs) * ct, rel=1e-15)
-                ref = np.array([np.vdot(u.amplitudes, v.amplitudes) for u, v in zip(fs, ft)])
-                assert np.all(abs(table[:, s, t] - ref) <= 1e-15 * abs(ref).max())
+                for table, w in zip(tables, (np.ones(levels), *weights)):
+                    ref = np.array([np.vdot(u.amplitudes, w * v.amplitudes)
+                                    for u, v in zip(fs, ft)])
+                    assert np.all(abs(table[:, s, t] - ref) <= 1e-15 * abs(ref).max())
         # normalized, so that the pair moments are not swamped by the product of the means
         scale = abs(_loop_inner_product(ket, ket)) ** -0.5
         ket = oracle.SparseProductState(num_modes, tuple((scale * c, f) for c, f in ket.terms))
@@ -426,8 +436,12 @@ def _outer_reference_tensor(p, cutoff):
     return out
 
 
+def _dense_tensor(p, cutoff):
+    return np.array(list(oracle._dense_slabs(p, cutoff)))
+
+
 def _weighted_copy_reference_qfim(p, cutoff):
-    tensor = oracle.dense_tensor_state(p, cutoff)
+    tensor = _outer_reference_tensor(p, cutoff)
     levels = np.arange(cutoff + 1, dtype=float) ** p.m
     weighted = []
     for j in range(1, p.d + 1):
@@ -442,7 +456,7 @@ def _weighted_copy_reference_qfim(p, cutoff):
 class TestDenseTensor:
     def test_norm_matches_sparse(self):
         p = states.ecs_params(1, 1.0, 0.4)
-        tensor = oracle.dense_tensor_state(p, 8)
+        tensor = _dense_tensor(p, 8)
         sparse = oracle.build_state(p, 8)
         assert abs(np.vdot(tensor, tensor).real - oracle.norm_sq(sparse)) < 1e-12
 
@@ -455,7 +469,7 @@ class TestDenseTensor:
     def test_size_limit(self):
         p = states.ecs_params(5, 1.0, 0.2)
         with pytest.raises(SizeLimitError):
-            oracle.dense_tensor_state(p, 12)
+            oracle._dense_slabs(p, 12)
 
     def test_dense_qfim_size_limit_comes_first(self):
         # 2^61 amplitudes: the check must fire before any levels^d array is made
@@ -472,7 +486,7 @@ class TestDenseTensor:
         (states.ecs_params(19, 0.5, _weight(19, 1, 0.5), 1), 1),
     ], ids=["ecs-m1", "ecs-m2", "noon", "d60-cutoff0", "d19-cutoff1"])
     def test_tensor_equals_outer_product_reference(self, p, cutoff):
-        tensor = oracle.dense_tensor_state(p, cutoff)
+        tensor = _dense_tensor(p, cutoff)
         assert np.array_equal(tensor, _outer_reference_tensor(p, cutoff))
 
     @pytest.mark.parametrize("p,cutoff", [

@@ -22,7 +22,7 @@ def _argv(line: str) -> str:
 
 def test_output_bytes_equal_the_committed_digests():
     want = (ROOT / "tests" / "data" / "output_digests.txt").read_text().splitlines()
-    got = list(output_digest.digests(1, str(ROOT / "src")))
+    got = list(output_digest.digests(1))
     assert list(map(_argv, got)) == list(map(_argv, want))
     moved = [_argv(line) for line, pinned in zip(got, want) if line != pinned]
     assert not moved, ("output bytes moved for:\n  " + "\n  ".join(moved) +

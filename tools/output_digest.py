@@ -7,10 +7,9 @@ The argvs are the first 150 one-shot `bounds` ops and the first 12 sweep ops
 that perfbench/mix.py draws for SEED, then a fixed list of edge cases.  Each
 runs through `phasebounds.cli.main` from SRC (default: this tree's src/) in
 this process, with stdout and stderr captured, so two trees' outputs compare
-with one diff of this script's output.  An argv that leaves `main` other than
-by its return (argparse's exit, an uncaught exception) or that warns runs
-again as `python -m phasebounds.cli` in a fresh process: those bytes come
-from the interpreter, and a warning prints once per process.
+with one diff of this script's output.  argparse's exit is digested with its
+code; a warning or any other exception stops the script, since the CLI lets
+neither reach its user.
 
 tests/data/output_digests.txt holds seed 1's digests, and a test replays
 them; a change that moves output bytes regenerates it with
@@ -23,7 +22,6 @@ import hashlib
 import io
 import itertools
 import os
-import subprocess
 import sys
 import tempfile
 import warnings
@@ -83,43 +81,35 @@ def argvs(seed: int, out: str) -> list:
             *EDGES]
 
 
-def _unlink(path: str) -> None:
-    with contextlib.suppress(FileNotFoundError):
-        os.unlink(path)
-
-
-def _run(argv: list, src: str, out: str) -> tuple:
-    """(exit code, stdout, stderr) of the CLI on argv, as bytes; a fresh process
-    starts with no file at out."""
+def _run(argv: list) -> tuple:
+    """(exit code, stdout, stderr) of the CLI on argv, as bytes."""
     from phasebounds import cli
 
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
-        with warnings.catch_warnings(record=True) as warned, \
+        with warnings.catch_warnings(), \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("always")
-            code = cli.main(argv)
-        if not warned:
-            return code, stdout.getvalue().encode(), stderr.getvalue().encode()
-    except (SystemExit, Exception):
-        pass
-    _unlink(out)
-    run = subprocess.run([sys.executable, "-m", "phasebounds.cli", *argv],
-                         capture_output=True, env=dict(os.environ, PYTHONPATH=src))
-    return run.returncode, run.stdout, run.stderr
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exited:
+                code = exited.code
+    except Exception as exc:
+        raise RuntimeError(f"the CLI raised or warned on {argv}") from exc
+    return code, stdout.getvalue().encode(), stderr.getvalue().encode()
 
 
-def digests(seed: int, src: str):
+def digests(seed: int):
     """One `digest argv` line per argv, the output path shown as OUT."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         for argv in argvs(seed, out):
-            result = _run(argv, src, out)
+            result = _run(argv)
             written = None
             if os.path.exists(out):
                 with open(out, "rb") as fh:
                     written = fh.read()
-                _unlink(out)
+                os.unlink(out)
             digest = hashlib.sha256(repr((*result, written)).encode()).hexdigest()
             yield " ".join([digest, *("OUT" if a == out else a for a in argv)])
 
@@ -128,7 +118,7 @@ def main() -> None:
     seed = int(sys.argv[1])
     src = os.path.abspath(sys.argv[2] if len(sys.argv) > 2 else os.path.join(ROOT, "src"))
     sys.path.insert(0, src)
-    for line in digests(seed, src):
+    for line in digests(seed):
         print(line, flush=True)
 
 
