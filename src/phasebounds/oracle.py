@@ -6,7 +6,9 @@ amplitude vector.  Every expectation then reduces to a double sum over term
 pairs of per-mode overlap products, so the only approximation anywhere is
 the photon-number cutoff.  Truncated coherent vectors are deliberately NOT
 renormalized; the discarded Poisson tail mass is recorded so that any
-discrepancy stays attributable to the truncation.
+discrepancy stays attributable to the truncation.  Amplitudes, tails and
+cutoffs all come from one Poisson walk from the mode, normalized by its own
+sum, so no e^{-|alpha|^2} is formed: the oracle reaches |alpha|^2 <= 1e5.
 
 Mode 0 is the reference beam; modes 1..d carry the phases, imprinted by the
 diagonal generators (a^dag a)^m.  Probes are valid by construction (see
@@ -63,10 +65,9 @@ __all__ = [
 
 DENSE_SIZE_LIMIT = 2_000_000
 DEFAULT_TAIL_TOL = 1e-14
-# Poisson tail sums stop once everything left is below this fraction of a
-# reference (the largest term, or the tail tolerance); one unit of roundoff.
+# the Poisson walk stops once the rest is below this fraction of its reference
 _TAIL_EPS = 2.0 ** -53
-_MAX_CUTOFF = 100_000
+_MAX_CUTOFF = 100_000  # the oracle's reach, in mu and in cutoff
 
 
 class ModeVector(Record):
@@ -101,54 +102,44 @@ class SparseProductState(Record):
         return self.terms[0][1][0].cutoff
 
 
-def _poisson_pmf(n: int, mu: float) -> float:
-    """exp(-mu) mu^n / n!, formed in log space: exp(-mu) alone underflows past mu ~ 745."""
-    return math.exp(n * math.log(mu) - mu - math.lgamma(n + 1))
+def _poisson_terms(mu: float, through: int, tol: float = math.inf) -> tuple[int, list[float]]:
+    """P(X = n) for X ~ Poisson(mu), n = first, first + 1, ...: ``(first, terms)``.
 
-
-def _upper_tail_sums(start: int, mu: float, floor: float) -> list[float]:
-    """P(X >= n) for n = start, start + 1, ... for X ~ Poisson(mu), start > mu.
-
-    Walks pmf(n) upward from pmf(start).  Beyond n each term ratio is at most
-    r = mu / (n + 1) < 1, so the rest is at most pmf(n) r / (1 - r) (the
-    geometric-tail bound of ``moments.moment_via_poisson_sum``); the walk
-    stops once that is <= floor.  The suffix sums are accumulated from the
-    smallest term upward, so no tail is formed as a difference.
+    The mode int(mu) gets the weight 1, the weights below it follow by n / mu
+    and those above by mu / n, and all are divided by their fsum (Fox and
+    Glynn, Comm. ACM 31(4), 1988): no exp(-mu) or n log mu is formed.  Past
+    the mode each ratio r is < 1, so the rest is at most term r / (1 - r).
+    Down, the walk stops once that is below 2^-53 of the mode's weight; up,
+    once at ``through`` or past it and below 2^-53 min(tol, P(X = max(through,
+    mode))), or once a term underflows.
     """
-    term = _poisson_pmf(start, mu)
-    terms = [term]
-    n = start
-    while term * mu > floor * (n + 1 - mu):
+    check(mu=mu)
+    if mu > _MAX_CUTOFF:
+        raise CutoffError(f"mu={mu} lies beyond the oracle's reach mu <= {_MAX_CUTOFF}")
+    mode = n = int(mu)
+    term, terms = 1.0, [1.0]
+    while n > 0 and term * n > _TAIL_EPS * (mu - n):
+        term *= n / mu
+        n -= 1
+        terms.append(term)
+    first, total = n, sum(terms)
+    terms.reverse()
+    n, term, ref = mode, 1.0, 1.0
+    while term > 0.0 and (n < through
+                          or term * mu > _TAIL_EPS * min(tol * total, ref) * (n + 1 - mu)):
         n += 1
         term *= mu / n
         terms.append(term)
-    return list(accumulate(reversed(terms)))[::-1]
+        total += term
+        ref = term if n == through else ref
+    total = math.fsum(terms)
+    return first, [t / total for t in terms]
 
 
 def poisson_tail(cutoff: int, mu: float) -> float:
-    """P(X > cutoff) for X ~ Poisson(mu), by direct summation.
-
-    Above the mean the sum starts at pmf(cutoff + 1).  A cutoff below the
-    mean starts at the mode instead, where the pmf cannot underflow, and
-    also walks down to cutoff + 1 until the rest is below rounding (the
-    downward term ratio n / mu is < 1 there).
-    """
-    check(mu=mu)
-    if mu == 0.0:
-        return 0.0
-    start = max(cutoff + 1, int(mu) + 1)
-    upper = _upper_tail_sums(start, mu, _TAIL_EPS * _poisson_pmf(start, mu))[0]
-    n = start - 1
-    if n <= cutoff:
-        return upper
-    term = _poisson_pmf(n, mu)
-    floor = _TAIL_EPS * term
-    lower = [term]
-    while n > cutoff + 1 and term * n > floor * (mu - n):
-        term *= n / mu
-        n -= 1
-        lower.append(term)
-    return math.fsum(lower + [upper])
+    """P(X > cutoff) for X ~ Poisson(mu): the fsum of the walk above the cutoff."""
+    first, terms = _poisson_terms(mu, cutoff + 1)
+    return math.fsum(terms[max(cutoff + 1 - first, 0):])
 
 
 def minimal_cutoff(mu: float, tail_tol: float) -> int:
@@ -159,45 +150,39 @@ def minimal_cutoff(mu: float, tail_tol: float) -> int:
     """
     if not tail_tol > 0.0:
         raise ValueError(f"tail_tol must be > 0, got {tail_tol}")
-    check(mu=mu)
-    c = max(int(mu), 0)
-    if mu == 0.0:
-        return c
-    if c <= _MAX_CUTOFF:
-        for tail in _upper_tail_sums(c + 1, mu, _TAIL_EPS * tail_tol):
-            if tail < tail_tol:
-                return c
-            c += 1
-            if c > _MAX_CUTOFF:
-                break
-        else:
-            return c
-    raise CutoffError(f"no cutoff below {_MAX_CUTOFF} reaches tail {tail_tol} for mu={mu}")
+    first, terms = _poisson_terms(mu, 0, tail_tol)
+    # P(X > n) for n from the walk's last index down to int(mu); they rise
+    tails = accumulate(reversed(terms[int(mu) + 1 - first:]))
+    c = int(mu) + sum(tail >= tail_tol for tail in tails)
+    if c > _MAX_CUTOFF:
+        raise CutoffError(f"no cutoff below {_MAX_CUTOFF} reaches tail {tail_tol} for mu={mu}")
+    return c
 
 
 def truncated_coherent(alpha: complex, cutoff: int,
                        tail_tol: float | None = None) -> ModeVector:
     """Coherent amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) up to the cutoff.
 
-    The vector is not renormalized; its squared norm is 1 minus the recorded
-    Poisson tail mass.  If ``tail_tol`` is given and the cutoff cannot meet
-    it, the error message names the smallest sufficient cutoff.
+    Each is sqrt(P(X = n)) from the Poisson walk times the phase of alpha^n,
+    0 where the walk stops.  The vector is not renormalized; its squared norm
+    is 1 minus the recorded Poisson tail mass.  If ``tail_tol`` is given and
+    the cutoff cannot meet it, the error message names the smallest
+    sufficient cutoff.
     """
     if cutoff < 0:
         raise CutoffError(f"cutoff must be >= 0, got {cutoff}")
     mu = abs(alpha) ** 2
-    if mu > 1400.0:
-        raise OverflowError(f"e^(-mu/2) underflows for |alpha|^2 = {mu}")
-    tail = poisson_tail(cutoff, mu)
+    first, terms = _poisson_terms(mu, cutoff + 1)
+    held = max(cutoff + 1 - first, 0)
+    tail = math.fsum(terms[held:])
     if tail_tol is not None and tail >= tail_tol:
         raise CutoffError(
             f"cutoff {cutoff} leaves tail mass {tail:.3e} >= {tail_tol:g} at "
             f"|alpha|^2={mu:g}; minimal sufficient cutoff is {minimal_cutoff(mu, tail_tol)}")
-    amps = np.empty(cutoff + 1, dtype=complex)
-    amps[0] = math.exp(-mu / 2.0)
-    for n in range(1, cutoff + 1):
-        amps[n] = amps[n - 1] * alpha / math.sqrt(n)
-    return ModeVector(amplitudes=amps, tail_mass=tail)
+    amps = np.zeros(cutoff + 1)
+    amps[first:first + len(terms)] = np.sqrt(terms[:held])  # both end at the cutoff or walk's end
+    phases = np.exp(1j * np.angle(alpha) * np.arange(cutoff + 1))
+    return ModeVector(amplitudes=amps * phases, tail_mass=tail)
 
 
 def build_state(p: EcsParams | NoonParams, cutoff: int | None = None,

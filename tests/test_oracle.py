@@ -5,7 +5,9 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 from functools import reduce
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,17 @@ from phasebounds.errors import CutoffError, DegenerateInputError, SizeLimitError
 from phasebounds.moments import coherent_number_moment
 
 from conftest import rel_frobenius
+
+
+def decimal_tails(mu: float) -> list[Decimal]:
+    """P(X >= k) for X ~ Poisson(mu) at 60 digits, from terms built one by one from k = 0."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        m = Decimal(mu)
+        pmf = [(-m).exp()]
+        while len(pmf) <= mu or pmf[-1] >= Decimal("1e-330"):
+            pmf.append(pmf[-1] * m / len(pmf))
+        return list(accumulate(reversed(pmf)))[::-1]
 
 
 class TestTruncatedCoherent:
@@ -31,11 +44,16 @@ class TestTruncatedCoherent:
         assert norm_sq == pytest.approx(1.0 - mode.tail_mass, abs=1e-15)
 
     def test_amplitude_formula(self):
-        alpha = 1.3
-        mode = oracle.truncated_coherent(alpha, 12)
-        for n in (0, 3, 7):
-            expected = math.exp(-alpha ** 2 / 2) * alpha ** n / math.sqrt(math.factorial(n))
-            assert mode.amplitudes[n] == pytest.approx(expected, rel=1e-13)
+        # e^{-alpha^2/2} alone underflows at alpha = 101; the walk from the mode does not
+        for alpha, cutoff, levels in [(1.3, 12, (0, 3, 7)),
+                                      (101.0, 10_400, (10_101, 10_201, 10_301))]:
+            mode = oracle.truncated_coherent(alpha, cutoff)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                a = Decimal(alpha)
+                for n in levels:
+                    expected = (-a * a / 2).exp() * a ** n / Decimal(math.factorial(n)).sqrt()
+                    assert mode.amplitudes[n] == pytest.approx(float(expected), rel=1e-13), n
 
     def test_complex_amplitude(self):
         mode = oracle.truncated_coherent(0.4 + 0.9j, 18)
@@ -73,10 +91,21 @@ class TestPoissonTail:
             checked += 1
         assert checked >= 5
 
+    @pytest.mark.parametrize("mu", [4.0, 100.0, 1400.0, 1e4])
+    def test_matches_decimal_sum(self, mu):
+        tails = decimal_tails(mu)  # tails[c + 1] = P(X > c)
+        last = next(c for c in range(len(tails)) if tails[c + 1] < Decimal("1e-300"))
+        cutoffs = sorted({int(c) for c in np.linspace(0, last - 1, 120)})
+        worst = max(abs(Decimal(oracle.poisson_tail(c, mu)) - tails[c + 1]) / tails[c + 1]
+                    for c in cutoffs)
+        assert worst <= Decimal("1e-13"), (mu, worst)
+
     def test_cutoff_far_below_mean(self):
         # exp(-mu) mu^(cutoff+1) / (cutoff+1)! underflows here; the tail is ~1
         assert oracle.poisson_tail(10, 900.0) == pytest.approx(1.0, rel=1e-10)
         assert oracle.poisson_tail(-1, 3.0) == pytest.approx(1.0, rel=1e-15)
+        for mu in (100.0, 1e4, 9e4):
+            assert abs(oracle.poisson_tail(0, mu) - 1.0) <= 2.0 ** -52, mu
 
     def test_zero_mean(self):
         assert oracle.poisson_tail(0, 0.0) == 0.0
@@ -101,6 +130,11 @@ class TestPoissonTail:
             oracle.minimal_cutoff(99_990.0, 1e-14)
         with pytest.raises(CutoffError):
             oracle.minimal_cutoff(2e5, 1e-14)
+        # beyond the reach every Poisson quantity refuses before it walks
+        with pytest.raises(CutoffError, match="reach"):
+            oracle.poisson_tail(5, 1e10)
+        with pytest.raises(CutoffError, match="reach"):
+            oracle.truncated_coherent(math.sqrt(2e5), 10)
         for mu in (-1.0, math.nan, math.inf):
             message = f"^alpha_sq must be finite and >= 0, got {re.escape(str(mu))}$"
             with pytest.raises(DegenerateInputError, match=message):
@@ -214,6 +248,12 @@ class TestNumericalQfim:
         p = states.ecs_params(3, 4.0, 0.35, m=2)
         assert rel_frobenius(oracle.numerical_qfim(p),
                              qfim.to_dense(qfim.ecs_qfim(p))) < 1e-8
+
+    @pytest.mark.parametrize("alpha_sq", [1400.0, 1e4])
+    def test_matches_analytic_where_exp_underflows(self, alpha_sq):
+        p = states.ecs_params(2, alpha_sq, 0.15)
+        assert rel_frobenius(oracle.numerical_qfim(p),
+                             qfim.to_dense(qfim.ecs_qfim(p))) < 1e-13
 
 
 class TestDerivativePath:
