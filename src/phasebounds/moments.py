@@ -8,8 +8,8 @@ polynomial) whose coefficients are Stirling numbers of the second kind:
 
     f(m) = sum_{k=0}^{m} S(m, k) mu^k
 
-The closed form is exact for any order; :func:`moment_via_poisson_sum`
-evaluates the defining series directly and serves as an independent check.
+``verify`` checks it against sums over the oracle's Poisson walk, which
+form no Stirling number.
 """
 
 from __future__ import annotations
@@ -24,13 +24,9 @@ from .errors import DegenerateInputError, DoubleOverflowError
 __all__ = [
     "stirling2",
     "coherent_number_moment",
-    "moment_via_poisson_sum",
     "coherent_moments",
     "noon_moments",
 ]
-
-# exp(-mu) underflows past this point and the series would silently lose all mass
-_EXP_UNDERFLOW_MU = 700.0
 
 
 @lru_cache(maxsize=None)
@@ -94,36 +90,6 @@ def coherent_number_moment(m: int, mu):
         raise DoubleOverflowError(
             f"coherent_number_moment overflows for m={m}, mu={first_failing(mu, ok)}")
     return scalar(total)
-
-
-def moment_via_poisson_sum(m: int, mu: float, tail_tol: float) -> float:
-    """Evaluate ``<n^m>`` by direct summation of the Poisson series.
-
-    Independent of the Stirling closed form: sums ``exp(-mu) mu^n / n! * n^m``
-    term by term and stops once the remaining tail is provably below
-    ``tail_tol``.
-
-    Stopping rule: once ``n >= 2m`` and ``n + 1 >= 2 sqrt(e) mu`` the term
-    ratio ``mu/(n+1) (1 + 1/n)^m`` is at most 1/2, so the tail beyond the
-    current term is bounded by the term itself via the geometric series.
-    """
-    check(order=m, mu=mu)
-    if not tail_tol > 0.0:
-        raise ValueError(f"tail_tol must be > 0, got {tail_tol}")
-    if mu > _EXP_UNDERFLOW_MU:
-        raise OverflowError(
-            f"exp(-mu) underflows for mu={mu}; direct summation is not representable")
-    n_geometric = max(2 * m, math.ceil(2.0 * math.sqrt(math.e) * mu))
-    pmf = math.exp(-mu)
-    total = 0.0
-    n = 0
-    while True:
-        term = pmf * float(n) ** m
-        total += term
-        if n >= n_geometric and term <= tail_tol:
-            return total
-        pmf *= mu / (n + 1)
-        n += 1
 
 
 def coherent_moments(m: int, mu):

@@ -1,11 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasebounds import moments
-from phasebounds.errors import DegenerateInputError
+from phasebounds import moments, oracle
+from phasebounds.errors import CutoffError, DegenerateInputError
 
 
 def count_set_partitions(m: int, k: int) -> int:
@@ -88,31 +89,39 @@ class TestClosedForm:
             moments.coherent_number_moment(2.0, 1.0)
 
 
+def decimal_moment(m: int, mu: float) -> Decimal:
+    """sum_k S(m, k) mu^k in 60 digits, from the exact Stirling row."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(mu)
+        return sum(moments.stirling2(m, k) * x ** k for k in range(m + 1))
+
+
 class TestPoissonSum:
+    """The reference the Stirling form is checked against: oracle.poisson_moments."""
+
     def test_fixed_values(self):
-        assert moments.moment_via_poisson_sum(1, 1.0, 1e-12) == pytest.approx(1.0, abs=2e-12)
-        assert moments.moment_via_poisson_sum(0, 0.0, 1e-12) == 1.0
-        assert moments.moment_via_poisson_sum(4, 4.0, 1e-10) == pytest.approx(756.0, abs=1e-9)
+        assert oracle.poisson_moments(0.0, 2) == [1.0, 0.0, 0.0]
+        assert oracle.poisson_moments(1.0, 1)[1] == pytest.approx(1.0, rel=1e-15)
+        assert oracle.poisson_moments(4.0, 4)[4] == pytest.approx(756.0, rel=1e-15)
 
     def test_agrees_with_closed_form_on_grid(self):
-        for m in range(0, 13):
-            for mu in (0.1, 0.5, 1.0, 2.0, 4.0, 9.0, 16.0):
-                closed = moments.coherent_number_moment(m, mu)
-                scale = max(1.0, closed)
-                series = moments.moment_via_poisson_sum(m, mu, tail_tol=1e-12 * scale)
-                assert abs(closed - series) / scale < 1e-10
-
-    def test_tail_tolerance_is_respected(self):
-        closed = moments.coherent_number_moment(3, 2.0)
-        for tol in (1e-4, 1e-8, 1e-12):
-            series = moments.moment_via_poisson_sum(3, 2.0, tol)
-            assert abs(series - closed) <= tol + 1e-12 * closed
+        # 701 and above: past where a series from exp(-mu) underflows
+        for mu in (0.1, 16.0, 701.0, 1e4, 9e4):
+            series = oracle.poisson_moments(mu, 12)
+            assert len(series) == 13
+            for m, value in enumerate(series):
+                exact = decimal_moment(m, mu)
+                assert abs(Decimal(value) - exact) <= Decimal("1e-14") * max(exact, 1), (m, mu)
 
     def test_argument_validation(self):
+        for mu in (-0.5, math.nan, math.inf):
+            with pytest.raises(DegenerateInputError):
+                oracle.poisson_moments(mu, 2)
+        with pytest.raises(CutoffError):
+            oracle.poisson_moments(1.5e5, 2)
         with pytest.raises(ValueError):
-            moments.moment_via_poisson_sum(2, 1.0, 0.0)
-        with pytest.raises(OverflowError):
-            moments.moment_via_poisson_sum(2, 800.0, 1e-10)
+            oracle.poisson_moments(1.0, -1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -127,13 +136,11 @@ def test_jensen_inequality_strict(m, mu):
 
 @settings(max_examples=100, deadline=None)
 @given(m=st.integers(min_value=0, max_value=8),
-       mu=st.floats(min_value=0.0, max_value=30.0),
-       tol_exp=st.integers(min_value=4, max_value=12))
-def test_poisson_sum_tracks_closed_form(m, mu, tol_exp):
+       mu=st.floats(min_value=0.0, max_value=30.0))
+def test_poisson_sum_tracks_closed_form(m, mu):
     closed = moments.coherent_number_moment(m, mu)
-    tol = 10.0 ** (-tol_exp) * max(1.0, closed)
-    series = moments.moment_via_poisson_sum(m, mu, tol)
-    assert abs(series - closed) <= tol + 1e-11 * max(1.0, closed)
+    series = oracle.poisson_moments(mu, m)[m]
+    assert abs(series - closed) <= 1e-11 * max(1.0, closed)
 
 
 def test_second_moment_ratio():

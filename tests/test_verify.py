@@ -138,6 +138,8 @@ DRAWS = verify.optimizer_draws(np.random.default_rng(0))
 # (1e-12 up by decades, then 2e-7, 3e-7) that breaks a draw's shape.
 SUITE_MUTANTS = [
     (moments, "coherent_number_moment", lambda f: f * (1.0 + 2e-10), verify.closed_vs_poisson),
+    (oracle, "poisson_moments", lambda fs: [f * (1.0 + 2e-10) for f in fs],
+     verify.closed_vs_poisson),
     (moments, "coherent_number_moment", lambda f: f * (1.0 + 2e-14), verify.printed_polynomials),
     (moments, "stirling2", lambda s: s + 1, verify.printed_coefficients),
     (bounds, "minimize_bound_over_b", _report(lambda v: v * (1.0 + 2e-3)),
