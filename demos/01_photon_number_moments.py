@@ -5,7 +5,8 @@ mean photon number mu whose coefficients are Stirling numbers of the second
 kind.  This script tabulates the closed form against sums of n^m P(X = n)
 over the oracle's Poisson walk from the mode (which forms no Stirling number
 and no exp(-mu), so it reaches mu = 1e4), and shows the ratio
-g = f(2m)/f(m)^2 that controls where the optimal probe weight sits.
+g = f(2m)/f(m)^2 that controls where the optimal probe weight sits: the
+second entry of the pair (f(2m), g) that ``coherent_moments`` returns.
 """
 
 
@@ -30,5 +31,5 @@ for mu in (0.5, 2.0, 9.0, 1e4):
 
 print("\nmoment ratio g = f(2m)/f(m)^2  (tends to 1 as mu grows):")
 for m in (1, 2):
-    row = [f"{coherent_moments(m, mu)[2]:8.5f}" for mu in (0.25, 1.0, 4.0, 16.0, 100.0)]
+    row = [f"{coherent_moments(m, mu)[1]:8.5f}" for mu in (0.25, 1.0, 4.0, 16.0, 100.0)]
     print(f"  m={m}: ", "  ".join(row))

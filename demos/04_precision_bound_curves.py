@@ -5,7 +5,7 @@ subcommand and prints the landmarks: the coherent probe's linear bound sits
 below the NOON linear bound everywhere, approaches it at large budgets, and
 even undercuts the NOON *nonlinear* bound below n_tot = (1 + sqrt 5)/2.
 Every column is one expression, d (sqrt d + 1)^2 / (4 g f(2m)), at the
-coherent moments or at NOON's (N^m, N^{2m}, 1).  It is the interior
+coherent moment pair (f(2m), g) or at NOON's (N^{2m}, 1).  It is the interior
 optimum; at small budgets the coherent optimum clamps, as the end shows.
 """
 

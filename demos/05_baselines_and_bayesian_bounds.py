@@ -9,10 +9,7 @@ ahead of the NOON probe at matched photon numbers.
 
 
 from phasebounds import (
-    independent_ecs_total_photons,
     independent_ecs_vs_ntot,
-    qcrb_ecs_linear,
-    qcrb_independent_ecs,
     qcrb_independent_noon,
     zzb_ecs,
     zzb_noon,
@@ -31,8 +28,6 @@ print("\nO(d) advantage of simultaneous estimation (per-probe alpha_sq = 100,")
 print("simultaneous probe granted the same total budget):")
 c, residual, ratios = o_of_d_advantage_fit()
 for d, ratio in zip((4, 8, 16, 32, 64), ratios):
-    ind = qcrb_independent_ecs(d, 100.0).value
-    sim = qcrb_ecs_linear(d, independent_ecs_total_photons(d, 100.0)).value
     print(f"  d = {d:2d}: independent/simultaneous = {ratio:8.2f}   (fit {c:.3f} * d)")
 print(f"  one-parameter fit residual: {residual:.2%}")
 

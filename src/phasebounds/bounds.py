@@ -9,8 +9,9 @@ headline form, and Clamped, where normalizability caps the weight at
 b^2 = Gamma and the general trace expression is evaluated there.
 
 The headline form is one expression, ``_headline``: d (sqrt d + 1)^2 / (4 g f(2m)),
-at the coherent moments (m = 1: d (sqrt d + 1)^2 / (4 (1 + alpha_sq)^2)) or
-at NOON's (N^m, N^{2m}, 1).  Every headline value and report calls it.
+at the coherent moment pair (f(2m), g) (m = 1: d (sqrt d + 1)^2 / (4 (1 + alpha_sq)^2))
+or at NOON's pair (N^{2m}, 1).  Every headline value and report calls it.
+A report's kind is the name of the CLI family that prints it ("ecs-linear", ...).
 Plus independent-estimation baselines and Bayesian (Ziv-Zakai) bounds for
 phases drawn from a wide uniform prior.
 
@@ -33,7 +34,6 @@ from .qfim import trace_inverse_bound, trace_inverse_value
 from .states import domain_geometry, ecs_params
 
 __all__ = [
-    "BoundKind",
     "Regime",
     "BoundReport",
     "ZIV_ZAKAI_LAMBDA",
@@ -63,19 +63,6 @@ ZIV_ZAKAI_LAMBDA = 0.7246
 _SCAN_POINTS = 10_000
 
 
-class BoundKind(str, Enum):
-    ECS_LINEAR = "ecs-linear"
-    ECS_NONLINEAR = "ecs-nonlinear"
-    NOON_LINEAR = "noon-linear"
-    NOON_NONLINEAR = "noon-nonlinear"
-    INDEPENDENT_ECS = "independent-ecs"
-    INDEPENDENT_NOON = "independent-noon"
-    ZIV_ZAKAI_ECS = "zzb-ecs"
-    ZIV_ZAKAI_NOON = "zzb-noon"
-    GENERAL_ECS_AT_B = "ecs-at-b"
-    ECS_OPTIMAL = "ecs-optimal"
-
-
 class Regime(str, Enum):
     INTERIOR = "interior"
     CLAMPED = "clamped"
@@ -83,11 +70,11 @@ class Regime(str, Enum):
 
 
 class BoundReport(Record):
-    """A named bound value with the regime it was obtained in and its inputs."""
+    """A bound value with its family name, the regime it was obtained in and its inputs."""
 
     __slots__ = ("value", "kind", "regime", "params")
 
-    def __init__(self, value: float, kind: BoundKind, regime: Regime,
+    def __init__(self, value: float, kind: str, regime: Regime,
                  params: Mapping[str, float]) -> None:
         set_field(self, "value", value)
         set_field(self, "kind", kind)
@@ -97,16 +84,12 @@ class BoundReport(Record):
 
 def _headline(d, moments):
     """The interior optimum d (sqrt d + 1)^2 / (4 g f(2m)): Tr(F^{-1}) at b_star."""
-    _, f_2m, g = moments
+    f_2m, g = moments
     return scalar(d * libm(pow, sqrt(d) + 1.0, 2) / 4.0 / (g * f_2m))
 
 
-def _ecs_kind(m: int) -> BoundKind:
-    if m == 1:
-        return BoundKind.ECS_LINEAR
-    if m == 2:
-        return BoundKind.ECS_NONLINEAR
-    return BoundKind.ECS_OPTIMAL
+def _ecs_kind(m: int) -> str:
+    return {1: "ecs-linear", 2: "ecs-nonlinear"}.get(m, "ecs-optimal")
 
 
 def ecs_linear_value(d, alpha_sq):
@@ -137,7 +120,7 @@ def _power_scaled(value_at, x, p: int):
 
 
 def _noon_value(d, m: int, photon_number):
-    """The headline value at NOON's moments (N^m, N^{2m}, 1), power-scaled in N^{2m}."""
+    """The headline value at NOON's moment pair (N^{2m}, 1), power-scaled in N^{2m}."""
     check(d=d, N=photon_number)
     return _power_scaled(lambda n: _headline(d, noon_moments(m, n)), photon_number, 2 * m)
 
@@ -155,7 +138,7 @@ def minimize_bound_over_b(d: int, m: int, alpha_sq: float) -> BoundReport:
 
     Interior regime (b_star^2 <= Gamma): the headline value at b = b_star.
     Otherwise the minimum sits at the cap, b^2 = Gamma, where
-    qfim.trace_inverse_value is evaluated on the moments domain_geometry
+    qfim.trace_inverse_value is evaluated on the moment pair domain_geometry
     formed.  Clamping implies g > Gamma (d + sqrt d), so that value's
     b^2 < g/d guard never fires here.
     """
@@ -163,7 +146,7 @@ def minimize_bound_over_b(d: int, m: int, alpha_sq: float) -> BoundReport:
     params = {"d": d, "m": m, "alpha_sq": alpha_sq, "b_star": geom.b_star,
               "gamma_cap": geom.gamma_cap, "g": geom.g}
     if geom.interior:
-        return BoundReport(value=_headline(d, (geom.f_m, geom.f_2m, geom.g)),
+        return BoundReport(value=_headline(d, (geom.f_2m, geom.g)),
                            kind=_ecs_kind(m), regime=Regime.INTERIOR,
                            params={**params, "b_sq_used": geom.b_star ** 2})
     value = trace_inverse_value(d, geom.f_2m, geom.g, geom.gamma_cap)
@@ -202,21 +185,21 @@ def _checked_ecs(d: int, m: int, alpha_sq: float) -> BoundReport:
 def qcrb_ecs_at_b(d: int, m: int, alpha_sq: float, b: float) -> BoundReport:
     """The coherent-probe bound Tr(F^-1) at a given weight b, not optimized over b."""
     return BoundReport(value=trace_inverse_bound(ecs_params(d, alpha_sq, b, m)),
-                       kind=BoundKind.GENERAL_ECS_AT_B, regime=Regime.NOT_APPLICABLE,
+                       kind="ecs-at-b", regime=Regime.NOT_APPLICABLE,
                        params={"d": d, "m": m, "alpha_sq": alpha_sq, "b": b})
 
 
 def qcrb_noon_linear(d: int, photon_number: float) -> BoundReport:
     """NOON-probe optimum for m = 1, at the optimal b = 1/sqrt(d + sqrt d)."""
     return BoundReport(value=noon_linear_value(d, photon_number),
-                       kind=BoundKind.NOON_LINEAR, regime=Regime.INTERIOR,
+                       kind="noon-linear", regime=Regime.INTERIOR,
                        params={"d": d, "m": 1, "photon_number": photon_number})
 
 
 def qcrb_noon_nonlinear(d: int, photon_number: float) -> BoundReport:
     """NOON-probe optimum for m = 2, at the same optimal b."""
     return BoundReport(value=noon_nonlinear_value(d, photon_number),
-                       kind=BoundKind.NOON_NONLINEAR, regime=Regime.INTERIOR,
+                       kind="noon-nonlinear", regime=Regime.INTERIOR,
                        params={"d": d, "m": 2, "photon_number": photon_number})
 
 
@@ -239,8 +222,7 @@ def _independent_ecs(d: int, alpha_sq: float, n_tot: float) -> BoundReport:
     """
     n_sq = _two_mode_ecs_norm_sq(alpha_sq)
     value = d / alpha_sq / (4.0 * n_sq * (1.0 + alpha_sq * (1.0 - n_sq)))
-    return BoundReport(value=value, kind=BoundKind.INDEPENDENT_ECS,
-                       regime=Regime.NOT_APPLICABLE,
+    return BoundReport(value=value, kind="independent-ecs", regime=Regime.NOT_APPLICABLE,
                        params={"d": d, "alpha_sq": alpha_sq, "n_tot": n_tot})
 
 
@@ -285,11 +267,11 @@ def qcrb_independent_noon(d: int, n_tot: float) -> BoundReport:
     """d separate two-mode NOON probes sharing n_tot photons: d^3 / n_tot^2, power-scaled."""
     check(d=d, n_tot=n_tot)
     return BoundReport(value=_power_scaled(lambda n: d ** 3 / n ** 2, n_tot, 2),
-                       kind=BoundKind.INDEPENDENT_NOON, regime=Regime.NOT_APPLICABLE,
+                       kind="independent-noon", regime=Regime.NOT_APPLICABLE,
                        params={"d": d, "n_tot": n_tot})
 
 
-def _zzb(kind: BoundKind, d: int, photon: float, params: dict) -> BoundReport:
+def _zzb(kind: str, d: int, photon: float, params: dict) -> BoundReport:
     """The exact maximum of two branches, with N = photon,
 
         d (d + sqrt d)^2 / (80 lam^2 N^2)   and
@@ -312,14 +294,14 @@ def _zzb(kind: BoundKind, d: int, photon: float, params: dict) -> BoundReport:
 def zzb_noon(d: int, photon_number: float) -> BoundReport:
     """Bayesian bound for the NOON probe under a wide uniform prior (see _zzb)."""
     check(d=d, N=photon_number)
-    return _zzb(BoundKind.ZIV_ZAKAI_NOON, d, float(photon_number),
+    return _zzb("zzb-noon", d, float(photon_number),
                 {"photon_number": photon_number})
 
 
 def zzb_ecs(d: int, alpha_sq: float) -> BoundReport:
     """Bayesian bound for the coherent probe: the NOON form with N -> alpha_sq + 1."""
     check(d=d, alpha_sq=alpha_sq)
-    return _zzb(BoundKind.ZIV_ZAKAI_ECS, d, alpha_sq + 1.0, {"alpha_sq": alpha_sq})
+    return _zzb("zzb-ecs", d, alpha_sq + 1.0, {"alpha_sq": alpha_sq})
 
 
 def grid_scan_minimizer(d: int, m: int, alpha_sq: float) -> BoundReport:
@@ -342,7 +324,7 @@ def grid_scan_minimizer(d: int, m: int, alpha_sq: float) -> BoundReport:
     values = trace_inverse_value(d, geom.f_2m, geom.g, beta)
     i = int(np.argmin(values))
     at_cap = geom.gamma_cap < pole and i == len(beta) - 1
-    return BoundReport(value=float(values[i]), kind=BoundKind.GENERAL_ECS_AT_B,
+    return BoundReport(value=float(values[i]), kind="ecs-at-b",
                        regime=Regime.CLAMPED if at_cap else Regime.INTERIOR,
                        params={"d": d, "m": m, "alpha_sq": alpha_sq,
                                "b_sq_used": float(beta[i]), "grid_points": _SCAN_POINTS})

@@ -94,7 +94,7 @@ def _write_table(path: str | None, fmt: str, header: Sequence[str],
 
 
 def _report_payload(report: bounds.BoundReport) -> dict:
-    return {"kind": report.kind.value, "value": report.value,
+    return {"kind": report.kind, "value": report.value,
             "regime": report.regime.value, "params": dict(report.params)}
 
 
@@ -104,7 +104,7 @@ def _emit_report(report: bounds.BoundReport, fmt: str, out: str | None) -> None:
             stream.write(json.dumps(_report_payload(report), sort_keys=True) + "\n")
         return
     keys = sorted(report.params)
-    row = (report.kind.value, report.regime.value, report.value,
+    row = (report.kind, report.regime.value, report.value,
            *(report.params[k] for k in keys))
     _write_table(out, "csv", ["kind", "regime", "value"] + keys, [[[x] for x in row]])
 

@@ -1,5 +1,7 @@
-"""Photon-number moments ``(f(m), f(2m), g = f(2m)/f(m)^2)`` of either probe's
-excited branch: :func:`coherent_moments`, or :func:`noon_moments` for ``|N>``.
+"""Photon-number moments of either probe's excited branch as the pair
+``(f(2m), g = f(2m)/f(m)^2)``, all that any bound reads of a probe:
+:func:`coherent_moments`, or :func:`noon_moments` for ``|N>``, whose pair is
+``(N^{2m}, 1)``.
 
 For a coherent state with mean photon number ``mu = |alpha|^2`` the photon
 number is Poisson distributed, so ``<(a^dag a)^m>`` is the m-th raw moment
@@ -45,8 +47,8 @@ def stirling2(m: int, k: int) -> int:
     Uses the recurrence S(m, k) = k S(m-1, k) + S(m-1, k-1) on Python
     integers, so every value is exact regardless of magnitude.
     """
-    if m < 0 or k < 0:
-        raise ValueError(f"stirling2 requires m, k >= 0, got m={m}, k={k}")
+    check(order=m)
+    check(order=k)
     if k > m:
         raise ValueError(f"stirling2 requires k <= m, got m={m}, k={k}")
     return _stirling_row(m)[k]
@@ -93,12 +95,12 @@ def coherent_number_moment(m: int, mu):
 
 
 def coherent_moments(m: int, mu):
-    """``(f(m), f(2m), g)`` elementwise over mu, with g the ratio ``f(2m)/f(m)^2``.
+    """``(f(2m), g)`` elementwise over mu, with g the ratio ``f(2m)/f(m)^2``.
 
-    The one place g is formed.  g is at least 1 for mu > 0 by the
-    Cauchy-Schwarz inequality and tends to 1 as mu grows.  It is undefined at
-    mu = 0 for m >= 1 (the probe holds no photons), and wherever f(m)^2
-    underflows to 0 (mu below about 1e-154).
+    The one place g is formed, and the one reader of f(m).  g is at least 1
+    for mu > 0 by the Cauchy-Schwarz inequality and tends to 1 as mu grows.
+    It is undefined at mu = 0 for m >= 1 (the probe holds no photons), and
+    wherever f(m)^2 underflows to 0 (mu below about 1e-154).
     """
     f_m = coherent_number_moment(m, mu)
     f_2m = coherent_number_moment(2 * m, mu)
@@ -107,10 +109,10 @@ def coherent_moments(m: int, mu):
     if not all_true(ok):
         raise DegenerateInputError(
             f"moment ratio undefined at mu={first_failing(mu, ok)}: f(m)^2 = 0")
-    return f_m, f_2m, f_2m / f_m_sq
+    return f_2m, f_2m / f_m_sq
 
 
 def noon_moments(m: int, n):
-    """``(n^m, n^{2m}, 1.0)`` elementwise over n: ``|n>`` has a sharp photon
+    """``(n^{2m}, 1.0)`` elementwise over n: ``|n>`` has a sharp photon
     number, so g = 1 exactly.  An overflow raises OverflowError, as ``**`` does."""
-    return libm(pow, n, m), libm(pow, n, 2 * m), 1.0
+    return libm(pow, n, 2 * m), 1.0

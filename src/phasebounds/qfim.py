@@ -12,8 +12,8 @@ inverse is closed form,
 and the eigenvalues are gamma (multiplicity d-1) and gamma (1 + omega d),
 so inversion, traces and definiteness tests are all O(1).  Dense matrices
 appear only for cross-checks against the brute-force oracle.  The families
-differ only in the excited branch's moments (f(m), f(2m), g), NOON's being
-(N^m, N^{2m}, 1), so ``probe_qfim`` is one body for both, and Tr(F^{-1}) is
+differ only in the excited branch's moment pair (f(2m), g), NOON's being
+(N^{2m}, 1), so ``probe_qfim`` is one body for both, and Tr(F^{-1}) is
 written once, in ``trace_inverse_value``, for the probe bound and every bound over b.
 """
 
@@ -34,7 +34,6 @@ __all__ = [
     "to_dense",
     "trace_inverse_bound",
     "trace_inverse_value",
-    "effective_qfi_2param",
 ]
 
 # read by type checkers only: NumPy is imported where an array is made
@@ -53,14 +52,6 @@ class StructuredQfim(Record):
         set_field(self, "gamma", gamma)
         set_field(self, "omega", omega)
 
-    @property
-    def diagonal(self) -> float:
-        return self.gamma * (1.0 + self.omega)
-
-    @property
-    def off_diagonal(self) -> float:
-        return self.gamma * self.omega
-
 
 def _sensing(p: EcsParams | NoonParams) -> tuple:
     """(b^2, f(2m), g): all the information matrix reads of a probe, the one
@@ -68,8 +59,8 @@ def _sensing(p: EcsParams | NoonParams) -> tuple:
     if p.b == 0.0:
         raise DegenerateInputError(
             "b = 0 leaves the sensing branches empty: information matrix is zero")
-    _, f_2m, g = (noon_moments(p.m, float(p.photon_number)) if isinstance(p, NoonParams)
-                  else coherent_moments(p.m, p.alpha_sq))
+    f_2m, g = (noon_moments(p.m, float(p.photon_number)) if isinstance(p, NoonParams)
+               else coherent_moments(p.m, p.alpha_sq))
     return p.b * p.b, f_2m, g
 
 
@@ -102,8 +93,8 @@ def to_dense(f: StructuredQfim) -> np.ndarray:
     """Dense realization: diagonal gamma(1 + omega), off-diagonal gamma omega."""
     import numpy as np
 
-    out = np.full((f.d, f.d), f.off_diagonal, dtype=float)
-    np.fill_diagonal(out, f.diagonal)
+    out = np.full((f.d, f.d), f.gamma * f.omega, dtype=float)
+    np.fill_diagonal(out, f.gamma * (1.0 + f.omega))
     return out
 
 
@@ -125,20 +116,3 @@ def trace_inverse_bound(p: EcsParams | NoonParams) -> float:
     """Total-variance lower bound Tr(F^{-1}) of a probe (see trace_inverse_value)."""
     b_sq, f_2m, g = _sensing(p)
     return trace_inverse_value(p.d, f_2m, g, b_sq)
-
-
-def effective_qfi_2param(f: np.ndarray) -> float:
-    """Effective scalar information det(F)/Tr(F) for the two-parameter case.
-
-    Satisfies Tr(F^{-1}) = 1/F_e when d = 2.
-    """
-    import numpy as np
-
-    a = np.asarray(f, dtype=float)
-    if a.shape != (2, 2):
-        raise ValueError(f"effective QFI is defined for 2x2 matrices, got shape {a.shape}")
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    tr = a[0, 0] + a[1, 1]
-    if not (det > 0.0 and a[0, 0] > 0.0):
-        raise SingularMatrixError(f"matrix is not positive definite (det={det:.3e})")
-    return det / tr

@@ -18,8 +18,8 @@ c^2 + 2bvc + b^2 u = 1, a NOON probe with (u, v) = (d, 0), so one function
 tests the cap, one the residual (each against a derived forward-error
 bound) and one forms c, for both.  ``overlaps`` is the one place u, v and
 u - v^2 are formed, and ``domain_geometry`` the one pass forming Gamma,
-f(m), f(2m), g and b_star.  A NOON probe is the coherent kernel at the
-moments (N^m, N^{2m}, 1), so its optimal weight ``noon_optimal_b`` is b_star at g = 1.
+the moment pair (f(2m), g) and b_star.  A NOON probe is the coherent kernel
+at the pair (N^{2m}, 1), so its optimal weight ``noon_optimal_b`` is b_star at g = 1.
 
 The coherent-probe functions broadcast over d, alpha_sq and b (see
 ``_arrays``): a sweep passes arrays, a scalar call gets Python types back.
@@ -120,18 +120,17 @@ class NoonParams(Record):
 
 class DomainGeometry(Record):
     """Geometry of the sensing weight b^2: its cap, the unconstrained optimizer
-    of the variance bound, the moments f(m), f(2m) and their ratio g, and whether
-    the optimizer falls inside the cap (arrays when the inputs were)."""
+    of the variance bound, the moment f(2m) and the ratio g = f(2m)/f(m)^2, and
+    whether the optimizer falls inside the cap (arrays when the inputs were)."""
 
-    __slots__ = ("gamma_cap", "b_star", "g", "interior", "f_m", "f_2m")
+    __slots__ = ("gamma_cap", "b_star", "g", "interior", "f_2m")
 
     def __init__(self, gamma_cap: float, b_star: float, g: float, interior: bool,
-                 f_m: float, f_2m: float) -> None:
+                 f_2m: float) -> None:
         set_field(self, "gamma_cap", gamma_cap)
         set_field(self, "b_star", b_star)
         set_field(self, "g", g)
         set_field(self, "interior", interior)
-        set_field(self, "f_m", f_m)
         set_field(self, "f_2m", f_2m)
 
 
@@ -241,10 +240,10 @@ def domain_geometry(d, m: int, alpha_sq) -> DomainGeometry:
     """Cap, moments, optimizer and regime flag in one record, broadcast over d and alpha_sq."""
     gamma_cap = b_domain_limit(d, alpha_sq)
     check(m=m)
-    f_m, f_2m, g = coherent_moments(m, alpha_sq)
+    f_2m, g = coherent_moments(m, alpha_sq)
     bs = _optimal_weight(d, g)
     return DomainGeometry(gamma_cap=gamma_cap, b_star=scalar(bs), g=g,
-                          interior=scalar(bs * bs <= gamma_cap), f_m=f_m, f_2m=f_2m)
+                          interior=scalar(bs * bs <= gamma_cap), f_2m=f_2m)
 
 
 def mean_total_photons(p: EcsParams):

@@ -50,7 +50,8 @@ class TestMinimizeOverB:
 
 
 class TestOneMomentPass:
-    """domain_geometry forms f(m), f(2m), g and b_star; the bounds read them."""
+    """domain_geometry forms the pair (f(2m), g) from one f(m) and one f(2m), and
+    b_star; the bounds read them."""
 
     @pytest.mark.parametrize("call,m", [
         (lambda: bounds.minimize_bound_over_b(5, 1, 4.0), 1),  # interior

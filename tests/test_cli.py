@@ -337,6 +337,10 @@ def test_every_accepted_bounds_argv_exits_0_or_2(data):
     else:
         payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
         assert err.getvalue() == "" and payload["value"] > 0.0, argv
+        # the optimum over b reports the protocol its m names
+        kind = {1: "ecs-linear", 2: "ecs-nonlinear"}[m or 1] if family == "ecs-optimal" else family
+        assert payload["kind"] == kind, argv
+        assert payload["regime"] in ("interior", "clamped", "n/a"), argv
 
 
 def _reject_constant(name):

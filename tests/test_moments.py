@@ -49,6 +49,13 @@ class TestStirling2:
             moments.stirling2(2, 3)
         with pytest.raises(ValueError):
             moments.stirling2(-1, 0)
+        # judged by the moment-order row: an int, not a float or a bool
+        with pytest.raises(TypeError, match="^moment order must be an int >= 0, got 2.0$"):
+            moments.stirling2(2.0, 1)
+        with pytest.raises(TypeError, match="^moment order must be an int >= 0, got nan$"):
+            moments.stirling2(3, math.nan)
+        with pytest.raises(TypeError, match="^moment order must be an int >= 0, got True$"):
+            moments.stirling2(True, 0)
 
 
 class TestClosedForm:
@@ -144,8 +151,8 @@ def test_poisson_sum_tracks_closed_form(m, mu):
 
 
 def test_second_moment_ratio():
-    assert moments.coherent_moments(1, 1.0) == (1.0, 2.0, pytest.approx(2.0, rel=1e-15))
+    assert moments.coherent_moments(1, 1.0) == (2.0, pytest.approx(2.0, rel=1e-15))
     # f(4)/f(2)^2 at mu = 1: 15 / 4
-    assert moments.coherent_moments(2, 1.0)[2] == pytest.approx(3.75, rel=1e-15)
+    assert moments.coherent_moments(2, 1.0) == (15.0, pytest.approx(3.75, rel=1e-15))
     with pytest.raises(DegenerateInputError):
         moments.coherent_moments(1, 0.0)

@@ -145,7 +145,7 @@ class TestTraceInverseBound:
         for d in (1, 2, 5, 20):
             for m in (1, 2):
                 for alpha_sq in (0.05, 1.0, 9.0, 100.0):
-                    _, _, g = coherent_moments(m, alpha_sq)
+                    _, g = coherent_moments(m, alpha_sq)
                     assert g / d > states.b_domain_limit(d, alpha_sq)
 
     def test_degenerate_weight(self):
@@ -162,26 +162,6 @@ class TestTraceInverseBound:
         # an array names its first b^2 at or past the pole
         with pytest.raises(SingularMatrixError, match=f"^b\\^2 = {2 * pole:.12g} >= "):
             qfim.trace_inverse_value(2, geom.f_2m, geom.g, np.array([0.5, 2.0, 3.0]) * pole)
-
-
-class TestEffectiveQfi:
-    def test_values(self):
-        assert qfim.effective_qfi_2param(np.eye(2)) == 0.5
-        assert qfim.effective_qfi_2param(np.array([[3.0, 1.0], [1.0, 3.0]])) == pytest.approx(
-            8.0 / 6.0, rel=1e-15)
-
-    def test_consistency_with_trace_bound(self):
-        p = states.ecs_params(2, 4.0, 0.3, m=1)
-        f_e = qfim.effective_qfi_2param(qfim.to_dense(qfim.ecs_qfim(p)))
-        assert 1.0 / f_e == pytest.approx(qfim.trace_inverse_bound(p), rel=1e-12)
-
-    def test_dimension_error(self):
-        with pytest.raises(ValueError):
-            qfim.effective_qfi_2param(np.eye(3))
-
-    def test_not_positive_definite(self):
-        with pytest.raises(SingularMatrixError):
-            qfim.effective_qfi_2param(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_analytic_matches_oracle_on_grid():

@@ -124,7 +124,7 @@ def _report(fault):
 
 
 def _flip_interior(g):
-    return states.DomainGeometry(g.gamma_cap, g.b_star, g.g, not g.interior, g.f_m, g.f_2m)
+    return states.DomainGeometry(g.gamma_cap, g.b_star, g.g, not g.interior, g.f_2m)
 
 
 DRAWS = verify.optimizer_draws(np.random.default_rng(0))
