@@ -12,7 +12,8 @@ every integer up to 2^53 is one exactly, with d^3 and d (d - 1) far below
 the largest double; ``m`` is the order of the generator ``(a^dag a)^m``,
 1 for the linear protocol and 2 for the nonlinear one.  f(2m) sums Stirling
 numbers S(2m, k): every S(218, k) converts to a double and some S(220, k)
-does not, so m stops at 109.  A moment ``order`` has no upper limit.
+does not, so m stops at 109.  A moment ``order`` has no upper limit, nor
+has an oracle ``cutoff``, the highest Fock level a truncated mode holds.
 ``alpha`` is the coherent amplitude; its square ``alpha_sq`` is nonzero in a
 bound and in the cap Gamma, since the vacuum carries no phase information,
 and ``mu`` is that square where the vacuum is allowed, in a moment or a probe.  ``b`` and ``c``
@@ -39,13 +40,15 @@ flags read: ``... (at --d 3 --alpha 2.0)``.
 from math import inf
 
 from ._arrays import all_true, first_failing
-from .errors import CoefficientDomainError, DegenerateInputError, NormalizationError
+from .errors import (CoefficientDomainError, CutoffError, DegenerateInputError,
+                     NormalizationError)
 
 DOMAIN = {
     # name: (label, not an integer, lo, lo closed, hi, hi closed, outside)
     "d": ("d", ValueError, 1, True, 2 ** 53, True, ValueError),
     "m": ("generator order m", ValueError, 1, True, 109, True, ValueError),
     "order": ("moment order", TypeError, 0, True, inf, False, ValueError),
+    "cutoff": ("cutoff", TypeError, 0, True, inf, False, CutoffError),
     "alpha": ("alpha", None, 0.0, False, inf, False, DegenerateInputError),
     "alpha_sq": ("alpha_sq", None, 0.0, False, inf, False, DegenerateInputError),
     "mu": ("alpha_sq", None, 0.0, True, inf, False, DegenerateInputError),

@@ -53,14 +53,11 @@ __all__ = [
     "qcrb_independent_noon",
     "zzb_noon",
     "zzb_ecs",
-    "grid_scan_minimizer",
 ]
 
 # First-branch constant of the Ziv-Zakai bounds; known only numerically, so
 # each zzb result reports it in its params as "lam".
 ZIV_ZAKAI_LAMBDA = 0.7246
-# b^2 samples of grid_scan_minimizer's scan
-_SCAN_POINTS = 10_000
 
 
 class Regime(str, Enum):
@@ -303,28 +300,3 @@ def zzb_ecs(d: int, alpha_sq: float) -> BoundReport:
     check(d=d, alpha_sq=alpha_sq)
     return _zzb("zzb-ecs", d, alpha_sq + 1.0, {"alpha_sq": alpha_sq})
 
-
-def grid_scan_minimizer(d: int, m: int, alpha_sq: float) -> BoundReport:
-    """Brute-force verification of the closed-form optimum.
-
-    Scans 10^4 values of b^2 uniformly over (0, min(Gamma, g/d)], including
-    the endpoint only when the normalizability cap is the binding constraint
-    (the bound diverges at b^2 = g/d, so that endpoint stays open), and
-    returns the smallest trace bound found.  Matches :func:`minimize_bound_over_b`
-    within the grid resolution.
-    """
-    import numpy as np
-
-    geom = domain_geometry(d, m, alpha_sq)
-    pole = geom.g / d
-    hi = min(geom.gamma_cap, pole)
-    beta = np.linspace(0.0, hi, _SCAN_POINTS + 1)[1:]
-    if pole <= geom.gamma_cap:
-        beta = beta[:-1]
-    values = trace_inverse_value(d, geom.f_2m, geom.g, beta)
-    i = int(np.argmin(values))
-    at_cap = geom.gamma_cap < pole and i == len(beta) - 1
-    return BoundReport(value=float(values[i]), kind="ecs-at-b",
-                       regime=Regime.CLAMPED if at_cap else Regime.INTERIOR,
-                       params={"d": d, "m": m, "alpha_sq": alpha_sq,
-                               "b_sq_used": float(beta[i]), "grid_points": _SCAN_POINTS})

@@ -51,7 +51,6 @@ from .states import EcsParams, NoonParams
 __all__ = [
     "ModeVector",
     "SparseProductState",
-    "poisson_tail",
     "poisson_moments",
     "minimal_cutoff",
     "truncated_coherent",
@@ -138,12 +137,6 @@ def _poisson_terms(mu: float, through: int, tol: float = math.inf) -> tuple[int,
     return first, [t / total for t in terms]
 
 
-def poisson_tail(cutoff: int, mu: float) -> float:
-    """P(X > cutoff) for X ~ Poisson(mu): the fsum of the walk above the cutoff."""
-    first, terms = _poisson_terms(mu, cutoff + 1)
-    return math.fsum(terms[max(cutoff + 1 - first, 0):])
-
-
 def poisson_moments(mu: float, top: int) -> list[float]:
     """[E X^m for m = 0..top], X ~ Poisson(mu): fsums of n^m P(X = n) over one walk.
 
@@ -166,17 +159,16 @@ def poisson_moments(mu: float, top: int) -> list[float]:
 
 
 def minimal_cutoff(mu: float, tail_tol: float) -> int:
-    """Smallest cutoff whose Poisson tail mass falls below tail_tol.
+    """Smallest cutoff whose Poisson tail mass falls below tail_tol, in (0, 1).
 
-    One pass: the tails of every candidate from int(mu) upward are suffix
-    sums of one walk, summed down to 2^-53 tail_tol.
+    One pass: the tails of every candidate on the walk are suffix sums of
+    it, summed down to 2^-53 tail_tol.
     """
-    if not tail_tol > 0.0:
-        raise ValueError(f"tail_tol must be > 0, got {tail_tol}")
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     first, terms = _poisson_terms(mu, 0, tail_tol)
-    # P(X > n) for n from the walk's last index down to int(mu); they rise
-    tails = accumulate(reversed(terms[int(mu) + 1 - first:]))
-    c = int(mu) + sum(tail >= tail_tol for tail in tails)
+    # P(X > n) for n from the walk's last index - 1 down to first; they rise
+    c = first + sum(tail >= tail_tol for tail in accumulate(reversed(terms[1:])))
     if c > _MAX_CUTOFF:
         raise CutoffError(f"no cutoff below {_MAX_CUTOFF} reaches tail {tail_tol} for mu={mu}")
     return c
@@ -192,8 +184,7 @@ def truncated_coherent(alpha: complex, cutoff: int,
     the cutoff cannot meet it, the error message names the smallest
     sufficient cutoff.
     """
-    if cutoff < 0:
-        raise CutoffError(f"cutoff must be >= 0, got {cutoff}")
+    check(cutoff=cutoff)
     mu = abs(alpha) ** 2
     first, terms = _poisson_terms(mu, cutoff + 1)
     held = max(cutoff + 1 - first, 0)
@@ -228,6 +219,8 @@ def build_state(p: EcsParams | NoonParams, cutoff: int | None = None,
     held_to = tail_tol if cutoff is None else None
     if cutoff is None:
         cutoff = p.photon_number if noon else minimal_cutoff(p.alpha_sq, tail_tol) + 2 * p.m
+    else:
+        check(cutoff=cutoff)
     levels = np.arange(cutoff + 1)
     if noon:
         if cutoff < p.photon_number:
@@ -435,6 +428,7 @@ def dense_qfim(p: EcsParams | NoonParams, cutoff: int) -> np.ndarray:
     exactly; the sums run over the marginal of |psi|^2 on the sensing modes,
     accumulated one reference level at a time, so the full tensor is never held.
     """
+    check(cutoff=cutoff)
     d, levels = p.d, cutoff + 1
     slabs = _dense_slabs(p, cutoff)  # checks the size before prob is made
     prob = np.zeros((levels,) * d)

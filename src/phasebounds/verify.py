@@ -3,7 +3,8 @@
 Each check pits a closed form against an independent computation: Stirling
 moments against sums over the oracle's Poisson walk, analytic information
 matrices against the truncated-Fock oracle, the piecewise optimum against a
-dense grid scan, and the headline bound values and orderings against direct
+brute-force scan of Tr(F^-1) over b^2 (``_trace_scan``, also read for the
+bound's shape), and the headline bound values and orderings against direct
 arithmetic.  ``qfim.oracle_vs_analytic`` and ``qfim.fd_vs_analytic`` call
 the oracle's one information-matrix routine under its two names, the
 moment form and the derivative form, so they read the same discrepancy;
@@ -297,11 +298,26 @@ def suite_qfim(rng: np.random.Generator) -> list[CheckResult]:
 
 # ------------------------------------------------------------- optimizer
 
+def _trace_scan(d: int, m: int, alpha_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """Tr(F^-1) by brute force on 10^4 values of b^2: ``(beta, values)``.
+
+    The samples are spaced evenly over (0, min(Gamma, g/d)], the endpoint
+    kept only where the cap Gamma binds: the bound diverges at the pole
+    b^2 = g/d, so that end stays open.
+    """
+    geom = states.domain_geometry(d, m, alpha_sq)
+    pole = geom.g / d
+    beta = np.linspace(0.0, min(geom.gamma_cap, pole), 10_001)[1:]
+    if pole <= geom.gamma_cap:
+        beta = beta[:-1]
+    return beta, qfim.trace_inverse_value(d, geom.f_2m, geom.g, beta)
+
+
 def scan_vs_closed(draws: Draws) -> CheckResult:
-    """The piecewise optimum against a 10^4-point grid scan over b."""
+    """The piecewise optimum against the minimum of the b^2 scan."""
     def rel(d: int, m: int, alpha_sq: float) -> float:
         closed = bounds.minimize_bound_over_b(d, m, alpha_sq).value
-        scan = bounds.grid_scan_minimizer(d, m, alpha_sq).value
+        scan = float(np.min(_trace_scan(d, m, alpha_sq)[1]))
         return abs(scan - closed) / closed
 
     return _check("optimizer.scan_vs_closed", _worst(itertools.starmap(rel, draws)))
@@ -328,11 +344,9 @@ def interior_closed_forms(draws: Draws) -> CheckResult:
 
 
 def unimodal(draws: Draws) -> CheckResult:
-    """Count of draws whose bound over b^2 falls again after it first rises."""
+    """Count of draws whose b^2 scan falls again after it first rises."""
     def bad_shape(d: int, m: int, alpha_sq: float) -> bool:
-        geom = states.domain_geometry(d, m, alpha_sq)
-        beta = np.linspace(0.0, min(geom.gamma_cap, geom.g / d), 2001)[1:-1]
-        diffs = np.diff(qfim.trace_inverse_value(d, geom.f_2m, geom.g, beta))
+        diffs = np.diff(_trace_scan(d, m, alpha_sq)[1])
         rising = np.nonzero(diffs > 0)[0]
         first_rise = rising[0] if len(rising) else len(diffs)
         return bool(np.any(diffs[first_rise:] < 0))

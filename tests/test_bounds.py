@@ -34,8 +34,9 @@ class TestMinimizeOverB:
         assert report.regime is bounds.Regime.CLAMPED
         assert report.params["b_sq_used"] == pytest.approx(
             states.b_domain_limit(5, 1.0), rel=1e-15)
-        scan = bounds.grid_scan_minimizer(5, 1, 1.0)
-        assert scan.value == pytest.approx(report.value, rel=1e-12)
+        beta, values = verify._trace_scan(5, 1, 1.0)
+        assert beta[-1] == states.domain_geometry(5, 1, 1.0).gamma_cap  # the binding cap
+        assert values.min() == pytest.approx(report.value, rel=1e-12)
 
     def test_clamped_value_from_trace_formula(self):
         # at the cap the optimum equals the general bound evaluated at b = sqrt(Gamma)
@@ -57,7 +58,7 @@ class TestOneMomentPass:
         (lambda: bounds.minimize_bound_over_b(5, 1, 4.0), 1),  # interior
         (lambda: bounds.minimize_bound_over_b(5, 2, 0.2), 2),  # clamped
         (lambda: bounds.qcrb_ecs_at_b(3, 2, 4.0, 0.1), 2),
-        (lambda: bounds.grid_scan_minimizer(3, 1, 1.0), 1),
+        (lambda: verify._trace_scan(3, 1, 1.0), 1),
     ], ids=["interior", "clamped", "at_b", "grid_scan"])
     def test_moments_evaluated_once(self, monkeypatch, call, m):
         # patched wherever the name is bound, so a caller cannot get round it
@@ -76,6 +77,7 @@ class TestOneMomentPass:
     @pytest.mark.parametrize("formula", [
         "/ (4.0 * f_2m)",  # Tr F^-1 = d/(4 f(2m)) (1/b^2 + 1/(g - b^2 d))
         "g / (sqrt(d) + d)",  # b_star^2
+        "np.linspace(0.0, min(geom.gamma_cap",  # the b^2 samples of the brute-force scan
     ])
     def test_formula_written_once(self, formula):
         package = Path(bounds.__file__).parent
@@ -83,27 +85,30 @@ class TestOneMomentPass:
 
 
 class TestGridScan:
+    """verify's brute-force scan of Tr(F^-1) over b^2 against the closed-form optimum."""
+
     def test_matches_closed_form(self, rng):
         for _ in range(25):
             d = int(rng.integers(1, 11))
             m = int(rng.integers(1, 3))
             alpha_sq = float(rng.uniform(0.5, 25.0))
             closed = bounds.minimize_bound_over_b(d, m, alpha_sq)
-            scan = bounds.grid_scan_minimizer(d, m, alpha_sq)
-            assert abs(scan.value - closed.value) / closed.value < 1e-3
+            beta, values = verify._trace_scan(d, m, alpha_sq)
+            assert len(beta) == len(values) >= 9_999
+            assert abs(values.min() - closed.value) / closed.value < 1e-3
 
     def test_argmin_location(self):
-        report = bounds.grid_scan_minimizer(2, 1, 9.0)
+        beta, values = verify._trace_scan(2, 1, 9.0)
         expected = states.b_star(2, 1, 9.0) ** 2
-        assert report.params["b_sq_used"] == pytest.approx(expected, rel=1e-3)
+        assert beta[np.argmin(values)] == pytest.approx(expected, rel=1e-3)
 
     def test_pole_at_the_cap(self):
         # at d = 1, alpha_sq = 1e17, g / d rounds to Gamma = 1.0: the scan
         # drops the pole endpoint, where the trace bound diverges
         geom = states.domain_geometry(1, 1, 1e17)
         assert geom.g / 1 <= geom.gamma_cap
-        scan = bounds.grid_scan_minimizer(1, 1, 1e17)
-        assert scan.params["b_sq_used"] < geom.gamma_cap
+        beta, values = verify._trace_scan(1, 1, 1e17)
+        assert beta[-1] < geom.gamma_cap and np.all(np.isfinite(values))
         check = verify.scan_vs_closed([(1, 1, 1e17)])
         assert check.passed, check
 

@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -69,78 +71,89 @@ class TestTruncatedCoherent:
 
     def test_minimal_cutoff_is_minimal(self):
         c = oracle.minimal_cutoff(4.0, 1e-12)
-        assert oracle.poisson_tail(c, 4.0) < 1e-12
-        assert oracle.poisson_tail(c - 1, 4.0) >= 1e-12
+        assert oracle.truncated_coherent(2.0, c).tail_mass < 1e-12
+        assert oracle.truncated_coherent(2.0, c - 1).tail_mass >= 1e-12
+
+
+def recorded_tail(cutoff: int, alpha: float) -> float:
+    """P(X > cutoff), X ~ Poisson(|alpha|^2): the tail truncated_coherent records."""
+    return oracle.truncated_coherent(alpha, cutoff).tail_mass
 
 
 class TestPoissonTail:
-    """Direct tail summation checked against SciPy's survival function."""
+    """The recorded tail, one fsum over the walk, checked against SciPy and decimal sums.
+
+    Each reference is formed at mu = |alpha|^2 for alpha = sqrt(mu), the
+    mean the oracle sees."""
 
     @pytest.mark.parametrize("mu", [1e-12, 1e-6, 0.1, 1.0, 4.0, 16.0, 100.0,
                                     700.0, 1000.0, 1400.0])
     def test_matches_scipy_sf(self, mu):
         from scipy import stats
-        c = int(mu) - 5
+        alpha = math.sqrt(mu)
+        mu = abs(alpha) ** 2
+        c = max(int(mu) - 5, 0)
         checked = 0
         while True:
             ref = float(stats.poisson.sf(c, mu))
             if ref < 1e-290:
                 break
-            assert oracle.poisson_tail(c, mu) == pytest.approx(ref, rel=1e-10, abs=0.0)
+            assert recorded_tail(c, alpha) == pytest.approx(ref, rel=1e-10, abs=0.0)
             c += 1
             checked += 1
         assert checked >= 5
 
     @pytest.mark.parametrize("mu", [4.0, 100.0, 1400.0, 1e4])
     def test_matches_decimal_sum(self, mu):
-        tails = decimal_tails(mu)  # tails[c + 1] = P(X > c)
+        alpha = math.sqrt(mu)
+        tails = decimal_tails(abs(alpha) ** 2)  # tails[c + 1] = P(X > c)
         last = next(c for c in range(len(tails)) if tails[c + 1] < Decimal("1e-300"))
         cutoffs = sorted({int(c) for c in np.linspace(0, last - 1, 120)})
-        worst = max(abs(Decimal(oracle.poisson_tail(c, mu)) - tails[c + 1]) / tails[c + 1]
+        worst = max(abs(Decimal(recorded_tail(c, alpha)) - tails[c + 1]) / tails[c + 1]
                     for c in cutoffs)
         assert worst <= Decimal("1e-13"), (mu, worst)
 
     def test_cutoff_far_below_mean(self):
         # exp(-mu) mu^(cutoff+1) / (cutoff+1)! underflows here; the tail is ~1
-        assert oracle.poisson_tail(10, 900.0) == pytest.approx(1.0, rel=1e-10)
-        assert oracle.poisson_tail(-1, 3.0) == pytest.approx(1.0, rel=1e-15)
+        assert recorded_tail(10, 30.0) == pytest.approx(1.0, rel=1e-10)
         for mu in (100.0, 1e4, 9e4):
-            assert abs(oracle.poisson_tail(0, mu) - 1.0) <= 2.0 ** -52, mu
+            assert abs(recorded_tail(0, math.sqrt(mu)) - 1.0) <= 2.0 ** -52, mu
 
     def test_zero_mean(self):
-        assert oracle.poisson_tail(0, 0.0) == 0.0
+        assert recorded_tail(0, 0.0) == 0.0
         assert oracle.minimal_cutoff(0.0, 1e-14) == 0
 
     def test_minimal_cutoff_matches_sf_loop(self):
         from scipy import stats
         for mu in np.geomspace(0.01, 1000.0, 60):
             mu = float(mu)
-            for tol in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15):
-                c = max(int(mu), 0)
-                while stats.poisson.sf(c, mu) >= tol:
-                    c += 1
+            # P(X > c) for every c from 0; the reference is the first below tol
+            sf = stats.poisson.sf(np.arange(2 * int(mu) + 60), mu)
+            assert sf[-1] < 1e-15
+            for tol in (0.9, 0.5, 0.3, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15):
+                c = int(np.argmax(sf < tol))
                 assert oracle.minimal_cutoff(mu, tol) == c, (mu, tol)
 
     def test_minimal_cutoff_errors(self):
-        with pytest.raises(ValueError):
-            oracle.minimal_cutoff(4.0, 0.0)
-        with pytest.raises(ValueError):
-            oracle.minimal_cutoff(4.0, -1e-12)
+        for tol in (0.0, -1e-12, 1.0, 2.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^tail_tol must lie in \(0, 1\), got "):
+                oracle.minimal_cutoff(4.0, tol)
         with pytest.raises(CutoffError):
             oracle.minimal_cutoff(99_990.0, 1e-14)
         with pytest.raises(CutoffError):
             oracle.minimal_cutoff(2e5, 1e-14)
         # beyond the reach every Poisson quantity refuses before it walks
         with pytest.raises(CutoffError, match="reach"):
-            oracle.poisson_tail(5, 1e10)
+            oracle.truncated_coherent(1e5, 5)
         with pytest.raises(CutoffError, match="reach"):
             oracle.truncated_coherent(math.sqrt(2e5), 10)
         for mu in (-1.0, math.nan, math.inf):
             message = f"^alpha_sq must be finite and >= 0, got {re.escape(str(mu))}$"
             with pytest.raises(DegenerateInputError, match=message):
                 oracle.minimal_cutoff(mu, 1e-14)
-            with pytest.raises(DegenerateInputError, match=message):
-                oracle.poisson_tail(5, mu)
+            if not mu < 0.0:  # |alpha|^2 is never negative
+                with pytest.raises(DegenerateInputError, match=message):
+                    oracle.truncated_coherent(mu, 5)
 
 
 class TestBuildStates:
@@ -199,7 +212,25 @@ class TestBuildStates:
         assert state.cutoff() == cutoff
         tail = state.terms[0][1][1].tail_mass
         assert tail >= tol
-        assert tail == oracle.poisson_tail(cutoff, alpha_sq)
+        assert tail == oracle.truncated_coherent(math.sqrt(alpha_sq), cutoff).tail_mass
+        assert tail == pytest.approx(float(decimal_tails(alpha_sq)[cutoff + 1]), rel=1e-13)
+
+
+@pytest.mark.parametrize("call,cutoff,error", [
+    (lambda c: oracle.truncated_coherent(2.0, c), 5.5, TypeError),
+    (lambda c: oracle.truncated_coherent(2.0, c), True, TypeError),
+    (lambda c: oracle.truncated_coherent(2.0, c), -1, CutoffError),
+    (lambda c: oracle.build_state(states.noon_params(2, 3), c), 5.5, TypeError),
+    (lambda c: oracle.build_state(states.noon_params(2, 3), c), -1, CutoffError),
+    (lambda c: oracle.dense_qfim(states.ecs_params(2, 1.0, 0.3), c), math.nan, TypeError),
+], ids=["coherent-float", "coherent-bool", "coherent-negative", "noon-float", "noon-negative",
+        "dense-nan"])
+def test_cutoff_is_an_int_at_least_0(call, cutoff, error):
+    """Every cutoff the oracle is given is judged by the domain's one cutoff row."""
+    with pytest.raises(error) as info:
+        call(cutoff)
+    assert type(info.value) is error
+    assert str(info.value) == f"cutoff must be an int >= 0, got {cutoff!r}"
 
 
 class TestOperators:
@@ -599,6 +630,49 @@ def test_benchmark_oracle_worker_checks_every_op_kind_cleanly(tmp_path):
     records = _run_oracle_worker(tmp_path, "0")["records"]
     assert {"ecs", "noon", "dense"} <= {r["kind"] for r in records}
     assert [r for r in records if r["errors"]] == []
+
+
+def _package_references(path: Path) -> set[str]:
+    """Dotted package names a benchmark file reads, from its source alone: each name
+    bound by ``from phasebounds import ...`` or ``import phasebounds....``, and each
+    attribute chain read off one of them."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}  # local name -> the dotted name it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module or "").split(".")[0] == "phasebounds":
+            bound.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+        elif isinstance(node, ast.Import):
+            bound.update((a.asname or a.name.split(".")[0], a.asname and a.name or "phasebounds")
+                         for a in node.names if a.name.split(".")[0] == "phasebounds")
+    refs = set(bound.values())
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            refs.add(".".join([bound[node.id], *reversed(chain)]))
+    return refs
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether the dotted name is a module of the package or an attribute of one."""
+    try:
+        pkgutil.resolve_name(dotted)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    """Each ``module.name`` a benchmark file reads off the package exists, so a
+    deletion of a name the benchmark calls fails here; the files are parsed, not
+    imported.  Names the tracer builds from strings are outside this check."""
+    files = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
+    refs = {ref for path in files for ref in _package_references(path)}
+    assert "phasebounds.oracle.dense_qfim" in refs and "phasebounds.cli.main" in refs
+    assert sorted(ref for ref in refs if not _resolves(ref)) == []
 
 
 def test_benchmark_tracer_counts_the_oracle_truncation_and_term_pairs(tmp_path):
