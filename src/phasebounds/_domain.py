@@ -13,7 +13,8 @@ the largest double; ``m`` is the order of the generator ``(a^dag a)^m``,
 1 for the linear protocol and 2 for the nonlinear one.  f(2m) sums Stirling
 numbers S(2m, k): every S(218, k) converts to a double and some S(220, k)
 does not, so m stops at 109.  A moment ``order`` has no upper limit, nor
-has an oracle ``cutoff``, the highest Fock level a truncated mode holds.
+has an oracle ``cutoff``, the highest Fock level a truncated mode holds;
+``tail_tol``, the tail mass a cutoff may leave, lies strictly between 0 and 1.
 ``alpha`` is the coherent amplitude; its square ``alpha_sq`` is nonzero in a
 bound and in the cap Gamma, since the vacuum carries no phase information,
 and ``mu`` is that square where the vacuum is allowed, in a moment or a probe.  ``b`` and ``c``
@@ -61,6 +62,7 @@ DOMAIN = {
     "points": ("points", ValueError, 2, True, 10 ** 7, True, ValueError),
     "cells": ("region cells", ValueError, 1, True, 10 ** 7, True, ValueError),
     "seed": ("seed", ValueError, 0, True, inf, False, ValueError),
+    "tail_tol": ("tail_tol", None, 0.0, False, 1.0, False, ValueError),
 }
 
 SUITE_NAMES = ("moments", "normalization", "qfim", "optimizer", "bounds")

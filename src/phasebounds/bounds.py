@@ -2,11 +2,11 @@
 
 Every function returns a lower bound on the summed variance (radians^2) of
 an unbiased simultaneous estimate of d phases, assuming one experimental
-repetition (scale by 1/nu for nu repetitions).  The optimized
-entangled-coherent bounds come in two regimes: Interior, where the
-unconstrained optimizer b_star is admissible and the bound takes its
-headline form, and Clamped, where normalizability caps the weight at
-b^2 = Gamma and the general trace expression is evaluated there.
+repetition (scale by 1/nu for nu repetitions).  One path, ``minimize_bound_over_b``,
+gives the entangled-coherent optimum over b for every m (linear m = 1, nonlinear
+m = 2), in two regimes: Interior, where the unconstrained optimizer b_star is
+admissible and the bound takes its headline form, and Clamped, where normalizability
+caps the weight at b^2 = Gamma and the general trace expression is evaluated there.
 
 The headline form is one expression, ``_headline``: d (sqrt d + 1)^2 / (4 g f(2m)),
 at the coherent moment pair (f(2m), g) (m = 1: d (sqrt d + 1)^2 / (4 (1 + alpha_sq)^2))
@@ -28,7 +28,6 @@ from enum import Enum
 from ._arrays import frexp, ldexp, libm, scalar, sqrt
 from ._domain import check
 from ._record import Record, set_field
-from .errors import RegionError
 from .moments import coherent_moments, noon_moments
 from .qfim import trace_inverse_bound, trace_inverse_value
 from .states import domain_geometry, ecs_params
@@ -42,8 +41,6 @@ __all__ = [
     "noon_linear_value",
     "noon_nonlinear_value",
     "minimize_bound_over_b",
-    "qcrb_ecs_linear",
-    "qcrb_ecs_nonlinear",
     "qcrb_ecs_at_b",
     "qcrb_noon_linear",
     "qcrb_noon_nonlinear",
@@ -149,34 +146,6 @@ def minimize_bound_over_b(d: int, m: int, alpha_sq: float) -> BoundReport:
     value = trace_inverse_value(d, geom.f_2m, geom.g, geom.gamma_cap)
     return BoundReport(value=value, kind=_ecs_kind(m), regime=Regime.CLAMPED,
                        params={**params, "b_sq_used": geom.gamma_cap})
-
-
-def qcrb_ecs_linear(d: int, alpha_sq: float) -> BoundReport:
-    """Linear-protocol coherent-probe optimum, valid only in the Interior regime.
-
-    Raises RegionError when b_star is beyond the domain cap; use
-    :func:`minimize_bound_over_b` there for the clamped optimum.
-    """
-    return _checked_ecs(d, 1, alpha_sq)
-
-
-def qcrb_ecs_nonlinear(d: int, alpha_sq: float) -> BoundReport:
-    """Quadratic-generator coherent-probe optimum; Interior regime only."""
-    return _checked_ecs(d, 2, alpha_sq)
-
-
-def _checked_ecs(d: int, m: int, alpha_sq: float) -> BoundReport:
-    """The interior report of minimize_bound_over_b, without its g param."""
-    check(d=d, alpha_sq=alpha_sq)
-    report = minimize_bound_over_b(d, m, alpha_sq)
-    params = {k: v for k, v in report.params.items() if k != "g"}
-    if report.regime is Regime.CLAMPED:
-        raise RegionError(
-            f"b_star = {params['b_star']:.6g} exceeds sqrt(Gamma) = "
-            f"{math.sqrt(params['gamma_cap']):.6g} at d={d}, m={m}, alpha_sq={alpha_sq}; "
-            "use minimize_bound_over_b for the clamped optimum")
-    return BoundReport(value=report.value, kind=report.kind, regime=report.regime,
-                       params=params)
 
 
 def qcrb_ecs_at_b(d: int, m: int, alpha_sq: float, b: float) -> BoundReport:

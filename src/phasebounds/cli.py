@@ -114,8 +114,8 @@ def _emit_report(report: bounds.BoundReport, fmt: str, out: str | None) -> None:
 # comes last.  independent-ecs has two rows: it reads --n-tot when that is
 # given, --alpha otherwise.
 _FAMILIES = (
-    ("ecs-linear", ("alpha",), lambda d, a: bounds.qcrb_ecs_linear(d, a * a)),
-    ("ecs-nonlinear", ("alpha",), lambda d, a: bounds.qcrb_ecs_nonlinear(d, a * a)),
+    ("ecs-linear", ("alpha",), lambda d, a: bounds.minimize_bound_over_b(d, 1, a * a)),
+    ("ecs-nonlinear", ("alpha",), lambda d, a: bounds.minimize_bound_over_b(d, 2, a * a)),
     ("ecs-optimal", ("alpha", "m"), lambda d, a, m=1: bounds.minimize_bound_over_b(d, m, a * a)),
     ("ecs-at-b", ("alpha", "b", "m"), lambda d, a, b, m=1: bounds.qcrb_ecs_at_b(d, m, a * a, b)),
     ("noon-linear", ("N",), bounds.qcrb_noon_linear),

@@ -26,10 +26,6 @@ class SingularMatrixError(PhaseBoundsError, ValueError):
     """Structured information matrix is singular where an inverse is needed."""
 
 
-class RegionError(PhaseBoundsError, ValueError):
-    """Closed-form optimum requested outside its validity region."""
-
-
 class CutoffError(PhaseBoundsError, ValueError):
     """Photon-number cutoff too small for the requested tail tolerance."""
 

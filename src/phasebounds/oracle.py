@@ -164,8 +164,7 @@ def minimal_cutoff(mu: float, tail_tol: float) -> int:
     One pass: the tails of every candidate on the walk are suffix sums of
     it, summed down to 2^-53 tail_tol.
     """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    check(tail_tol=tail_tol)
     first, terms = _poisson_terms(mu, 0, tail_tol)
     # P(X > n) for n from the walk's last index - 1 down to first; they rise
     c = first + sum(tail >= tail_tol for tail in accumulate(reversed(terms[1:])))
@@ -180,11 +179,13 @@ def truncated_coherent(alpha: complex, cutoff: int,
 
     Each is sqrt(P(X = n)) from the Poisson walk times the phase of alpha^n,
     0 where the walk stops.  The vector is not renormalized; its squared norm
-    is 1 minus the recorded Poisson tail mass.  If ``tail_tol`` is given and
-    the cutoff cannot meet it, the error message names the smallest
-    sufficient cutoff.
+    is 1 minus the recorded Poisson tail mass.  If ``tail_tol`` is given, it
+    is checked first, and if the cutoff cannot meet it, the error message
+    names the smallest sufficient cutoff.
     """
     check(cutoff=cutoff)
+    if tail_tol is not None:
+        check(tail_tol=tail_tol)
     mu = abs(alpha) ** 2
     first, terms = _poisson_terms(mu, cutoff + 1)
     held = max(cutoff + 1 - first, 0)
@@ -213,8 +214,9 @@ def build_state(p: EcsParams | NoonParams, cutoff: int | None = None,
     levels (n^m weighting shifts weight to higher levels, so leave 2m extra;
     N for a NOON probe) and its coherent vector is held to ``tail_tol``.  A
     given cutoff is used as is: the caller owns the truncation error, whose
-    tail mass is recorded, not enforced.
+    tail mass is recorded, not enforced.  ``tail_tol`` is checked either way.
     """
+    check(tail_tol=tail_tol)
     noon = isinstance(p, NoonParams)
     held_to = tail_tol if cutoff is None else None
     if cutoff is None:

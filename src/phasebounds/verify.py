@@ -2,14 +2,14 @@
 
 Each check pits a closed form against an independent computation: Stirling
 moments against sums over the oracle's Poisson walk, analytic information
-matrices against the truncated-Fock oracle, the piecewise optimum against a
-brute-force scan of Tr(F^-1) over b^2 (``_trace_scan``, also read for the
-bound's shape), and the headline bound values and orderings against direct
-arithmetic.  ``qfim.oracle_vs_analytic`` and ``qfim.fd_vs_analytic`` call
-the oracle's one information-matrix routine under its two names, the
-moment form and the derivative form, so they read the same discrepancy;
-both keys stay because benchmark reports name them.  Every
-check is a named function of explicit inputs (a probe list, an rng,
+matrices and the independent-estimation baselines against the truncated-Fock
+oracle, the piecewise optimum against a brute-force scan of Tr(F^-1) over b^2
+(``_trace_scan``, also read for the bound's shape), and the headline bound
+values and orderings against direct arithmetic.  ``qfim.oracle_vs_analytic``
+and ``qfim.fd_vs_analytic`` call the oracle's one information-matrix routine
+under its two names, the moment form and the derivative form, so they read
+the same discrepancy; both keys stay because benchmark reports name them.
+Every check is a named function of explicit inputs (a probe list, an rng,
 optimizer draws or an n_tot grid) that measures one
 discrepancy and returns it as a ``CheckResult`` at its pinned tolerance,
 ``DEFAULT_TOLERANCES["<suite>.<name>"]``.  The pass rule is written once,
@@ -81,6 +81,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "bounds.headline_values": 1e-12,
     "bounds.noon_pair_exact": 0.0,
     "bounds.independent_match": 1e-12,
+    "bounds.independent_vs_oracle": 1e-12,
     "bounds.independent_below_noon_baseline": 1.0,
     "bounds.crossing_bracket": 0.01,
     "bounds.ecs_below_noon": 1.0,
@@ -374,7 +375,8 @@ def o_of_d_advantage_fit() -> tuple[float, float, np.ndarray]:
     """
     ds = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
     independent = [bounds.qcrb_independent_ecs(int(d), 100.0) for d in ds]
-    ratios = np.array([r.value / bounds.qcrb_ecs_linear(r.params["d"], r.params["n_tot"]).value
+    ratios = np.array([r.value / bounds.minimize_bound_over_b(r.params["d"], 1,
+                                                              r.params["n_tot"]).value
                        for r in independent])
     c = float(np.dot(ds, ratios) / np.dot(ds, ds))
     residual = float(np.sum((ratios - c * ds) ** 2) / np.sum(ratios ** 2))
@@ -385,7 +387,7 @@ def headline_values() -> CheckResult:
     """The d = 5 coherent headline number at alpha = 2 (the NOON pair is noon_pair_exact)."""
     target = HEADLINE_SCALE / 100.0
     return _check("bounds.headline_values",
-                  abs(bounds.qcrb_ecs_linear(5, 4.0).value - target) / target)
+                  abs(bounds.minimize_bound_over_b(5, 1, 4.0).value - target) / target)
 
 
 def noon_pair_exact() -> CheckResult:
@@ -407,6 +409,24 @@ def independent_match() -> CheckResult:
 
     worst = _worst(itertools.starmap(rel, ((1, 1.0), (2, 4.0), (3, 36.0), (5, 9.0), (10, 0.5))))
     return _check("bounds.independent_match", worst)
+
+
+def independent_vs_oracle() -> CheckResult:
+    """d / F against each independent baseline, F the oracle's information on the one
+    phase of a two-mode probe: N (|alpha, 0> + |0, alpha>) with b = c = N =
+    1/sqrt(2 (1 + e^{-alpha_sq})), or (|N, 0> + |0, N>)/sqrt 2 with n_tot = d N
+    (Humphreys et al., PRL 111, 070403 (2013)); the worst relative error."""
+    def rels(probe, bound):
+        info = oracle.numerical_qfim(probe)[0, 0]
+        return [abs(d / info / bound(d) - 1.0) for d in (1, 5, 64)]
+
+    ecs = (rels(states.ecs_params(1, mu, 1.0 / math.sqrt(2.0 * (1.0 + math.exp(-mu)))),
+                lambda d: bounds.qcrb_independent_ecs(d, mu).value)
+           for mu in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4))
+    noon = (rels(states.noon_params(1, n, b=math.sqrt(0.5)),
+                 lambda d: bounds.qcrb_independent_noon(d, float(d * n)).value)
+            for n in (1, 2, 5, 20))
+    return _check("bounds.independent_vs_oracle", _worst(itertools.chain(*ecs, *noon)))
 
 
 def independent_below_noon_baseline() -> CheckResult:
@@ -505,7 +525,7 @@ def o_of_d_fit() -> CheckResult:
 
 def suite_bounds(rng: np.random.Generator) -> list[CheckResult]:
     n_tot = _ntot_grid(0.01)
-    return [headline_values(), noon_pair_exact(), independent_match(),
+    return [headline_values(), noon_pair_exact(), independent_match(), independent_vs_oracle(),
             independent_below_noon_baseline(), crossing_bracket(n_tot), ecs_below_noon(n_tot),
             large_ntot_ratio(n_tot), zzb_ordering(), region_claim(), gamma_large_alpha(),
             b_star_approach(), b_star_limit(), o_of_d_fit()]

@@ -102,8 +102,8 @@ def test_criterion_07c_b_star_large_alpha_limit():
 
 def test_criterion_08_independent_baselines():
     report("8 (independent baselines)",
-           [verify.independent_match(), verify.independent_below_noon_baseline(),
-            verify.o_of_d_fit()])
+           [verify.independent_match(), verify.independent_vs_oracle(),
+            verify.independent_below_noon_baseline(), verify.o_of_d_fit()])
 
 
 def test_criterion_09_ziv_zakai():

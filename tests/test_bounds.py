@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasebounds import bounds, cli, moments, qfim, states, verify
-from phasebounds.errors import DegenerateInputError, RegionError
+from phasebounds.errors import DegenerateInputError
 from phasebounds.verify import crossing_bracket, o_of_d_advantage_fit
 
 
@@ -115,28 +115,19 @@ class TestGridScan:
 
 class TestEcsClosedForms:
     def test_linear_values(self):
-        assert bounds.qcrb_ecs_linear(5, 4.0).value == pytest.approx(
+        assert bounds.minimize_bound_over_b(5, 1, 4.0).value == pytest.approx(
             5.0 * (math.sqrt(5.0) + 1.0) ** 2 / 100.0, rel=1e-14)
-        assert bounds.qcrb_ecs_linear(1, 1.0).value == pytest.approx(0.25, rel=1e-14)
-
-    def test_linear_region_error(self):
-        with pytest.raises(RegionError):
-            bounds.qcrb_ecs_linear(5, 1.0)
+        assert bounds.minimize_bound_over_b(1, 1, 1.0).value == pytest.approx(0.25, rel=1e-14)
 
     def test_nonlinear_raw_value(self):
         # d=1, mu=1: scale (2/15)^2
         assert bounds.ecs_nonlinear_value(1, 1.0) == pytest.approx(4.0 / 225.0, rel=1e-14)
 
-    def test_nonlinear_region_error_small_intensity(self):
-        # b_star exceeds the cap at d=1, mu=1 for the quadratic generator
-        with pytest.raises(RegionError):
-            bounds.qcrb_ecs_nonlinear(1, 1.0)
-
     def test_nonlinear_checked_matches_minimize(self):
-        report = bounds.qcrb_ecs_nonlinear(1, 4.0)
-        optimum = bounds.minimize_bound_over_b(1, 2, 4.0)
-        assert optimum.regime is bounds.Regime.INTERIOR
-        assert report.value == pytest.approx(optimum.value, rel=1e-12)
+        # the interior m = 2 report is the headline value at b_star, named ecs-nonlinear
+        report = bounds.minimize_bound_over_b(1, 2, 4.0)
+        assert report.regime is bounds.Regime.INTERIOR and report.kind == "ecs-nonlinear"
+        assert report.value == pytest.approx(bounds.ecs_nonlinear_value(1, 4.0), rel=1e-12)
 
     def test_nonlinear_to_linear_asymptotics(self):
         # ratio NL/L = ((1+mu)^2 / (mu^3 + 6 mu^2 + 7 mu + 1))^2 ~ mu^-2
@@ -147,7 +138,7 @@ class TestEcsClosedForms:
 
     def test_degenerate_intensity(self):
         with pytest.raises(DegenerateInputError):
-            bounds.qcrb_ecs_linear(5, 0.0)
+            bounds.minimize_bound_over_b(5, 1, 0.0)
 
 
 class TestNoonClosedForms:

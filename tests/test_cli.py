@@ -4,7 +4,6 @@ import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -56,11 +55,14 @@ class TestBoundsCommand:
         assert code == 2
         assert "--N" in err
 
-    def test_region_error_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "bounds", "--family", "ecs-linear",
+    def test_clamped_ecs_linear_exits_0(self, capsys):
+        # b_star^2 > Gamma: the optimum sits at the cap
+        code, out, _ = run_cli(capsys, "bounds", "--family", "ecs-linear",
                                "--d", "5", "--alpha", "1")
-        assert code == 2
-        assert "minimize_bound_over_b" in err
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["regime"] == "clamped"
+        assert payload["value"] == 6.042050368248013
 
     def test_ecs_optimal_clamped(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--family", "ecs-optimal",
@@ -496,21 +498,28 @@ class TestCurvesCommand:
             assert float(row[3]) == bounds.ecs_nonlinear_value(3, n_tot)
             assert float(row[4]) == bounds.noon_nonlinear_value(3, n_tot)
 
+    @staticmethod
+    def _assert_one_output(capsys, m, d, alpha, fmt):
+        """ecs-linear (ecs-nonlinear) prints the bytes and exit code of ecs-optimal --m 1 (2)."""
+        family = "ecs-linear" if m == 1 else "ecs-nonlinear"
+        printed = {run_cli(capsys, "bounds", "--family", *argv, "--d", str(d),
+                           "--alpha", repr(alpha), "--format", fmt)[:2]
+                   for argv in ((family,), ("ecs-optimal", "--m", str(m)))}
+        assert len(printed) == 1 and printed.pop()[0] == 0
+
     @pytest.mark.parametrize("m,d,alpha", [(1, 5, 2.0), (1, 1, 0.3), (1, 17, 3.0), (1, 64, 6.5),
                                            (2, 5, 3.0), (2, 17, 4.0), (2, 64, 6.5)])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_one_value_per_interior_quantity(self, capsys, m, d, alpha, fmt):
-        # ecs-linear (ecs-nonlinear) and ecs-optimal --m 1 (--m 2) print one value
         assert states.domain_geometry(d, m, alpha * alpha).interior
-        family = "ecs-linear" if m == 1 else "ecs-nonlinear"
-        printed = set()
-        for argv in ((family,), ("ecs-optimal", "--m", str(m))):
-            code, out, _ = run_cli(capsys, "bounds", "--family", *argv, "--d", str(d),
-                                   "--alpha", repr(alpha), "--format", fmt)
-            assert code == 0
-            printed.add(list(csv.DictReader(io.StringIO(out)))[0]["value"] if fmt == "csv"
-                        else re.search(r'"value": ([^,}]+)', out)[1])
-        assert len(printed) == 1
+        self._assert_one_output(capsys, m, d, alpha, fmt)
+
+    @pytest.mark.parametrize("m,d,alpha", [(1, 5, 1.0), (1, 17, 0.5), (1, 64, 2.0),
+                                           (2, 5, 1.0), (2, 1, 0.3), (2, 64, 3.0)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_value_per_clamped_quantity(self, capsys, m, d, alpha, fmt):
+        assert not states.domain_geometry(d, m, alpha * alpha).interior
+        self._assert_one_output(capsys, m, d, alpha, fmt)
 
     def test_byte_identical_across_chunk_sizes(self, capsys, monkeypatch, tmp_path):
         outputs = []
@@ -890,7 +899,7 @@ def test_cli_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-# every bounds family, json and csv, the cap itself, and error exits from the kernel's checks
+# every bounds family, json and csv, the cap itself, the clamped optimum and an error exit
 SCALAR_ARGVS = [
     *[[*argv, "--format", fmt] for fmt in ("json", "csv") for argv in (
         ["bounds", "--family", "ecs-linear", "--d", "5", "--alpha", "2"],
@@ -941,7 +950,7 @@ print(json.dumps({{"seen": seen, "exits": exits, "numpy": "numpy" in sys.modules
     seen = report.pop("seen")
     assert seen.pop("import phasebounds") == [] and seen.pop("import phasebounds.cli") == []
     exits = {argv: got[0] for argv, got in seen.items()}
-    assert list(exits.values()) == [0] * 21 + [2] * 2, exits
+    assert list(exits.values()) == [0] * 22 + [2], exits
     assert {argv: got[1] for argv, got in seen.items() if got[1]} == {}
     assert report == {"exits": [0, 0, 0], "numpy": True}
 

@@ -9,17 +9,24 @@ import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phasebounds import oracle, qfim, states, verify
+from phasebounds import cli, oracle, qfim, states, verify
 from phasebounds.errors import CutoffError, DegenerateInputError, SizeLimitError
 from phasebounds.moments import coherent_number_moment
 
 from conftest import rel_frobenius
+
+# the benchmark's op mix and output checks, read as tools/output_digest.py reads them
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import mix  # noqa: E402
+import refs  # noqa: E402
+import run  # noqa: E402
 
 
 def decimal_tails(mu: float) -> list[Decimal]:
@@ -136,7 +143,7 @@ class TestPoissonTail:
 
     def test_minimal_cutoff_errors(self):
         for tol in (0.0, -1e-12, 1.0, 2.0, math.inf, math.nan):
-            with pytest.raises(ValueError, match=r"^tail_tol must lie in \(0, 1\), got "):
+            with pytest.raises(ValueError, match=r"^tail_tol must be < 1 and > 0, got "):
                 oracle.minimal_cutoff(4.0, tol)
         with pytest.raises(CutoffError):
             oracle.minimal_cutoff(99_990.0, 1e-14)
@@ -154,6 +161,20 @@ class TestPoissonTail:
             if not mu < 0.0:  # |alpha|^2 is never negative
                 with pytest.raises(DegenerateInputError, match=message):
                     oracle.truncated_coherent(mu, 5)
+
+    @pytest.mark.parametrize("tol", [2.0, 1.0, math.nan, 0.0, -1.0])
+    def test_every_tail_tol_reader_refuses_one_outside_its_row(self, tol):
+        # a tail_tol outside (0, 1) is refused before any walk, with or
+        # without a cutoff, by the one domain row
+        message = f"^tail_tol must be < 1 and > 0, got {re.escape(repr(tol))}$"
+        p = states.ecs_params(2, 1.0, 0.3)
+        for call in (lambda: oracle.minimal_cutoff(2.0, tol),
+                     lambda: oracle.truncated_coherent(2.0, 3, tail_tol=tol),
+                     lambda: oracle.build_state(p, 12, tail_tol=tol),
+                     lambda: oracle.build_state(p, tail_tol=tol),
+                     lambda: oracle.build_state(states.noon_params(2, 3), tail_tol=tol)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestBuildStates:
@@ -632,6 +653,22 @@ def test_benchmark_oracle_worker_checks_every_op_kind_cleanly(tmp_path):
     assert [r for r in records if r["errors"]] == []
 
 
+def test_benchmark_output_checks_pass_on_oneshot_and_sweep_ops(capsys, tmp_path):
+    """The benchmark's own checks pass on the CLI's output: two cycles of its
+    one-shot bounds ops, and its first region and first curves op."""
+    for op in islice(mix.oneshot_ops(1), 2 * len(mix.ONESHOT_CYCLE)):
+        code = cli.main(mix.bounds_argv(op))
+        out = capsys.readouterr().out.encode()
+        assert code == 0, op
+        assert refs.check_bound(op, run.parse_bound_output(op["format"], out)) == [], op
+    sweeps = list(islice(mix.sweep_ops(1), len(mix.SWEEP_CYCLE)))
+    for kind in ("region", "curves"):
+        op = next(op for op in sweeps if op["kind"] == kind)
+        path = str(tmp_path / kind)
+        assert cli.main(mix.sweep_argv(op, path)) == 0
+        assert run.check_sweep_output(op, path) == ([], op["rows"])
+
+
 def _package_references(path: Path) -> set[str]:
     """Dotted package names a benchmark file reads, from its source alone: each name
     bound by ``from phasebounds import ...`` or ``import phasebounds....``, and each
@@ -669,10 +706,9 @@ def test_every_package_name_the_benchmark_reads_resolves():
     """Each ``module.name`` a benchmark file reads off the package exists, so a
     deletion of a name the benchmark calls fails here; the files are parsed, not
     imported.  Names the tracer builds from strings are outside this check."""
-    files = sorted((Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"))
-    refs = {ref for path in files for ref in _package_references(path)}
-    assert "phasebounds.oracle.dense_qfim" in refs and "phasebounds.cli.main" in refs
-    assert sorted(ref for ref in refs if not _resolves(ref)) == []
+    names = {ref for path in sorted(PERFBENCH.glob("*.py")) for ref in _package_references(path)}
+    assert "phasebounds.oracle.dense_qfim" in names and "phasebounds.cli.main" in names
+    assert sorted(ref for ref in names if not _resolves(ref)) == []
 
 
 def test_benchmark_tracer_counts_the_oracle_truncation_and_term_pairs(tmp_path):

@@ -148,10 +148,15 @@ SUITE_MUTANTS = [
      partial(verify.interior_closed_forms, DRAWS)),
     (qfim, "trace_inverse_value", lambda t: t * (1.0 + 5e-7 * (-1.0) ** np.arange(np.size(t))),
      partial(verify.unimodal, DRAWS)),
-    (bounds, "qcrb_ecs_linear", _report(lambda v: v * (1.0 + 2e-12)), verify.headline_values),
+    (bounds, "minimize_bound_over_b", _report(lambda v: v * (1.0 + 2e-12)),
+     verify.headline_values),
     (bounds, "qcrb_noon_nonlinear", _report(lambda v: math.nextafter(v, math.inf)),
      verify.noon_pair_exact),
     (bounds, "_independent_alpha_sq", lambda x: x * (1.0 + 1e-11), verify.independent_match),
+    (bounds, "qcrb_independent_ecs", _report(lambda v: v * (1.0 + 1e-11)),
+     verify.independent_vs_oracle),
+    (bounds, "qcrb_independent_noon", _report(lambda v: v * (1.0 + 1e-11)),
+     verify.independent_vs_oracle),
     (bounds, "independent_ecs_vs_ntot", _report(lambda v: v * 1.05),
      verify.independent_below_noon_baseline),
     (bounds, "ecs_linear_value", lambda v: v * 1.018, partial(verify.crossing_bracket, N_TOT)),
