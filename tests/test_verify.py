@@ -150,6 +150,7 @@ SUITE_MUTANTS = [
      partial(verify.unimodal, DRAWS)),
     (bounds, "minimize_bound_over_b", _report(lambda v: v * (1.0 + 2e-12)),
      verify.headline_values),
+    (bounds, "qcrb_ecs_at_b", _report(lambda v: v * (1.0 + 2e-12)), verify.headline_values),
     (bounds, "qcrb_noon_nonlinear", _report(lambda v: math.nextafter(v, math.inf)),
      verify.noon_pair_exact),
     (bounds, "_independent_alpha_sq", lambda x: x * (1.0 + 1e-11), verify.independent_match),
