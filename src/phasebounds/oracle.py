@@ -366,7 +366,7 @@ def numerical_qfim(p: EcsParams | NoonParams,
 
 # The derivative form 4 Re(<d_j psi|d_k psi> - <d_j psi|psi><psi|d_k psi>) is the
 # same matrix, since d_j psi = i H_j psi exactly and the factors i, -i cancel; the
-# name stays for the benchmark's oracle worker and verify's fd_vs_analytic.
+# name stays only for the benchmark's oracle worker, its one caller.
 qfim_via_state_derivatives = numerical_qfim
 
 

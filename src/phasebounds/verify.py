@@ -6,9 +6,9 @@ matrices and the independent-estimation baselines against the truncated-Fock
 oracle, the piecewise optimum against a brute-force scan of Tr(F^-1) over b^2
 (``_trace_scan``, also read for the bound's shape), and the headline bound
 values and orderings against direct arithmetic.  ``qfim.oracle_vs_analytic``
-and ``qfim.fd_vs_analytic`` call the oracle's one information-matrix routine
-under its two names, the moment form and the derivative form, so they read
-the same discrepancy; both keys stay because benchmark reports name them.
+measures the oracle's one information-matrix routine once per probe, and
+``qfim.fd_vs_analytic`` judges that measurement at its own looser tolerance;
+both keys stay because benchmark reports name them.
 Every check is a named function of explicit inputs (a probe list, an rng,
 optimizer draws or an n_tot grid) that measures one
 discrepancy and returns it as a ``CheckResult`` at its pinned tolerance,
@@ -245,11 +245,10 @@ def oracle_vs_analytic(probes: Iterable[states.EcsParams]) -> CheckResult:
     return _check("qfim.oracle_vs_analytic", worst)
 
 
-def fd_vs_analytic(probes: Iterable[states.EcsParams]) -> CheckResult:
-    """Derivative-path oracle QFIM against the analytic matrix, relative Frobenius."""
-    worst = _worst(_rel_frobenius(oracle.qfim_via_state_derivatives(p), _analytic(p))
-                   for p in probes)
-    return _check("qfim.fd_vs_analytic", worst)
+def fd_vs_analytic(measured: CheckResult) -> CheckResult:
+    """``oracle_vs_analytic``'s discrepancy at the derivative path's tolerance: that path
+    is the moment path (d_j psi = i H_j psi exactly), so the oracle is not run again."""
+    return _check("qfim.fd_vs_analytic", measured.discrepancy)
 
 
 def trace_formula(probes: Iterable[states.EcsParams]) -> CheckResult:
@@ -293,8 +292,8 @@ def structured_inverse(rng: np.random.Generator) -> CheckResult:
 
 def suite_qfim(rng: np.random.Generator) -> list[CheckResult]:
     probes = criterion_grid_params() + wide_params() + noon_grid_params()
-    return [oracle_vs_analytic(probes), fd_vs_analytic(probes), trace_formula(probes),
-            commutators(probes), structured_inverse(rng)]
+    return [measured := oracle_vs_analytic(probes), fd_vs_analytic(measured),
+            trace_formula(probes), commutators(probes), structured_inverse(rng)]
 
 
 # ------------------------------------------------------------- optimizer

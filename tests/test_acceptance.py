@@ -48,9 +48,8 @@ def test_criterion_01_moment_equivalence():
 
 def test_criterion_02_qfim_oracle_equivalence():
     t0 = time.perf_counter()
-    probes = criterion_grid_params()
-    report("2 (QFIM oracle equivalence)",
-           [verify.oracle_vs_analytic(probes), verify.fd_vs_analytic(probes)], t0, 30.0)
+    measured = verify.oracle_vs_analytic(criterion_grid_params())
+    report("2 (QFIM oracle equivalence)", [measured, verify.fd_vs_analytic(measured)], t0, 30.0)
 
 
 def test_criterion_03_structured_inverse():

@@ -892,8 +892,8 @@ class TestVerifyCommand:
 def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = ("import sys, phasebounds.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.startswith('scipy') or m == 'concurrent.futures'))")
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'sympy')) "
+            "or m == 'concurrent.futures'))")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.strip() == "[]"

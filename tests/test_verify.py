@@ -104,10 +104,30 @@ def test_the_one_structured_qfim_can_fail_verify(monkeypatch):
     assert not verify.oracle_vs_analytic(noon).passed
 
 
+def test_the_qfim_suite_runs_the_oracle_matrix_once_per_probe(monkeypatch):
+    calls = []
+    exact = oracle._qfim
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(oracle, "_qfim", counted)
+    verify.run_suite("qfim")
+    probes = verify.criterion_grid_params() + verify.wide_params() + verify.noon_grid_params()
+    assert len(calls) == len(probes) == 72
+
+
+def _fd_verdict():
+    """fd_vs_analytic's verdict on oracle_vs_analytic's measurement of four grid probes."""
+    return verify.fd_vs_analytic(verify.oracle_vs_analytic(verify.criterion_grid_params()[:4]))
+
+
 # (module, kernel, fault applied to the kernel's result, the check that guards it)
 KERNEL_MUTANTS = [
     (oracle, "_qfim", lambda f: f * (1.0 + 3e-8),
      lambda: verify.oracle_vs_analytic(verify.criterion_grid_params()[:4])),
+    (oracle, "_qfim", lambda f: f * (1.0 + 2e-5), _fd_verdict),
     (qfim, "trace_inverse_value", lambda t: t * (1.0 + 1e-11),
      lambda: verify.trace_formula(verify.criterion_grid_params()[:4])),
     (qfim, "qfim_inverse", lambda f: qfim.StructuredQfim(f.d, f.gamma, f.omega * (1.0 + 1e-8)),
@@ -180,18 +200,18 @@ def _assert_the_check_fails_only_under_the_mutant(module, name, fault, check, mo
     assert not check().passed
 
 
-@pytest.mark.parametrize("module,name,fault,check", KERNEL_MUTANTS,
-                         ids=[f"{row[0].__name__}.{row[1]}" for row in KERNEL_MUTANTS])
+@pytest.mark.parametrize("module,name,fault,check", KERNEL_MUTANTS, ids=[
+    f"{row[0].__name__}.{row[1]}" + ("-fd_vs_analytic" if row[3] is _fd_verdict else "")
+    for row in KERNEL_MUTANTS])
 def test_each_qfim_and_normalization_kernel_has_a_check_that_fails(
         module, name, fault, check, monkeypatch):
     """A small fault in each kernel fails the check that guards it.
 
-    Two qfim checks fail under no mutant here on their own.
-    ``fd_vs_analytic`` runs the same oracle routine as ``oracle_vs_analytic``
-    and reads the same 3e-8 under the ``_qfim`` mutant, inside its 1e-5.
-    ``commutators`` is 0 by construction, since the generators are diagonal.
-    Both stay because the benchmark's oracle worker and acceptance criteria
-    2 and 10 read them.
+    ``fd_vs_analytic`` judges ``oracle_vs_analytic``'s measurement at its own
+    1e-5, so it fails once the ``_qfim`` fault exceeds that tolerance.
+    ``commutators`` fails under no mutant: it is 0 by construction, since the
+    generators are diagonal.  It stays because the benchmark's oracle worker
+    and acceptance criterion 10 read it.
     """
     _assert_the_check_fails_only_under_the_mutant(module, name, fault, check, monkeypatch)
 
